@@ -27,7 +27,7 @@ import time
 import numpy as np
 
 from repro.bench import ExperimentTable
-from repro.kernels.batched import gemm_trace_builder, mlp_layer_trace_builder
+from repro.kernels.batched import gemm_trace_builder
 from repro.kernels.gemm import ParlooperGemm
 from repro.kernels.mlp import ParlooperMlp
 from repro.platform import SPR
@@ -94,7 +94,7 @@ def test_batched_exec_speedup(benchmark):
     gemm_speedup = t_interp / t_batched
     gemm_exact = bool(np.array_equal(C_i, C_b))
     gemm_traces = _digests_match(
-        kern_b.gemm_loop, kern_b.sim_body(SPR),
+        kern_b.loop, kern_b.sim_body(SPR),
         gemm_trace_builder(kern_b, SPR, kern_b._conflict_scale()))
     table.add(f"GEMM {d}^3 (f32, 32^3 blocks, k_step=4)", t_interp,
               t_batched, f"{gemm_speedup:.1f}x", str(gemm_exact),
@@ -112,10 +112,9 @@ def test_batched_exec_speedup(benchmark):
     mlp_speedup = t_interp_mlp / t_batched_mlp
     mlp_exact = bool(np.array_equal(mlp_i.forward(x), mlp_b.forward(x)))
     mlp_traces = all(
-        _digests_match(mlp_b.layers[l].gemm.gemm_loop,
-                       mlp_b._layer_sim_body(l, SPR),
-                       mlp_layer_trace_builder(mlp_b, l, SPR))
-        for l in range(len(mlp_b.layers)))
+        _digests_match(layer.gemm.loop, mlp_b._layer_sim_body(l, SPR),
+                       layer.gemm.trace_builder(SPR, mlp_b._names(l)))
+        for l, layer in enumerate(mlp_b.layers))
     table.add(f"MLP [{w}]x4, N=512 (bf16, 16^3 blocks, bias+relu)",
               t_interp_mlp,
               t_batched_mlp, f"{mlp_speedup:.1f}x", str(mlp_exact),

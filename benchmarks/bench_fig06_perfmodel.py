@@ -49,7 +49,7 @@ def test_fig6_model_vs_measured(benchmark, machine, dtype, threads):
                                spec_string=cand.spec_string,
                                block_steps=cand.block_steps,
                                num_threads=threads)
-        p = predict(kernel.gemm_loop, kernel.sim_body(machine), machine,
+        p = predict(kernel.loop, kernel.sim_body(machine), machine,
                     sample_threads=4, total_flops=kernel.flops)
         e = kernel.simulate(machine)
         modeled.append(p.score)
@@ -77,6 +77,6 @@ def test_fig6_model_vs_measured(benchmark, machine, dtype, threads):
     assert bottom_clean
 
     kernel = ParlooperGemm(512, 512, 512, num_threads=8, dtype=dtype)
-    benchmark(lambda: predict(kernel.gemm_loop, kernel.sim_body(machine),
+    benchmark(lambda: predict(kernel.loop, kernel.sim_body(machine),
                               machine, sample_threads=2,
                               total_flops=kernel.flops))

@@ -59,7 +59,7 @@ def test_gemm_predict_disabled_obs_overhead():
 
     def classic():
         # the pre-session spelling: fresh trace each run, ambient OBS_OFF
-        module_predict(g.gemm_loop, g.sim_body(SPR), SPR,
+        module_predict(g.loop, g.sim_body(SPR), SPR,
                        total_flops=float(g.flops))
 
     def via_session():

@@ -28,7 +28,7 @@ for spec, blocks in CANDIDATES:
     kernel = ParlooperGemm(M, N, K, bm, bn, bk, dtype=DType.BF16,
                            spec_string=spec, block_steps=blocks,
                            num_threads=112)
-    model = predict(kernel.gemm_loop, kernel.sim_body(SPR), SPR,
+    model = predict(kernel.loop, kernel.sim_body(SPR), SPR,
                     sample_threads=4, total_flops=kernel.flops)
     engine = kernel.simulate(SPR)
     print(f"{spec:14s} {model.score:12,.0f} {engine.gflops:12,.0f}")

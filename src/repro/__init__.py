@@ -28,7 +28,6 @@ Architectures"* (Georganas et al., IPDPS 2024):
   differential spec fuzzer.
 """
 
-from ._compat import ParlooperDeprecationWarning, deprecated_call
 from .core import LoopSpecs, SpecError, ThreadedLoop
 from .kernels import (ConvSpec, ParlooperConv, ParlooperGemm, ParlooperMlp,
                       ParlooperSpmm)
@@ -36,26 +35,17 @@ from .obs import ObsConfig
 from .platform import ADL, GVT3, SPR, ZEN4, MachineModel
 from .serve import ServeSimulator, TrafficGenerator
 from .fleet import FleetSimulator
-from .session import Session, default_session, predict, search, simulate, tune
+from .session import Session, default_session, predict, simulate, tune
 from .tpp import BCSCMatrix, BRGemmTPP, DType, Precision, Ptr
 from .tuner import TuneReport, TuningConstraints
-from .tuner import generate_candidates as _generate_candidates
 from .verify import (check_coverage, detect_races, run_fuzz, verify_nest,
                      VerificationError)
 
-#: deprecated top-level binding — enumeration stays public as
-#: ``repro.tuner.generate_candidates``; the one-call path is ``tune()``
-generate_candidates = deprecated_call(
-    "repro.generate_candidates()",
-    "Session.tune() / repro.tune() (or repro.tuner.generate_candidates "
-    "for the low-level enumerator)")(_generate_candidates)
-
-__version__ = "1.0.0"
+__version__ = "1.1.0"
 
 __all__ = [
     # facade
     "Session", "ObsConfig", "default_session",
-    "ParlooperDeprecationWarning",
     # core
     "ThreadedLoop", "LoopSpecs", "SpecError",
     # kernels
@@ -73,7 +63,6 @@ __all__ = [
     "FleetSimulator",
     # tuner
     "TuningConstraints", "TuneReport", "tune",
-    "generate_candidates", "search",
     # verify
     "verify_nest", "detect_races", "check_coverage", "run_fuzz",
     "VerificationError",

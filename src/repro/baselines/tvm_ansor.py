@@ -109,7 +109,7 @@ class TvmAnsorBaseline(GemmBaseline):
                     num_threads=machine.total_cores)
             except Exception:
                 continue
-            pred = predict(kernel.gemm_loop, kernel.sim_body(machine),
+            pred = predict(kernel.loop, kernel.sim_body(machine),
                            machine, sample_threads=2,
                            total_flops=kernel.flops)
             noisy = pred.score * math.exp(

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import threading
 
-from .._compat import renamed_kwarg
 from ..obs.context import current as _obs
 from .errors import ExecutionError, SpecError
 from .inject import active_injector
@@ -97,7 +96,6 @@ class _InlineContext:
         return (start, end)
 
 
-@renamed_kwarg("nthreads", "num_threads")
 def run_nest(nest_func, num_threads: int, body_func, init_func=None,
              term_func=None, grid=(1, 1, 1), execution: str = "serial"
              ) -> None:

@@ -49,8 +49,7 @@ from ..tpp.dtypes import DType, from_compute
 
 __all__ = ["BACKENDS", "resolve_backend", "record_backend_outcome",
            "run_gemm_batched", "run_conv_batched", "run_spmm_batched",
-           "gemm_trace_builder", "mlp_layer_trace_builder",
-           "conv_trace_builder", "spmm_trace_builder"]
+           "gemm_trace_builder", "conv_trace_builder", "spmm_trace_builder"]
 
 #: cap on elements gathered per stacked call, so transient block stacks
 #: stay cache-friendly instead of materializing the whole nest at once
@@ -91,7 +90,7 @@ def run_gemm_batched(kern, A, B, C, bias_vec=None,
     per-fiber schedule.  ``defer_epilogue`` leaves C linear so ABFT can
     verify it first (the kernel applies the epilogue afterwards).
     """
-    loop = kern.gemm_loop
+    loop = kern.loop
     nt = loop.num_threads
     prec = kern.brgemm_tpp.precision
     ks = kern.k_step
@@ -100,8 +99,6 @@ def run_gemm_batched(kern, A, B, C, bias_vec=None,
     bias_blocks = (None if bias_vec is None
                    else np.asarray(bias_vec).reshape(kern.Mb, kern.bm))
     injector = active_injector()
-    if injector is not None:
-        injector.begin_call()
     for tid in range(nt):
         inds = enumerate_inds(loop.plan, nt, tid, dynamic="fcfs")
         if not inds.shape[0]:
@@ -147,7 +144,7 @@ def run_conv_batched(kern, I, Wt, O) -> np.ndarray:
     (no im2col copy of the full tensor)."""
     sp = kern.spec
     st = sp.stride
-    loop = kern.conv_loop
+    loop = kern.loop
     nt = loop.num_threads
     prec = kern.brgemm_tpp.precision
     cs, R, S, ws = kern.c_step, sp.R, sp.S, kern.w_step
@@ -161,8 +158,6 @@ def run_conv_batched(kern, I, Wt, O) -> np.ndarray:
     ocols = np.arange(ws, dtype=np.int64)
     elems = br * (ws * kern.bc + kern.bc * kern.bk)
     injector = active_injector()
-    if injector is not None:
-        injector.begin_call()
     for tid in range(nt):
         inds = enumerate_inds(loop.plan, nt, tid, dynamic="fcfs")
         if not inds.shape[0]:
@@ -220,15 +215,13 @@ def run_spmm_batched(kern, B, C) -> np.ndarray:
     prec = kern.spmm_tpp.precision
     comp = prec.comp.np
     counts = np.diff(a.row_ptr)
-    loop = kern.spmm_loop
+    loop = kern.loop
     nt = loop.num_threads
     rowc = np.arange(bm, dtype=np.int64)
     colc = np.arange(bn, dtype=np.int64)
     bkc = np.arange(bk, dtype=np.int64)
     elems = bm * bk + bk * bn + bm * bn
     injector = active_injector()
-    if injector is not None:
-        injector.begin_call()
     for tid in range(nt):
         inds = enumerate_inds(loop.plan, nt, tid, dynamic="fcfs")
         if not inds.shape[0]:
@@ -386,10 +379,11 @@ def _gemm_layer_trace(tid, plan, num_threads, *, Mb, Nb, Kb, k_step,
     )
 
 
-def gemm_trace_builder(kern, machine, scale: float):
-    """``tid -> CompiledTrace`` for a ParlooperGemm, equal to compiling
-    the interpreter's trace of ``kern.sim_body(machine, scale)``."""
-    loop = kern.gemm_loop
+def gemm_trace_builder(kern, machine, scale: float, names=("A", "B", "C")):
+    """``tid -> CompiledTrace`` for a ParlooperGemm (or one MLP layer),
+    equal to compiling the interpreter's trace of ``kern.sim_body(
+    machine, names)``; *scale* is ``kern._conflict_scale()``."""
+    loop = kern.loop
     epilogue = kern.act_tpp is not None or kern.bias_tpp is not None
 
     def build(tid: int) -> CompiledTrace:
@@ -397,25 +391,8 @@ def gemm_trace_builder(kern, machine, scale: float):
             tid, loop.plan, loop.num_threads, Mb=kern.Mb, Nb=kern.Nb,
             Kb=kern.Kb, k_step=kern.k_step, bm=kern.bm, bn=kern.bn,
             bk=kern.bk, dtype=kern.dtype, machine=machine,
-            names=("A", "B", "C"), epilogue=epilogue,
+            names=names, epilogue=epilogue,
             flops_per_elem=2.0 if kern.bias else 1.0, scale=scale)
-    return build
-
-
-def mlp_layer_trace_builder(mlp, l: int, machine):
-    """``tid -> CompiledTrace`` for MLP layer *l*, matching
-    ``ParlooperMlp._layer_sim_body`` (per-layer activation keys, the
-    epilogue eltwise always present)."""
-    g = mlp.layers[l].gemm
-    loop = g.gemm_loop
-    names = (f"W{l}", f"ACT{l}", f"ACT{l + 1}")
-
-    def build(tid: int) -> CompiledTrace:
-        return _gemm_layer_trace(
-            tid, loop.plan, loop.num_threads, Mb=g.Mb, Nb=g.Nb, Kb=g.Kb,
-            k_step=g.k_step, bm=g.bm, bn=g.bn, bk=g.bk, dtype=g.dtype,
-            machine=machine, names=names, epilogue=True,
-            flops_per_elem=2.0, scale=1.0)
     return build
 
 
@@ -423,7 +400,7 @@ def conv_trace_builder(kern, machine):
     """``tid -> CompiledTrace`` for a ParlooperConv, equal to compiling
     the interpreter's trace of ``kern.sim_body(machine)``."""
     sp = kern.spec
-    loop = kern.conv_loop
+    loop = kern.loop
     cs, R, S = kern.c_step, sp.R, sp.S
     Cb, Kb = kern.Cb, kern.Kb
     N, H, P, Q, st = sp.N, sp.H, sp.P, sp.Q, sp.stride
@@ -508,7 +485,7 @@ def spmm_trace_builder(kern, machine):
     the interpreter's trace of ``kern.sim_body(machine)`` (empty block
     rows emit no event, exactly like the ``None`` body returns)."""
     a = kern.a
-    loop = kern.spmm_loop
+    loop = kern.loop
     counts = np.diff(a.row_ptr)
     mx = int(counts.max()) if counts.size and a.nnz_blocks else 0
     NBR, NBC, Nb = a.n_block_rows, a.n_block_cols, kern.Nb
@@ -594,13 +571,13 @@ def spmm_trace_builder(kern, machine):
 def gemm_batched_ok(kern) -> tuple:
     if kern.flat_b:
         return False, "flat-B layout gathers per-iteration address blocks"
-    return batchable(kern.gemm_loop.plan, kern.gemm_loop.num_threads,
-                     kern.gemm_loop.execution)
+    return batchable(kern.loop.plan, kern.loop.num_threads,
+                     kern.loop.execution)
 
 
 def conv_batched_ok(kern) -> tuple:
-    return batchable(kern.conv_loop.plan, kern.conv_loop.num_threads,
-                     kern.conv_loop.execution)
+    return batchable(kern.loop.plan, kern.loop.num_threads,
+                     kern.loop.execution)
 
 
 def spmm_batched_ok(kern) -> tuple:
@@ -608,5 +585,5 @@ def spmm_batched_ok(kern) -> tuple:
         return False, "VNNI-packed B requires per-block re-layout"
     if kern.spmm_tpp.beta != 0.0:
         return False, "nonzero beta accumulation is not lowered"
-    return batchable(kern.spmm_loop.plan, kern.spmm_loop.num_threads,
-                     kern.spmm_loop.execution)
+    return batchable(kern.loop.plan, kern.loop.num_threads,
+                     kern.loop.execution)

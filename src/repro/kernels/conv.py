@@ -26,16 +26,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.inject import active_injector
 from ..core.loop_spec import LoopSpecs
-from ..core.threaded_loop import ThreadedLoop
 from ..platform.machine import MachineModel
 from ..simulator.cost import brgemm_event
-from ..simulator.engine import SimResult
 from ..tpp.dtypes import DType, Precision
 from ..tpp.gemm import BRGemmTPP
 from ..tpp.unary import ZeroTPP
-from .abft import resolve_abft
+from .abft import conv_check
+from .base import ParlooperKernel
+from .batched import conv_batched_ok, conv_trace_builder, run_conv_batched
 from .common import as_dtype, divisible
 
 __all__ = ["ConvSpec", "ParlooperConv", "DEFAULT_CONV_SPEC"]
@@ -71,8 +70,10 @@ class ConvSpec:
             * self.R * self.S
 
 
-class ParlooperConv:
+class ParlooperConv(ParlooperKernel):
     """Forward convolution kernel (Listing 4)."""
+
+    kind = "conv"
 
     def __init__(self, spec: ConvSpec, bc: int = 64, bk: int = 64,
                  w_step: int | None = None, c_step: int = 1,
@@ -92,8 +93,6 @@ class ParlooperConv:
         self.c_step = c_step
         divisible(self.Cb, c_step, "Cb")
         self.dtype = dtype
-        self.spec_string = spec_string
-        self.abft = resolve_abft(abft)
 
         prec = Precision.of(dtype)
         self.zero_tpp = ZeroTPP(self.w_step, bk, prec)
@@ -102,7 +101,7 @@ class ParlooperConv:
                                     beta=1.0, precision=prec)
 
         bs = block_steps or [()] * 7
-        self.conv_loop = ThreadedLoop(
+        super().__init__(
             [LoopSpecs(0, spec.N, 1, bs[0]),               # a: minibatch
              LoopSpecs(0, self.Cb, c_step, bs[1]),         # b: C blocks
              LoopSpecs(0, self.Kb, 1, bs[2]),              # c: K blocks
@@ -110,10 +109,7 @@ class ParlooperConv:
              LoopSpecs(0, spec.Q, self.w_step, bs[4]),     # e: out cols
              LoopSpecs(0, spec.R, spec.R, bs[5]),          # f: filter rows
              LoopSpecs(0, spec.S, spec.S, bs[6])],         # g: filter cols
-            spec_string, num_threads=num_threads, backend=backend)
-        self.backend = self.conv_loop.backend
-        self.num_threads = self.conv_loop.num_threads
-        self._sim_bodies: dict = {}
+            spec_string, num_threads, backend, abft)
 
     # -- layout ------------------------------------------------------------
     def pack_input(self, x: np.ndarray) -> np.ndarray:
@@ -143,21 +139,16 @@ class ParlooperConv:
     # -- functional -------------------------------------------------------
     def __call__(self, I: np.ndarray, Wt: np.ndarray, O: np.ndarray
                  ) -> np.ndarray:
-        self._execute(I, Wt, O)
-        if self.abft != "off":
-            self._abft_finish(I, Wt, O)
+        self._compute(I, Wt, O)
         return O
 
-    def _execute(self, I, Wt, O):
-        if self.backend == "batched":
-            from .batched import (conv_batched_ok, record_backend_outcome,
-                                  run_conv_batched)
-            ok, reason = conv_batched_ok(self)
-            if ok:
-                record_backend_outcome("conv", "lowered")
-                run_conv_batched(self, I, Wt, O)
-                return
-            record_backend_outcome("conv", "fallback", reason)
+    def _batched_ok(self) -> tuple:
+        return conv_batched_ok(self)
+
+    def _run_batched(self, I, Wt, O):
+        run_conv_batched(self, I, Wt, O)
+
+    def _interp_body(self, I, Wt, O):
         sp = self.spec
         st = sp.stride
 
@@ -179,36 +170,18 @@ class ParlooperConv:
             brcount = len(a_blocks)
             self.brgemm_tpp(a_blocks, b_blocks,
                             O[in_][ik][ih, iw:iw + self.w_step], brcount)
+        return body
 
-        injector = active_injector()
-        if injector is not None:
-            c_final = self.Cb - self.c_step
-            ws = self.w_step
-            injector.begin_call(
-                lambda ind: O[ind[0]][ind[2]][ind[3], ind[4]:ind[4] + ws]
+    def _final_tile(self, I, Wt, O):
+        c_final = self.Cb - self.c_step
+        ws = self.w_step
+        return (lambda ind: O[ind[0]][ind[2]][ind[3], ind[4]:ind[4] + ws]
                 if ind[1] == c_final else None)
-        self.conv_loop(body)
 
-    def _abft_finish(self, I, Wt, O):
-        from ..core.errors import SdcDetectedError
-        from .abft import conv_check, record_abft_outcome
-        check = conv_check(self, I, Wt, O)
-        if not check.corrupt:
-            return
-        record_abft_outcome("conv", "detected")
-        if self.abft == "detect":
-            raise SdcDetectedError(
-                f"ABFT detected corruption: {check.describe()}",
-                check=check)
+    def _checksum(self, I, Wt, O):
         # the channel-sum checksum detects but cannot locate within the
-        # summed-out axis: recompute the nest once
-        self._execute(I, Wt, O)
-        record_abft_outcome("conv", "recomputed")
-        check = conv_check(self, I, Wt, O)
-        if check.corrupt:
-            raise SdcDetectedError(
-                "ABFT recompute is still corrupt: " + check.describe(),
-                check=check)
+        # summed-out axis: the ladder recomputes the nest
+        return conv_check(self, I, Wt, O)
 
     def run(self, x: np.ndarray, wt: np.ndarray) -> np.ndarray:
         """Convenience: NCHW in, NKPQ out (input must be pre-padded)."""
@@ -242,33 +215,10 @@ class ParlooperConv:
                 beta=1.0, c_first_touch=(ic == 0))
         return body
 
-    def _cached_sim_body(self, machine: MachineModel):
-        body = self._sim_bodies.get(machine.name)
-        if body is None:
-            body = self._sim_bodies[machine.name] = self.sim_body(machine)
-        return body
+    def trace_builder(self, machine: MachineModel):
+        """``tid -> CompiledTrace`` twin of :meth:`sim_body`."""
+        return conv_trace_builder(self, machine)
 
-    def _body_key(self, machine: MachineModel) -> tuple:
-        return ("ParlooperConv", self.spec, self.bc, self.bk,
-                self.w_step, self.c_step, self.dtype, machine.name)
-
-    def simulate(self, machine: MachineModel, session=None) -> SimResult:
-        """Engine simulation through a session (the default one if None),
-        so runs share its trace cache and report into its tracer."""
-        from ..session import resolve_session
-        return resolve_session(session).simulate(
-            self.conv_loop, self._cached_sim_body(machine), machine,
-            body_key=self._body_key(machine))
-
-    def predict(self, machine: MachineModel, session=None,
-                sample_threads: int | None = None):
-        """Box-B3 performance-model companion of :meth:`simulate`."""
-        from ..session import resolve_session
-        builder = None
-        if self.backend == "batched":
-            from .batched import conv_trace_builder
-            builder = conv_trace_builder(self, machine)
-        return resolve_session(session).predict(
-            self.conv_loop, self._cached_sim_body(machine), machine,
-            sample_threads=sample_threads, total_flops=float(self.flops),
-            body_key=self._body_key(machine), trace_builder=builder)
+    def _key_fields(self) -> tuple:
+        return (self.spec, self.bc, self.bk, self.w_step, self.c_step,
+                self.dtype)

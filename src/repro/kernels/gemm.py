@@ -12,18 +12,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.inject import active_injector
 from ..core.loop_spec import LoopSpecs
-from ..core.threaded_loop import ThreadedLoop
 from ..platform.machine import MachineModel
 from ..simulator.cost import brgemm_event, eltwise_event
-from ..simulator.engine import SimResult
 from ..tpp.dtypes import DType, Precision
 from ..tpp.gemm import BRGemmTPP
 from ..tpp.memory import Ptr
 from ..tpp.unary import GeluTPP, ReluTPP, ZeroTPP
 from ..tpp.binary import BiasAddColTPP
-from .abft import resolve_abft
+from .abft import gemm_check, gemm_correct_single
+from .base import ParlooperKernel
+from .batched import gemm_batched_ok, gemm_trace_builder, run_gemm_batched
 from .common import (alloc_blocked_c, divisible, pack_a_blocked,
                      pack_b_blocked, unpack_c_blocked)
 
@@ -35,7 +34,7 @@ DEFAULT_GEMM_SPEC = "aBC"
 _ACTIVATIONS = {"none": None, "relu": ReluTPP, "gelu": GeluTPP}
 
 
-class ParlooperGemm:
+class ParlooperGemm(ParlooperKernel):
     """C = A x B over blocked layouts, instantiated by a spec string.
 
     Logical loops (Listing 1): ``a`` = K blocks, ``b`` = M blocks,
@@ -58,6 +57,8 @@ class ParlooperGemm:
         (:mod:`repro.kernels.batched`) and vectorizes trace capture,
         falling back to the interpreter otherwise.
     """
+
+    kind = "gemm"
 
     def __init__(self, M: int, N: int, K: int,
                  bm: int = 64, bn: int = 64, bk: int = 64,
@@ -85,11 +86,9 @@ class ParlooperGemm:
             raise ValueError(
                 f"k_step={self.k_step} must divide Kb={self.Kb}")
         self.dtype = dtype
-        self.spec_string = spec_string
         self.activation = activation
         self.bias = bias
         self.flat_b = flat_b
-        self.abft = resolve_abft(abft)
 
         prec = Precision.of(dtype)
         self.zero_tpp = ZeroTPP(bm, bn, prec)
@@ -100,14 +99,11 @@ class ParlooperGemm:
                         if _ACTIVATIONS[activation] else None)
         self.bias_tpp = BiasAddColTPP(bm, bn, prec) if bias else None
 
-        self.gemm_loop = ThreadedLoop(
+        super().__init__(
             [LoopSpecs(0, self.Kb, self.k_step, block_steps[0]),
              LoopSpecs(0, self.Mb, 1, block_steps[1]),
              LoopSpecs(0, self.Nb, 1, block_steps[2])],
-            spec_string, num_threads=num_threads, backend=backend)
-        self.backend = self.gemm_loop.backend
-        self.num_threads = self.gemm_loop.num_threads
-        self._sim_bodies: dict = {}
+            spec_string, num_threads, backend, abft)
 
     # -- layout ------------------------------------------------------------
     def pack_a(self, a: np.ndarray) -> np.ndarray:
@@ -140,22 +136,18 @@ class ParlooperGemm:
             raise ValueError("kernel was built with bias=True; pass bias_vec")
         defer = self.abft != "off" and (self.bias_tpp is not None
                                         or self.act_tpp is not None)
-        self._execute(A, B, C, bias_vec, defer)
-        if self.abft != "off":
-            self._abft_finish(A, B, C, bias_vec, defer)
+        self._compute(A, B, C, bias_vec, defer)
+        if defer:
+            self._apply_epilogue(C, bias_vec)
         return C
 
-    def _execute(self, A, B, C, bias_vec, defer_epilogue=False):
-        if self.backend == "batched":
-            from .batched import (gemm_batched_ok, record_backend_outcome,
-                                  run_gemm_batched)
-            ok, reason = gemm_batched_ok(self)
-            if ok:
-                record_backend_outcome("gemm", "lowered")
-                run_gemm_batched(self, A, B, C, bias_vec,
-                                 defer_epilogue=defer_epilogue)
-                return
-            record_backend_outcome("gemm", "fallback", reason)
+    def _batched_ok(self) -> tuple:
+        return gemm_batched_ok(self)
+
+    def _run_batched(self, A, B, C, bias_vec, defer):
+        run_gemm_batched(self, A, B, C, bias_vec, defer_epilogue=defer)
+
+    def _interp_body(self, A, B, C, bias_vec, defer):
         last_k = self.Kb - self.k_step
 
         def body(ind):
@@ -173,20 +165,29 @@ class ParlooperGemm:
             else:
                 self.brgemm_tpp(Ptr.of(A, im, ik), Ptr.of(B, in_, ik),
                                 c_blk, brcount)
-            if ik == last_k and not defer_epilogue:
+            if ik == last_k and not defer:
                 if self.bias_tpp is not None:
                     # per-output-feature bias: broadcast down the minibatch
                     self.bias_tpp(c_blk, bias_vec[im * self.bm:
                                                   (im + 1) * self.bm])
                 if self.act_tpp is not None:
                     self.act_tpp(c_blk)
+        return body
 
-        injector = active_injector()
-        if injector is not None:
-            injector.begin_call(
-                lambda ind: C[ind[2]][ind[1]]
-                if ind[0] == last_k else None)
-        self.gemm_loop(body)
+    def _final_tile(self, A, B, C, bias_vec, defer):
+        last_k = self.Kb - self.k_step
+        return lambda ind: C[ind[2]][ind[1]] if ind[0] == last_k else None
+
+    def _checksum(self, A, B, C, bias_vec, defer):
+        return gemm_check(self, A, B, C)
+
+    def _correct(self, check, A, B, C, bias_vec, defer) -> bool:
+        """A single located element is repaired in place; several (or an
+        unrepairable single) leave the ladder to recompute the nest."""
+        if not check.single:
+            return False
+        gemm_correct_single(self, A, B, C, check)
+        return not gemm_check(self, A, B, C).corrupt
 
     def _apply_epilogue(self, C, bias_vec):
         """The deferred fused epilogue, applied over the whole stacked
@@ -206,35 +207,6 @@ class ParlooperGemm:
         if self.act_tpp is not None:
             stored = batched_unary(stored, self.activation, prec)
         tiles[:] = stored
-
-    def _abft_finish(self, A, B, C, bias_vec, defer):
-        from ..core.errors import SdcDetectedError
-        from .abft import (gemm_check, gemm_correct_single,
-                           record_abft_outcome)
-        check = gemm_check(self, A, B, C)
-        if check.corrupt:
-            record_abft_outcome("gemm", "detected")
-            if self.abft == "detect":
-                raise SdcDetectedError(
-                    f"ABFT detected corruption: {check.describe()}",
-                    check=check)
-            if check.single:
-                gemm_correct_single(self, A, B, C, check)
-                if not gemm_check(self, A, B, C).corrupt:
-                    record_abft_outcome("gemm", "corrected")
-                    check = None
-            if check is not None:
-                # multi-element (or an unrepairable single): one clean
-                # recompute of the whole nest
-                self._execute(A, B, C, bias_vec, defer)
-                record_abft_outcome("gemm", "recomputed")
-                check = gemm_check(self, A, B, C)
-                if check.corrupt:
-                    raise SdcDetectedError(
-                        "ABFT recompute is still corrupt: "
-                        + check.describe(), check=check)
-        if defer:
-            self._apply_epilogue(C, bias_vec)
 
     def _addr_brgemm(self, a_blocks, b_blocks, c_blk, brcount):
         tpp = getattr(self, "_addr_tpp", None)
@@ -256,29 +228,37 @@ class ParlooperGemm:
     def flops(self) -> int:
         return 2 * self.M * self.N * self.K
 
-    def sim_body(self, machine: MachineModel,
-                 b_footprint_scale: float | None = None):
-        """Simulator description of one body invocation."""
-        if b_footprint_scale is None:
-            b_footprint_scale = self._conflict_scale()
+    def sim_body(self, machine: MachineModel, names=("A", "B", "C")):
+        """Simulator description of one body invocation.
+
+        *names* label the A, B and C tensors: an MLP layer passes its
+        weights and the activations it reads and writes, so the engine
+        sees one layer's output as the next layer's input."""
+        a_name, b_name, c_name = names
+        scale = self._conflict_scale()
         last_k = self.Kb - self.k_step
 
         def body(ind):
             ik, im, in_ = ind[0], ind[1], ind[2]
-            a_keys = [("A", im, k) for k in range(ik, ik + self.k_step)]
-            b_keys = [("B", in_, k) for k in range(ik, ik + self.k_step)]
+            a_keys = [(a_name, im, k) for k in range(ik, ik + self.k_step)]
+            b_keys = [(b_name, in_, k) for k in range(ik, ik + self.k_step)]
             events = [brgemm_event(
                 machine, self.dtype, self.bm, self.bn, self.bk, self.k_step,
-                a_keys, b_keys, ("C", in_, im), beta=1.0,
+                a_keys, b_keys, (c_name, in_, im), beta=1.0,
                 c_first_touch=(ik == 0),
-                b_footprint_scale=b_footprint_scale)]
+                b_footprint_scale=scale)]
             if ik == last_k and (self.act_tpp or self.bias_tpp):
                 events.append(eltwise_event(
                     machine, self.dtype, self.bm, self.bn,
-                    [("C", in_, im)], ("C", in_, im),
+                    [(c_name, in_, im)], (c_name, in_, im),
                     flops_per_elem=2.0 if self.bias else 1.0))
             return events
         return body
+
+    def trace_builder(self, machine: MachineModel, names=("A", "B", "C")):
+        """``tid -> CompiledTrace`` twin of :meth:`sim_body`."""
+        return gemm_trace_builder(self, machine, self._conflict_scale(),
+                                  names)
 
     def _conflict_scale(self) -> float:
         """Cache-footprint inflation for flat-B with a large power-of-two
@@ -291,50 +271,10 @@ class ParlooperGemm:
             return 2.1
         return 1.25
 
-    def _cached_sim_body(self, machine: MachineModel, scale: float):
-        """One closure per (machine, scale): repeated simulate/predict
-        calls present a stable body identity to the trace cache."""
-        key = (machine.name, scale)
-        body = self._sim_bodies.get(key)
-        if body is None:
-            body = self._sim_bodies[key] = self.sim_body(machine, scale)
-        return body
-
-    def _body_key(self, machine: MachineModel, scale: float) -> tuple:
-        """Trace-cache key naming everything the body's events depend on
-        (so equal-shape kernel instances share captured traces)."""
-        return ("ParlooperGemm", self.M, self.N, self.K,
-                self.bm, self.bn, self.bk, self.k_step, self.dtype,
-                self.activation, self.bias, scale, machine.name)
-
-    def simulate(self, machine: MachineModel, session=None) -> SimResult:
-        """Engine simulation through a session (the default one if None),
-        so runs share its trace cache and report into its tracer."""
-        from ..session import resolve_session
-        sess = resolve_session(session)
-        scale = self._conflict_scale()
-        return sess.simulate(self.gemm_loop,
-                             self._cached_sim_body(machine, scale),
-                             machine,
-                             body_key=self._body_key(machine, scale))
-
-    def predict(self, machine: MachineModel, session=None,
-                sample_threads: int | None = None):
-        """Box-B3 performance-model companion of :meth:`simulate`
-        (:class:`~repro.simulator.perfmodel.PerfPrediction`)."""
-        from ..session import resolve_session
-        sess = resolve_session(session)
-        scale = self._conflict_scale()
-        builder = None
-        if self.backend == "batched":
-            from .batched import gemm_trace_builder
-            builder = gemm_trace_builder(self, machine, scale)
-        return sess.predict(self.gemm_loop,
-                            self._cached_sim_body(machine, scale),
-                            machine, sample_threads=sample_threads,
-                            total_flops=float(self.flops),
-                            body_key=self._body_key(machine, scale),
-                            trace_builder=builder)
+    def _key_fields(self) -> tuple:
+        return (self.M, self.N, self.K, self.bm, self.bn, self.bk,
+                self.k_step, self.dtype, self.activation, self.bias,
+                self._conflict_scale())
 
     def with_spec(self, spec_string: str, block_steps=None,
                   num_threads=None) -> "ParlooperGemm":

@@ -19,6 +19,7 @@ from ..platform.machine import MachineModel
 from ..simulator.engine import SimResult, simulate_traces
 from ..simulator.trace import trace_threaded_loop
 from ..tpp.dtypes import DType
+from .base import _session
 from .common import pack_b_blocked, unpack_c_blocked
 from .gemm import DEFAULT_GEMM_SPEC, ParlooperGemm
 
@@ -110,45 +111,17 @@ class ParlooperMlp:
     def flops(self) -> int:
         return sum(layer.gemm.flops for layer in self.layers)
 
+    @staticmethod
+    def _names(l: int) -> tuple:
+        """Layer *l*'s A, B and C tensors: its weights, the activations
+        it reads (layer l-1's output) and the activations it writes."""
+        return (f"W{l}", f"ACT{l}", f"ACT{l + 1}")
+
     def _layer_sim_body(self, l: int, machine: MachineModel):
-        """Simulator body of layer *l* with per-layer activation keys, so
-        the engine sees one layer's output tensor as the next's input."""
-        cached = getattr(self, "_sim_bodies", None)
-        if cached is None:
-            cached = self._sim_bodies = {}
-        key = (l, machine.name)
-        body = cached.get(key)
-        if body is not None:
-            return body
-        g = self.layers[l].gemm
-
-        def body(ind, l=l, g=g):
-            ik, im, in_ = ind
-            from ..simulator.cost import brgemm_event, eltwise_event
-            a_keys = [(f"W{l}", im, k)
-                      for k in range(ik, ik + g.k_step)]
-            # layer input = previous layer's output tensor
-            b_keys = [(f"ACT{l}", in_, k)
-                      for k in range(ik, ik + g.k_step)]
-            events = [brgemm_event(
-                machine, g.dtype, g.bm, g.bn, g.bk, g.k_step,
-                a_keys, b_keys, (f"ACT{l + 1}", in_, im), beta=1.0,
-                c_first_touch=(ik == 0))]
-            if ik == g.Kb - g.k_step:
-                events.append(eltwise_event(
-                    machine, g.dtype, g.bm, g.bn,
-                    [(f"ACT{l + 1}", in_, im)],
-                    (f"ACT{l + 1}", in_, im), flops_per_elem=2.0))
-            return events
-
-        cached[key] = body
-        return body
-
-    def _layer_body_key(self, l: int, machine: MachineModel) -> tuple:
-        g = self.layers[l].gemm
-        return ("ParlooperMlp.layer", l, self.sizes[l], self.sizes[l + 1],
-                self.minibatch, g.bm, g.bn, g.bk, g.k_step, self.dtype,
-                machine.name)
+        """Simulator body of layer *l*: its GEMM's, over the layer's
+        tensor names, so the engine sees one layer's output tensor as
+        the next's input."""
+        return self.layers[l].gemm._cached_sim_body(machine, self._names(l))
 
     def simulate(self, machine: MachineModel, session=None) -> SimResult:
         """Simulate the full cascade as one run so activations written in
@@ -157,16 +130,14 @@ class ParlooperMlp:
         The merged multi-layer trace cannot go through the session's
         single-loop trace cache, but the run still reports into the
         session's (or ambient) observability scope."""
-        from ..session import resolve_session
-        sess = resolve_session(session)
+        sess = _session(session)
         with sess.activate(), sess.obs.span(
                 "mlp_simulate", layers=len(self.layers),
                 machine=machine.name):
             merged = None
-            for l in range(len(self.layers)):
+            for l, layer in enumerate(self.layers):
                 traces = trace_threaded_loop(
-                    self.layers[l].gemm.gemm_loop,
-                    self._layer_sim_body(l, machine))
+                    layer.gemm.loop, self._layer_sim_body(l, machine))
                 if merged is None:
                     merged = traces
                 else:
@@ -184,25 +155,10 @@ class ParlooperMlp:
         flops sum, per-thread seconds add elementwise, hit fractions
         average weighted by layer time.
         """
-        from ..session import resolve_session
         from ..simulator.perfmodel import PerfPrediction
-        sess = resolve_session(session)
-
-        def _builder(l):
-            if self.backend != "batched":
-                return None
-            from .batched import mlp_layer_trace_builder
-            return mlp_layer_trace_builder(self, l, machine)
-
-        preds = [
-            sess.predict(self.layers[l].gemm.gemm_loop,
-                         self._layer_sim_body(l, machine), machine,
-                         sample_threads=sample_threads,
-                         total_flops=float(self.layers[l].gemm.flops),
-                         body_key=self._layer_body_key(l, machine),
-                         trace_builder=_builder(l))
-            for l in range(len(self.layers))
-        ]
+        preds = [layer.gemm._predict(machine, session, sample_threads,
+                                     self._names(l))
+                 for l, layer in enumerate(self.layers)]
         seconds = sum(p.seconds for p in preds)
         per_thread = tuple(
             sum(vals) for vals in zip(*(p.per_thread_seconds

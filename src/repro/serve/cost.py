@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .._compat import renamed_kwarg
 from ..baselines.stacks import STACKS
 from ..obs.context import current as _obs
 from ..platform.machine import MachineModel
@@ -164,9 +163,3 @@ class ServeCostModel(OpCostModel):
         contexts = list(contexts)
         return self.step_seconds(decode_contexts=contexts,
                                  n_emit=len(contexts))
-
-
-# ServeCostModel generates its own __init__ from the (inherited) fields,
-# so it needs its own wrap of the nthreads -> num_threads shim
-ServeCostModel.__init__ = renamed_kwarg("nthreads", "num_threads")(
-    ServeCostModel.__init__)

@@ -17,14 +17,13 @@ tracer/registry — and into cheap no-ops for sessions with observability
 disabled.
 
 The classic module-level entry points (``repro.predict``,
-``repro.simulate``, ``repro.search``) remain, as thin wrappers over a
+``repro.simulate``, ``repro.tune``) remain, as thin wrappers over a
 shared **default session** whose observability is off and whose caches
 are the process-global ones — existing code keeps its exact behavior.
 """
 
 from __future__ import annotations
 
-from ._compat import deprecated_call
 from .core.cache import NestCache, global_nest_cache
 from .core.threaded_loop import ThreadedLoop
 from .obs import ObsConfig, use
@@ -36,7 +35,7 @@ from .tuner.search import search as _search
 from .tuner.tune import tune as _tune
 
 __all__ = ["Session", "default_session", "resolve_session",
-           "predict", "simulate", "search", "tune"]
+           "predict", "simulate", "tune"]
 
 
 class Session:
@@ -119,29 +118,20 @@ class Session:
     def compile(self, specs, spec_string: str,
                 num_threads: int | None = None,
                 execution: str = "serial",
-                backend: str = "interp",
-                abft: str = "off") -> ThreadedLoop:
+                backend: str = "interp") -> ThreadedLoop:
         """Build (or fetch from this session's nest cache) a
         :class:`~repro.core.threaded_loop.ThreadedLoop`.
 
         ``backend="batched"`` marks the loop for tile-level batched
         execution (see :mod:`repro.kernels.batched`); kernels holding
         the loop dispatch accordingly and fall back to the interpreter
-        when :func:`repro.core.batched.batchable` says no.
-
-        ``abft`` ("off" | "detect" | "correct") is validated here and
-        stamped on the loop so kernel ctors built around it inherit the
-        checksum mode (see :mod:`repro.kernels.abft`)."""
-        from .kernels.abft import resolve_abft
-        abft = resolve_abft(abft)
+        when :func:`repro.core.batched.batchable` says no."""
         with self.activate():
-            loop = ThreadedLoop(specs, spec_string,
+            return ThreadedLoop(specs, spec_string,
                                 num_threads=num_threads,
                                 execution=execution,
                                 cache=self.nest_cache,
                                 backend=backend)
-            loop.abft = abft
-            return loop
 
     # -- simulator ---------------------------------------------------------
     def _resolve_machine(self, machine):
@@ -188,7 +178,7 @@ class Session:
         Replaces the classic ``generate_candidates`` → evaluator →
         ``search`` three-call dance: pass a kernel (or bare spec
         declarations plus ``sim_body=``), pick
-        ``strategy="exhaustive" | "screened" | "guided"``, and read the
+        ``strategy="exhaustive" | "guided"``, and read the
         returned :class:`~repro.tuner.tune.TuneReport`.  The session's
         trace cache backs evaluation, and its eval cache absorbs
         results whenever ``workload_sig=`` is given."""
@@ -286,13 +276,3 @@ def tune(kernel_or_specs, **kwargs):
     session (``machine=`` is required there, since the default session
     has none)."""
     return default_session().tune(kernel_or_specs, **kwargs)
-
-
-@deprecated_call("repro.search()", "Session.tune() / repro.tune()")
-def search(candidates, evaluator, **kwargs):
-    """Deprecated module-level :func:`repro.tuner.search.search` over
-    the default session — the one-call :func:`tune` replaces the
-    generate/evaluate/search dance.  (The low-level engine stays public
-    as ``repro.tuner.search``.)"""
-    with default_session().activate():
-        return _search(candidates, evaluator, **kwargs)

@@ -25,7 +25,6 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .._compat import renamed_kwarg
 from ..core.threaded_loop import ThreadedLoop
 from ..obs.context import current as _obs
 from ..platform.machine import CoreCluster, MachineModel
@@ -224,7 +223,6 @@ def simulate_traces(traces, machine: MachineModel,
     )
 
 
-@renamed_kwarg("nthreads", "num_threads")
 def simulate_flat(trace: ThreadTrace, machine: MachineModel,
                   num_threads: int,
                   dispatch_overhead: bool = True) -> SimResult:

@@ -115,7 +115,7 @@ class OnlineTuner:
 
     def _decide(self, kernel, machine) -> TuneDecision:
         t0 = time.perf_counter() if self.budget_seconds is not None else 0.0
-        base_specs = tuple(kernel.gemm_loop.specs)
+        base_specs = tuple(kernel.loop.specs)
         default = Candidate(kernel.spec_string,
                             ((),) * len(base_specs))
         constraints = TuningConstraints(

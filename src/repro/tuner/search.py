@@ -11,10 +11,7 @@ plain serial sweep, only faster):
 * ``trace_cache=`` on the evaluators memoizes trace capture and switches
   the perfmodel to its vectorized reuse-distance replay;
 * ``search(..., workers=N)`` fans candidate evaluation out over forked
-  worker processes in deterministic chunks;
-* ``search(..., screen=cheap_evaluator)`` adds a successive-halving
-  stage: every candidate is scored by the cheap evaluator first and only
-  the top ``screen_keep`` fraction graduates to the full evaluator.
+  worker processes in deterministic chunks.
 """
 
 from __future__ import annotations
@@ -83,10 +80,8 @@ class SearchResult:
     evaluated: int
     skipped: int
     wall_seconds: float
-    #: one :class:`SearchFailure` per skipped candidate (screen + full)
+    #: one :class:`SearchFailure` per skipped candidate
     failures: tuple = ()
-    #: candidates dropped by the successive-halving screen stage
-    pruned: int = 0
     #: candidates excluded by ``verify=`` (one :class:`RacyCandidate` each)
     racy: tuple = ()
 
@@ -154,8 +149,7 @@ def engine_evaluator(base_specs, sim_body, machine: MachineModel,
 
 
 def search(candidates, evaluator, top_k: int | None = None,
-           workers: int | None = None, screen=None,
-           screen_keep: float = 0.5, verify=False) -> SearchResult:
+           workers: int | None = None, verify=False) -> SearchResult:
     """Evaluate candidates, skipping ones invalid for these loop bounds
     (imperfect blocking chains etc.) or whose evaluation fails at
     runtime, and rank by score.  A poisoned candidate is recorded as an
@@ -174,30 +168,16 @@ def search(candidates, evaluator, top_k: int | None = None,
     chunking is deterministic and results are merged in candidate order,
     so the ranking is identical to ``workers=1`` for any evaluator.  (On
     platforms without ``fork`` the search silently runs serially.)
-
-    ``screen=`` enables successive halving: the (cheap) *screen*
-    evaluator scores every candidate, only the best ``screen_keep``
-    fraction is evaluated by the full *evaluator*, and the rest are
-    counted in ``result.pruned``.  Ties break on candidate order.
     """
     with _obs().span("search"):
-        return _search(candidates, evaluator, top_k, workers, screen,
-                       screen_keep, verify)
+        return _search(candidates, evaluator, top_k, workers, verify)
 
 
-def _search(candidates, evaluator, top_k, workers, screen, screen_keep,
-            verify) -> SearchResult:
-    if workers is not None and workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    if screen is not None and not 0.0 < screen_keep <= 1.0:
-        raise ValueError(f"screen_keep must be in (0, 1], got {screen_keep}")
-    t0 = time.perf_counter()
-    candidates = list(candidates)
-    failures: list = []
-    skipped = 0
-    pruned = 0
-    racy: list = []
-    verifier = None
+def _split_racy(candidates, evaluator, verify) -> tuple:
+    """The ``verify=`` pre-pass: ``(clean, racy)``, racy candidates as
+    :class:`RacyCandidate`\\ s.  ``verify=True`` uses the ``.verifier``
+    *evaluator* carries, a callable is the verifier itself, and anything
+    else skips the pass."""
     if verify is True:
         verifier = getattr(evaluator, "verifier", None)
         if verifier is None:
@@ -207,60 +187,47 @@ def _search(candidates, evaluator, top_k, workers, screen, screen_keep,
                 "verify=<callable>")
     elif callable(verify):
         verifier = verify
-    if verifier is not None:
-        clean: list = []
-        for cand in candidates:
-            try:
-                reports = verifier(cand)
-            except (SpecError, ExecutionError):
-                # invalid for these bounds — let the evaluator record it
-                clean.append(cand)
-                continue
-            if reports:
-                racy.append(RacyCandidate(cand, tuple(reports)))
-            else:
-                clean.append(cand)
-        candidates = clean
-    obs = _obs()
-    if screen is not None and len(candidates) > 1:
-        with obs.span("screen", candidates=len(candidates)):
-            screened = _evaluate(candidates, screen, workers)
-            valid_idx = []
-            for i, out in enumerate(screened):
-                if out.valid:
-                    valid_idx.append(i)
-                else:
-                    skipped += 1
-                    failures.append(SearchFailure(candidates[i], out.error,
-                                                  out.traceback))
-            keep = max(1, math.ceil(len(valid_idx) * screen_keep))
-            ranked_idx = sorted(valid_idx,
-                                key=lambda i: (-screened[i].score, i))
-            survivors = sorted(ranked_idx[:keep])
-            pruned = len(valid_idx) - len(survivors)
-            candidates = [candidates[i] for i in survivors]
-        if obs.enabled:
-            obs.set_gauge("screen_survivors", len(candidates))
+    else:
+        return list(candidates), []
+    clean: list = []
+    racy: list = []
+    for cand in candidates:
+        try:
+            reports = verifier(cand)
+        except (SpecError, ExecutionError):
+            # invalid for these bounds — let the evaluator record it
+            clean.append(cand)
+            continue
+        if reports:
+            racy.append(RacyCandidate(cand, tuple(reports)))
+        else:
+            clean.append(cand)
+    return clean, racy
+
+
+def _search(candidates, evaluator, top_k, workers, verify) -> SearchResult:
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    t0 = time.perf_counter()
+    candidates, racy = _split_racy(candidates, evaluator, verify)
     outcomes = _evaluate(candidates, evaluator, workers)
-    for out in outcomes:
-        if not out.valid:
-            skipped += 1
-            failures.append(SearchFailure(out.candidate, out.error,
-                                          out.traceback))
+    failures = tuple(SearchFailure(o.candidate, o.error, o.traceback)
+                     for o in outcomes if not o.valid)
     wall = time.perf_counter() - t0
     ranked = tuple(sorted((o for o in outcomes if o.valid),
                           key=lambda o: o.score, reverse=True))
     if top_k is not None:
         ranked = ranked[:top_k]
-    evaluated = sum(1 for o in outcomes if o.valid)
+    evaluated = len(outcomes) - len(failures)
+    obs = _obs()
     if obs.enabled:
-        for kind, n in (("evaluated", evaluated), ("skipped", skipped),
-                        ("pruned", pruned), ("racy", len(racy))):
+        for kind, n in (("evaluated", evaluated), ("skipped", len(failures)),
+                        ("racy", len(racy))):
             if n:
                 obs.inc("tuner_candidates", n, kind=kind)
-    return SearchResult(ranked, evaluated=evaluated, skipped=skipped,
-                        wall_seconds=wall, failures=tuple(failures),
-                        pruned=pruned, racy=tuple(racy))
+    return SearchResult(ranked, evaluated=evaluated, skipped=len(failures),
+                        wall_seconds=wall, failures=failures,
+                        racy=tuple(racy))
 
 
 def _safe_eval(evaluator, candidate: Candidate) -> TuneOutcome:

@@ -28,8 +28,6 @@ class TuningCost:
     #: projected cost of benchmarking every valid candidate on hardware
     projected_bench_seconds: float
     repeats: int
-    #: candidates dropped by the successive-halving screen stage
-    pruned: int = 0
     #: per-skip diagnostics ("spec: error"), from ``SearchResult.failures``
     failure_reasons: tuple = ()
     #: candidates excluded by ``search(verify=...)``
@@ -51,8 +49,7 @@ class TuningCost:
         return cls(evaluated=result.evaluated, skipped=result.skipped,
                    wall_seconds=result.wall_seconds,
                    projected_bench_seconds=bench * repeats,
-                   repeats=repeats, pruned=result.pruned,
-                   failure_reasons=reasons,
+                   repeats=repeats, failure_reasons=reasons,
                    racy=len(result.racy), race_reports=races)
 
     @property
@@ -69,10 +66,9 @@ class TuningCost:
         return other.projected_bench_seconds / self.projected_bench_seconds
 
     def describe(self) -> str:
-        pruned = f", {self.pruned} pruned" if self.pruned else ""
         racy = f", {self.racy} racy" if self.racy else ""
         return (f"{self.evaluated} candidates ({self.skipped} skipped"
-                f"{pruned}{racy}) | "
+                f"{racy}) | "
                 f"harness {self.wall_seconds:.2f}s | projected bench "
                 f"{self.projected_bench_seconds:.2f}s @ {self.repeats} "
                 f"repeats")

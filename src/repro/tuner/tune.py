@@ -3,9 +3,9 @@
 The classic surface was a three-call dance — ``generate_candidates`` →
 ``perfmodel_evaluator``/``engine_evaluator`` → ``search`` — with the
 caller threading specs, bodies, and caches between them.  :func:`tune`
-collapses it: give it a kernel (anything exposing ``sim_body(machine)``,
-``flops`` and a :class:`~repro.core.threaded_loop.ThreadedLoop`
-attribute — every ``repro.kernels`` class qualifies) or a bare spec
+collapses it: give it a kernel (a GEMM, conv or SpMM
+:class:`~repro.kernels.base.ParlooperKernel`: its ``loop``,
+``sim_body(machine)``, ``flops`` and ``num_threads``) or a bare spec
 declaration list, pick a strategy, and get a :class:`TuneReport` back.
 
 Strategies:
@@ -13,9 +13,6 @@ Strategies:
 * ``"exhaustive"`` — every enumerated candidate through the exact
   evaluator; delegates verbatim to :func:`repro.tuner.search.search`, so
   the ranking is bit-identical to the classic path;
-* ``"screened"`` — successive halving: a cheap perf-model pass scores
-  everything, only the best ``screen_keep`` fraction reaches the exact
-  evaluator;
 * ``"guided"`` — the learned path (:func:`repro.tuner.guided.
   guided_search`): ridge cost model screens the pool and a beam search
   over spec-edit actions spends exact evaluations only on survivors.
@@ -32,15 +29,13 @@ import time
 from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
-from ..core.errors import ExecutionError, SpecError
 from ..core.loop_spec import LoopSpecs
-from ..core.threaded_loop import ThreadedLoop
 from ..obs.context import current as _obs
 from .constraints import TuningConstraints
 from .features import FeatureExtractor
 from .generator import generate_candidates
 from .guided import guided_search
-from .search import (RacyCandidate, TuneOutcome, engine_evaluator,
+from .search import (TuneOutcome, _split_racy, engine_evaluator,
                      perfmodel_evaluator, search)
 
 __all__ = ["Evaluator", "TuneReport", "tune"]
@@ -64,12 +59,11 @@ class TuneReport:
     strategy: str
     outcomes: tuple           # valid outcomes, sorted by score, best first
     n_candidates: int         # enumerated pool size
-    #: cheap scorings (learned model for "guided", perf-model screen for
-    #: "screened", 0 for "exhaustive")
+    #: cheap scorings (learned model for "guided", 0 for "exhaustive")
     n_model_evals: int
     #: exact evaluator invocations that produced a valid score
     n_exact_evals: int
-    #: candidates dropped by a screen/model without an exact evaluation
+    #: candidates the model dropped without an exact evaluation
     n_pruned: int
     #: candidates skipped as invalid for these bounds (build/eval errors)
     n_skipped: int
@@ -103,16 +97,6 @@ class TuneReport:
         return head
 
 
-def _kernel_loop(kernel) -> ThreadedLoop:
-    loops = [v for _, v in sorted(vars(kernel).items())
-             if isinstance(v, ThreadedLoop)]
-    if not loops:
-        raise TypeError(
-            f"{type(kernel).__name__} holds no ThreadedLoop — pass the "
-            "spec declarations (list of LoopSpecs) and sim_body= instead")
-    return loops[0]
-
-
 def _default_constraints(base_specs) -> TuningConstraints:
     chars = [chr(ord("a") + i) for i in range(len(base_specs))]
     return TuningConstraints(
@@ -128,7 +112,7 @@ def tune(kernel_or_specs, *, machine=None, sim_body=None,
          sample_threads: int | None = 4,
          total_flops: float | None = None,
          verify=False, top_k: int | None = None,
-         workers: int | None = None, screen_keep: float = 0.5,
+         workers: int | None = None,
          model=None, exact_budget: int | None = None,
          beam_width: int = 4, max_rounds: int = 3,
          trace_cache=None, eval_cache=None,
@@ -138,8 +122,8 @@ def tune(kernel_or_specs, *, machine=None, sim_body=None,
     Parameters
     ----------
     kernel_or_specs:
-        A kernel object (``sim_body(machine)`` + ``flops`` + a
-        ThreadedLoop attribute) or a list of
+        A kernel (its ``loop``, ``sim_body(machine)``, ``flops`` and
+        ``num_threads``) or a list of
         :class:`~repro.core.loop_spec.LoopSpecs` (then pass *sim_body*).
     machine:
         Target :class:`~repro.platform.machine.MachineModel` (required).
@@ -148,8 +132,7 @@ def tune(kernel_or_specs, *, machine=None, sim_body=None,
         is enumerated from *constraints* (sensible defaults per the
         declaration when omitted) capped at *budget* candidates.
     strategy:
-        ``"exhaustive"`` | ``"screened"`` | ``"guided"`` (see module
-        docstring).
+        ``"exhaustive"`` | ``"guided"`` (see module docstring).
     evaluator:
         ``"perfmodel"`` | ``"engine"`` | any :class:`Evaluator`.
     verify:
@@ -165,10 +148,10 @@ def tune(kernel_or_specs, *, machine=None, sim_body=None,
     t0 = time.perf_counter()
     if machine is None:
         raise ValueError("tune() needs machine=")
-    if strategy not in ("exhaustive", "screened", "guided"):
+    if strategy not in ("exhaustive", "guided"):
         raise ValueError(
-            f"unknown strategy {strategy!r}: expected 'exhaustive', "
-            "'screened' or 'guided'")
+            f"unknown strategy {strategy!r}: expected 'exhaustive' or "
+            "'guided'")
 
     # resolve the kernel protocol vs bare declarations
     if isinstance(kernel_or_specs, (list, tuple)) and all(
@@ -180,8 +163,7 @@ def tune(kernel_or_specs, *, machine=None, sim_body=None,
                 "their own)")
     else:
         kernel = kernel_or_specs
-        loop = _kernel_loop(kernel)
-        base_specs = tuple(loop.specs)
+        base_specs = tuple(kernel.loop.specs)
         if sim_body is None:
             sim_body = kernel.sim_body(machine)
         if total_flops is None:
@@ -199,23 +181,21 @@ def tune(kernel_or_specs, *, machine=None, sim_body=None,
     else:
         candidates = list(candidates)
 
-    def make_evaluator(kind):
-        if kind == "perfmodel":
-            return perfmodel_evaluator(
-                base_specs, sim_body, machine, num_threads=num_threads,
-                sample_threads=sample_threads, total_flops=total_flops,
-                trace_cache=trace_cache)
-        if kind == "engine":
-            return engine_evaluator(
-                base_specs, sim_body, machine, num_threads=num_threads,
-                trace_cache=trace_cache)
-        if callable(kind):
-            return kind
+    if evaluator == "perfmodel":
+        exact = perfmodel_evaluator(
+            base_specs, sim_body, machine, num_threads=num_threads,
+            sample_threads=sample_threads, total_flops=total_flops,
+            trace_cache=trace_cache)
+    elif evaluator == "engine":
+        exact = engine_evaluator(
+            base_specs, sim_body, machine, num_threads=num_threads,
+            trace_cache=trace_cache)
+    elif callable(evaluator):
+        exact = evaluator
+    else:
         raise ValueError(
             f"evaluator must be 'perfmodel', 'engine' or a callable, "
-            f"got {kind!r}")
-
-    exact = make_evaluator(evaluator)
+            f"got {evaluator!r}")
     if eval_cache is not None:
         if workload_sig is None:
             raise ValueError("eval_cache= needs workload_sig= to key "
@@ -227,67 +207,35 @@ def tune(kernel_or_specs, *, machine=None, sim_body=None,
     with _obs().span("tune", strategy=strategy,
                      candidates=len(candidates)):
         if strategy == "guided":
-            report = _tune_guided(
+            return _tune_guided(
                 candidates, exact, base_specs, constraints, machine,
                 num_threads, verify, model, exact_budget, beam_width,
                 max_rounds, top_k, t0)
-        else:
-            screen = None
-            if strategy == "screened":
-                # cheap first stage: the perf model with thread sampling
-                screen = make_evaluator("perfmodel")
-            result = search(candidates, exact, top_k=top_k,
-                            workers=workers, screen=screen,
-                            screen_keep=screen_keep, verify=verify)
-            n_model = (result.evaluated + result.pruned
-                       if strategy == "screened" else 0)
-            report = TuneReport(
-                strategy=strategy, outcomes=result.outcomes,
-                n_candidates=len(candidates), n_model_evals=n_model,
-                n_exact_evals=result.evaluated, n_pruned=result.pruned,
-                n_skipped=result.skipped, n_racy=len(result.racy),
-                wall_seconds=time.perf_counter() - t0,
-                failures=result.failures, racy=result.racy)
-    return report
+        result = search(candidates, exact, top_k=top_k, workers=workers,
+                        verify=verify)
+        return TuneReport(
+            strategy=strategy, outcomes=result.outcomes,
+            n_candidates=len(candidates), n_model_evals=0,
+            n_exact_evals=result.evaluated, n_pruned=0,
+            n_skipped=result.skipped, n_racy=len(result.racy),
+            wall_seconds=time.perf_counter() - t0,
+            failures=result.failures, racy=result.racy)
 
 
 def _tune_guided(candidates, exact, base_specs, constraints, machine,
                  num_threads, verify, model, exact_budget, beam_width,
                  max_rounds, top_k, t0) -> TuneReport:
-    racy: list = []
-    verifier = None
-    if verify is True:
-        verifier = getattr(exact, "verifier", None)
-        if verifier is None:
-            raise ValueError(
-                "verify=True requires an evaluator carrying a .verifier "
-                "or an explicit verify=<callable>")
-    elif callable(verify):
-        verifier = verify
-    if verifier is not None:
-        clean = []
-        for cand in candidates:
-            try:
-                reports = verifier(cand)
-            except (SpecError, ExecutionError):
-                clean.append(cand)
-                continue
-            if reports:
-                racy.append(RacyCandidate(cand, tuple(reports)))
-            else:
-                clean.append(cand)
-        candidates = clean
-
+    clean, racy = _split_racy(candidates, exact, verify)
     extractor = FeatureExtractor(base_specs=base_specs, machine=machine,
                                  num_threads=num_threads)
-    result = guided_search(candidates, exact, extractor, base_specs,
+    result = guided_search(clean, exact, extractor, base_specs,
                            constraints, model=model,
                            exact_budget=exact_budget,
                            beam_width=beam_width, max_rounds=max_rounds,
                            top_k=top_k)
     return TuneReport(
         strategy="guided", outcomes=result.outcomes,
-        n_candidates=len(candidates) + len(racy),
+        n_candidates=len(candidates),
         n_model_evals=result.n_model_evals,
         n_exact_evals=result.n_exact_evals, n_pruned=result.n_pruned,
         n_skipped=len(result.failures), n_racy=len(racy),

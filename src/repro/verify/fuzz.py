@@ -77,7 +77,9 @@ class FuzzFamily:
     family's fixed inputs and returns the output array.  With
     ``execution="serial"`` the kernel runs the *serialized* spec on one
     thread (the reference); with ``"threads"`` it runs the candidate spec
-    on real threads.
+    on real threads; with ``"batched"`` it runs the candidate spec on the
+    batched backend, and the third element is instead a thunk returning
+    the per-tid digest pairs of its trace builder.
     """
 
     name: str
@@ -146,6 +148,27 @@ def _digest_pairs(loop, sim_body, builder) -> list:
     ]
 
 
+def _family(name: str, base: tuple, make, run) -> FuzzFamily:
+    """A family over the kernels ``make(spec, block_steps, num_threads,
+    backend)`` builds, each executed by ``run(kernel)``."""
+
+    def build(spec, block_steps, num_threads, execution):
+        if execution == "batched":
+            kern = make(spec, block_steps, num_threads, "batched")
+            builder = kern.trace_builder(SPR)
+            return (kern.loop, lambda: run(kern),
+                    lambda: _digest_pairs(kern.loop, kern.sim_body(SPR),
+                                          builder))
+        kern = make(_serialize_spec(spec), block_steps, None, "interp")
+        if execution == "threads":
+            kern.loop = ThreadedLoop(kern.loop.specs, spec,
+                                     num_threads=num_threads,
+                                     execution="threads")
+        return kern.loop, lambda: run(kern), kern.sim_body(SPR)
+
+    return FuzzFamily(name, base, build)
+
+
 def _gemm_family(name: str = "gemm", mlp: bool = False) -> FuzzFamily:
     from ..kernels.gemm import ParlooperGemm
     M = N = K = 64
@@ -159,34 +182,15 @@ def _gemm_family(name: str = "gemm", mlp: bool = False) -> FuzzFamily:
     base = (LoopSpecs(0, K // blk, 1), LoopSpecs(0, M // blk, 1),
             LoopSpecs(0, N // blk, 1))
 
-    def build(spec, block_steps, num_threads, execution):
-        if execution == "batched":
-            kern = ParlooperGemm(
-                M, N, K, blk, blk, blk, k_step=1,
-                spec_string=spec, num_threads=num_threads,
-                block_steps=block_steps or ((), (), ()),
-                activation="relu" if mlp else "none", bias=mlp,
-                backend="batched")
-            from ..kernels.batched import gemm_trace_builder
-            builder = gemm_trace_builder(kern, SPR,
-                                         kern._conflict_scale())
-            return (kern.gemm_loop, lambda: kern.run_flat(a, b, bias),
-                    lambda: _digest_pairs(kern.gemm_loop,
-                                          kern.sim_body(SPR), builder))
-        kern = ParlooperGemm(
-            M, N, K, blk, blk, blk, k_step=1,
-            spec_string=_serialize_spec(spec),
+    def make(spec, block_steps, num_threads, backend):
+        return ParlooperGemm(
+            M, N, K, blk, blk, blk, k_step=1, spec_string=spec,
+            num_threads=num_threads,
             block_steps=block_steps or ((), (), ()),
-            activation="relu" if mlp else "none", bias=mlp)
-        if execution == "threads":
-            kern.gemm_loop = ThreadedLoop(kern.gemm_loop.specs, spec,
-                                          num_threads=num_threads,
-                                          execution="threads")
-            kern.num_threads = kern.gemm_loop.num_threads
-        return (kern.gemm_loop, lambda: kern.run_flat(a, b, bias),
-                kern.sim_body(SPR))
+            activation="relu" if mlp else "none", bias=mlp,
+            backend=backend)
 
-    return FuzzFamily(name, base, build)
+    return _family(name, base, make, lambda k: k.run_flat(a, b, bias))
 
 
 def _conv_family() -> FuzzFamily:
@@ -200,32 +204,14 @@ def _conv_family() -> FuzzFamily:
             LoopSpecs(0, cs.P, 1), LoopSpecs(0, cs.Q, w_step),
             LoopSpecs(0, cs.R, cs.R), LoopSpecs(0, cs.S, cs.S))
 
-    def build(spec, block_steps, num_threads, execution):
-        if execution == "batched":
-            kern = ParlooperConv(cs, bc=16, bk=16, w_step=w_step,
-                                 spec_string=spec,
-                                 num_threads=num_threads,
-                                 block_steps=list(block_steps)
-                                 if block_steps else None,
-                                 backend="batched")
-            from ..kernels.batched import conv_trace_builder
-            builder = conv_trace_builder(kern, SPR)
-            return (kern.conv_loop, lambda: kern.run(x, wt),
-                    lambda: _digest_pairs(kern.conv_loop,
-                                          kern.sim_body(SPR), builder))
-        kern = ParlooperConv(cs, bc=16, bk=16, w_step=w_step,
-                             spec_string=_serialize_spec(spec),
-                             block_steps=list(block_steps)
-                             if block_steps else None)
-        if execution == "threads":
-            kern.conv_loop = ThreadedLoop(kern.conv_loop.specs, spec,
-                                          num_threads=num_threads,
-                                          execution="threads")
-            kern.num_threads = kern.conv_loop.num_threads
-        return (kern.conv_loop, lambda: kern.run(x, wt),
-                kern.sim_body(SPR))
+    def make(spec, block_steps, num_threads, backend):
+        return ParlooperConv(
+            cs, bc=16, bk=16, w_step=w_step, spec_string=spec,
+            num_threads=num_threads,
+            block_steps=list(block_steps) if block_steps else None,
+            backend=backend)
 
-    return FuzzFamily("conv", base, build)
+    return _family("conv", base, make, lambda k: k.run(x, wt))
 
 
 def _spmm_family() -> FuzzFamily:
@@ -241,29 +227,13 @@ def _spmm_family() -> FuzzFamily:
     amat = BCSCMatrix.from_dense(dense, 16, 16)
     base = (LoopSpecs(0, amat.n_block_rows, 1), LoopSpecs(0, 4, 1))
 
-    def build(spec, block_steps, num_threads, execution):
-        if execution == "batched":
-            kern = ParlooperSpmm(amat, 64, bn=16, spec_string=spec,
-                                 num_threads=num_threads,
-                                 block_steps=block_steps or ((), ()),
-                                 backend="batched")
-            from ..kernels.batched import spmm_trace_builder
-            builder = spmm_trace_builder(kern, SPR)
-            return (kern.spmm_loop, lambda: kern.run(bmat),
-                    lambda: _digest_pairs(kern.spmm_loop,
-                                          kern.sim_body(SPR), builder))
-        kern = ParlooperSpmm(amat, 64, bn=16,
-                             spec_string=_serialize_spec(spec),
-                             block_steps=block_steps or ((), ()))
-        if execution == "threads":
-            kern.spmm_loop = ThreadedLoop(kern.spmm_loop.specs, spec,
-                                          num_threads=num_threads,
-                                          execution="threads")
-            kern.num_threads = kern.spmm_loop.num_threads
-        return (kern.spmm_loop, lambda: kern.run(bmat),
-                kern.sim_body(SPR))
+    def make(spec, block_steps, num_threads, backend):
+        return ParlooperSpmm(amat, 64, bn=16, spec_string=spec,
+                             num_threads=num_threads,
+                             block_steps=block_steps or ((), ()),
+                             backend=backend)
 
-    return FuzzFamily("spmm", base, build)
+    return _family("spmm", base, make, lambda k: k.run(bmat))
 
 
 def default_families() -> tuple:

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .._compat import renamed_kwarg
 from ..baselines.stacks import STACKS, StackModel
 from ..platform.machine import MachineModel
 from ..tpp.dropout import DropoutTPP
@@ -244,7 +243,6 @@ def bert_training_performance(config: BertConfig, machine: MachineModel,
     return batch / step
 
 
-@renamed_kwarg("nthreads", "num_threads")
 def bert_inference_performance(config: BertConfig, machine: MachineModel,
                                stack_name: str = "parlooper",
                                batch: int = 1, seq: int = 384,

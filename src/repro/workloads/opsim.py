@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .._compat import deprecated_alias, renamed_kwarg
 from ..baselines.stacks import STACKS, StackModel
 from ..kernels.gemm import ParlooperGemm
 from ..platform.machine import MachineModel
@@ -43,17 +42,6 @@ class OpCostModel:
         if self.num_threads is None:
             self.num_threads = self.machine.total_cores
         self._gemm_cache: dict = {}
-
-    @property
-    def nthreads(self) -> int | None:
-        """Deprecated alias of :attr:`num_threads`."""
-        deprecated_alias("OpCostModel.nthreads", "num_threads")
-        return self.num_threads
-
-    @nthreads.setter
-    def nthreads(self, value) -> None:
-        deprecated_alias("OpCostModel.nthreads", "num_threads")
-        self.num_threads = value
 
     # -- contraction ops ---------------------------------------------------
     def _effective_dtype(self, dtype: DType) -> DType:
@@ -248,8 +236,3 @@ class OpCostModel:
         others compute on the full padded sequence (§V-B1).
         """
         return valid_fraction if self.stack.unpad else 1.0
-
-
-# dataclass-generated __init__: the shim wraps it after the fact
-OpCostModel.__init__ = renamed_kwarg("nthreads", "num_threads")(
-    OpCostModel.__init__)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .._compat import renamed_kwarg
 from ..baselines.stacks import STACKS
 from ..platform.machine import MachineModel
 from ..tpp.dtypes import DType
@@ -68,7 +67,6 @@ def _encoder_times(config: BertConfig, machine: MachineModel, batch: int,
     return contractions(False), contractions(True), rest
 
 
-@renamed_kwarg("nthreads", "num_threads")
 def sparse_bert_inference(config: BertConfig, machine: MachineModel,
                           batch: int = 1, seq: int = 384,
                           dtype: DType = DType.BF16,

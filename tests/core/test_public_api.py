@@ -2,28 +2,15 @@
 
 ``repro.__all__`` is a contract: additions and removals must be
 deliberate (update the snapshot here *and* the DESIGN.md migration
-notes).  The deprecation shims for the ``nthreads`` -> ``num_threads``
-rename are exercised from *outside* the package — inside it they are
-errors (see ``filterwarnings`` in pyproject.toml).
+notes).
 """
 
-import warnings
-
-import pytest
-
 import repro
-from repro import ParlooperDeprecationWarning
 from repro.platform import SPR
-from repro.serve import ServeCostModel
-from repro.tpp.dtypes import DType
-from repro.workloads import BERT_BASE, LlmConfig, OpCostModel
-from repro.workloads.bert import bert_inference_performance
-from repro.workloads.sparse_bert import sparse_bert_inference
 
 API_SNAPSHOT = [
     # facade
     "Session", "ObsConfig", "default_session",
-    "ParlooperDeprecationWarning",
     # core
     "ThreadedLoop", "LoopSpecs", "SpecError",
     # kernels
@@ -41,7 +28,6 @@ API_SNAPSHOT = [
     "FleetSimulator",
     # tuner
     "TuningConstraints", "TuneReport", "tune",
-    "generate_candidates", "search",
     # verify
     "verify_nest", "detect_races", "check_coverage", "run_fuzz",
     "VerificationError",
@@ -64,7 +50,7 @@ class TestAllSnapshot:
 class TestSessionFacade:
     def test_module_wrappers_match_session_results(self):
         g = repro.ParlooperGemm(256, 256, 256, num_threads=4)
-        module_pred = repro.predict(g.gemm_loop, g.sim_body(SPR), SPR,
+        module_pred = repro.predict(g.loop, g.sim_body(SPR), SPR,
                                     total_flops=float(g.flops))
         sess_pred = g.predict(SPR, session=repro.Session(machine=SPR))
         assert module_pred.seconds == sess_pred.seconds
@@ -79,112 +65,3 @@ class TestSessionFacade:
         a = g.simulate(SPR)
         b = g.simulate(SPR, session=sess)
         assert a.seconds == b.seconds
-
-
-class TestNthreadsShims:
-    """Old ``nthreads=`` spellings warn once and keep working."""
-
-    def test_opcostmodel_kwarg(self):
-        with pytest.warns(ParlooperDeprecationWarning,
-                          match="nthreads.*deprecated"):
-            cost = OpCostModel(SPR, nthreads=8)
-        assert cost.num_threads == 8
-
-    def test_opcostmodel_property_alias(self):
-        cost = OpCostModel(SPR, num_threads=8)
-        with pytest.warns(ParlooperDeprecationWarning):
-            assert cost.nthreads == 8
-        with pytest.warns(ParlooperDeprecationWarning):
-            cost.nthreads = 4
-        assert cost.num_threads == 4
-
-    def test_servecostmodel_kwarg(self):
-        tiny = LlmConfig("tiny", layers=2, hidden=128, heads=4,
-                         intermediate=512, vocab=512)
-        with pytest.warns(ParlooperDeprecationWarning):
-            cost = ServeCostModel(SPR, config=tiny, dtype=DType.BF16,
-                                  nthreads=8)
-        assert cost.num_threads == 8
-
-    def test_bert_inference_kwarg(self):
-        with pytest.warns(ParlooperDeprecationWarning):
-            old = bert_inference_performance(BERT_BASE, SPR, nthreads=8)
-        new = bert_inference_performance(BERT_BASE, SPR, num_threads=8)
-        assert old == new
-
-    def test_sparse_bert_kwarg(self):
-        with pytest.warns(ParlooperDeprecationWarning):
-            old = sparse_bert_inference(BERT_BASE, SPR, sparsity=0.7,
-                                        nthreads=8)
-        new = sparse_bert_inference(BERT_BASE, SPR, sparsity=0.7,
-                                    num_threads=8)
-        assert old == new
-
-    def test_both_spellings_is_a_type_error(self):
-        with pytest.raises(TypeError, match="both"):
-            OpCostModel(SPR, nthreads=8, num_threads=8)
-        with pytest.raises(TypeError, match="both"):
-            bert_inference_performance(BERT_BASE, SPR, nthreads=8,
-                                       num_threads=8)
-
-    def test_new_spelling_never_warns(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", ParlooperDeprecationWarning)
-            OpCostModel(SPR, num_threads=8)
-            bert_inference_performance(BERT_BASE, SPR, num_threads=8)
-
-
-class TestTunerShims:
-    """The classic three-call tuning dance warns; ``tune()`` replaces it.
-
-    Only the *top-level* bindings are deprecated — the low-level engine
-    stays silent as ``repro.tuner.generate_candidates`` /
-    ``repro.tuner.search`` for code that composes its own sweeps.
-    """
-
-    CONSTRAINTS = repro.TuningConstraints(
-        max_occurrences={"a": 1, "b": 1, "c": 1},
-        parallelizable=frozenset("b"), max_candidates=8)
-
-    def _pool(self):
-        from repro.tuner import generate_candidates
-        g = repro.ParlooperGemm(128, 128, 128, num_threads=4)
-        return g, list(generate_candidates(g.gemm_loop.specs,
-                                           self.CONSTRAINTS))
-
-    def test_top_level_generate_candidates_warns(self):
-        g = repro.ParlooperGemm(128, 128, 128, num_threads=4)
-        with pytest.warns(ParlooperDeprecationWarning,
-                          match="generate_candidates.*deprecated"):
-            cands = repro.generate_candidates(g.gemm_loop.specs,
-                                              self.CONSTRAINTS)
-        assert list(cands)
-
-    def test_top_level_search_warns_and_matches_engine(self):
-        from repro.tuner import TuneOutcome
-        from repro.tuner import search as engine_search
-        _, cands = self._pool()
-        evaluator = lambda c: TuneOutcome(c, float(len(c.spec_string)), 1.0)
-        with pytest.warns(ParlooperDeprecationWarning,
-                          match="repro.search.*deprecated"):
-            old = repro.search(cands, evaluator)
-        new = engine_search(cands, evaluator)
-        assert [o.candidate.spec_string for o in old.outcomes] == \
-            [o.candidate.spec_string for o in new.outcomes]
-
-    def test_tuner_module_spellings_never_warn(self):
-        from repro.tuner import TuneOutcome
-        from repro.tuner import search as engine_search
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", ParlooperDeprecationWarning)
-            _, cands = self._pool()
-            engine_search(cands, lambda c: TuneOutcome(c, 1.0, 1.0))
-
-    def test_session_tune_never_warns(self):
-        g = repro.ParlooperGemm(128, 128, 128, num_threads=4)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", ParlooperDeprecationWarning)
-            report = repro.Session(machine=SPR).tune(
-                g, constraints=self.CONSTRAINTS)
-        assert report.strategy == "exhaustive"
-        assert report.best.valid

@@ -13,8 +13,7 @@ from repro.core import LoopSpecs, ThreadedLoop
 from repro.core.batched import (BACKENDS, batchable, enumerate_inds,
                                 iteration_count, resolve_backend)
 from repro.kernels.batched import (conv_trace_builder, gemm_batched_ok,
-                                   gemm_trace_builder,
-                                   mlp_layer_trace_builder, spmm_batched_ok,
+                                   gemm_trace_builder, spmm_batched_ok,
                                    spmm_trace_builder)
 from repro.kernels.conv import ConvSpec, ParlooperConv
 from repro.kernels.gemm import ParlooperGemm
@@ -63,20 +62,6 @@ class TestBackendKnob:
             Session().compile([LoopSpecs(0, 4, 1)], "a", backend="bogus")
         # the error names every valid choice
         assert "interp" in str(exc.value) and "batched" in str(exc.value)
-
-    def test_session_compile_validates_abft(self):
-        from repro.core import LoopSpecs
-        from repro.session import Session
-        with pytest.raises(ValueError) as exc:
-            Session().compile([LoopSpecs(0, 4, 1)], "a", abft="bogus")
-        for mode in ("off", "detect", "correct"):
-            assert mode in str(exc.value)
-
-    def test_session_compile_stamps_abft(self):
-        from repro.core import LoopSpecs
-        from repro.session import Session
-        loop = Session().compile([LoopSpecs(0, 4, 1)], "a", abft="detect")
-        assert loop.abft == "detect"
 
     def test_kernel_ctor_validates_abft(self):
         with pytest.raises(ValueError) as exc:
@@ -155,7 +140,7 @@ class TestGemmBatched:
                              spec_string=spec, num_threads=4,
                              block_steps=blocks, backend="batched")
         assert digests_equal(
-            kern.gemm_loop, kern.sim_body(SPR),
+            kern.loop, kern.sim_body(SPR),
             gemm_trace_builder(kern, SPR, kern._conflict_scale()))
 
 
@@ -178,7 +163,7 @@ class TestConvBatched:
 
     def test_trace_digests(self):
         _, bat = self._pair()
-        assert digests_equal(bat.conv_loop, bat.sim_body(SPR),
+        assert digests_equal(bat.loop, bat.sim_body(SPR),
                              conv_trace_builder(bat, SPR))
 
 
@@ -205,7 +190,7 @@ class TestSpmmBatched:
     def test_trace_digests(self):
         bat = ParlooperSpmm(self._amat(), 64, bn=16, num_threads=4,
                             backend="batched")
-        assert digests_equal(bat.spmm_loop, bat.sim_body(SPR),
+        assert digests_equal(bat.loop, bat.sim_body(SPR),
                              spmm_trace_builder(bat, SPR))
 
 
@@ -227,10 +212,11 @@ class TestMlpBatched:
     def test_layer_trace_digests(self):
         bat = ParlooperMlp([64, 64, 64], 64, bm=16, bn=16, bk=16,
                            backend="batched")
-        for l in range(len(bat.layers)):
-            assert digests_equal(bat.layers[l].gemm.gemm_loop,
+        for l, layer in enumerate(bat.layers):
+            names = (f"W{l}", f"ACT{l}", f"ACT{l + 1}")
+            assert digests_equal(layer.gemm.loop,
                                  bat._layer_sim_body(l, SPR),
-                                 mlp_layer_trace_builder(bat, l, SPR))
+                                 layer.gemm.trace_builder(SPR, names))
 
 
 class TestFallbackGates:

@@ -39,7 +39,7 @@ class TestConvFunctional:
     def test_nest_verifies_race_free(self):
         spec = ConvSpec(N=2, C=64, K=64, H=10, W=10, R=3, S=3)
         conv = ParlooperConv(spec, bc=64, bk=64, w_step=4, num_threads=2)
-        verify_nest(conv.conv_loop, conv.sim_body(SPR))
+        verify_nest(conv.loop, conv.sim_body(SPR))
 
     def test_1x1_conv(self):
         spec = ConvSpec(N=1, C=64, K=128, H=8, W=8, R=1, S=1)
@@ -120,7 +120,18 @@ class TestMlp:
         mlp = ParlooperMlp([128, 128], 64, bm=32, bn=32, bk=32,
                            num_threads=2)
         g = mlp.layers[0].gemm
-        verify_nest(g.gemm_loop, g.sim_body(SPR))
+        verify_nest(g.loop, g.sim_body(SPR))
+
+    @pytest.mark.parametrize("activation", ["relu", "none"])
+    def test_bias_free_layers_charge_like_their_gemm(self, activation):
+        # without a bias the epilogue costs 1 flop/elem (or is absent);
+        # a layer's simulator body must charge exactly what its GEMM does
+        mlp = ParlooperMlp([128, 128], 64, bm=32, bn=32, bk=32,
+                           num_threads=2, activation=activation, bias=False)
+        g = mlp.layers[0].gemm
+        last = (g.Kb - g.k_step, 0, 0)
+        assert [e.flops for e in mlp._layer_sim_body(0, SPR)(last)] == \
+            [e.flops for e in g.sim_body(SPR)(last)]
 
     def test_needs_two_sizes(self):
         with pytest.raises(ValueError):
@@ -176,7 +187,7 @@ class TestSpmm:
         a = block_sparse(128, 128, 8, 8, 0.5, seed=14)
         sp = ParlooperSpmm(BCSCMatrix.from_dense(a, 8, 8), 64, bn=32,
                            num_threads=2)
-        verify_nest(sp.spmm_loop, sp.sim_body(SPR))
+        verify_nest(sp.loop, sp.sim_body(SPR))
 
     def test_vnni_packed_path(self):
         a = block_sparse(64, 64, 8, 8, 0.5, seed=16)

@@ -33,7 +33,7 @@ class TestFunctional:
 
     def test_nest_verifies_race_free(self):
         g = ParlooperGemm(128, 96, 160, 32, 32, 32, num_threads=2)
-        verify_nest(g.gemm_loop, g.sim_body(SPR))
+        verify_nest(g.loop, g.sim_body(SPR))
 
     def test_k_step_partial_reduction(self):
         g = ParlooperGemm(64, 64, 256, 32, 32, 32, k_step=2, num_threads=2)

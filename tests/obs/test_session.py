@@ -162,4 +162,4 @@ class TestSessionSurface:
         sess = Session()
         g = small_gemm()
         with pytest.raises(ValueError):
-            sess.predict(g.gemm_loop, g.sim_body(SPR))
+            sess.predict(g.loop, g.sim_body(SPR))

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from repro import (DType, LoopSpecs, ParlooperGemm, SPR, ThreadedLoop,
-                   TuningConstraints, ZEN4, generate_candidates, predict,
-                   search, simulate)
+                   TuningConstraints, ZEN4, predict, simulate)
 from repro.simulator import brgemm_event
-from repro.tuner import engine_evaluator, perfmodel_evaluator
+from repro.tuner import (engine_evaluator, generate_candidates,
+                         perfmodel_evaluator, search)
 
 
 class TestTuneThenRun:

@@ -45,16 +45,6 @@ class TestFailureTraceback:
             assert "inner_frame" in b.traceback
             assert "Traceback (most recent call last)" in b.traceback
 
-    def test_screen_stage_failures_carry_traceback(self):
-        pool = generate_candidates(SPECS, CONS)
-
-        def fine(candidate):
-            return TuneOutcome(candidate, 1.0, 1.0)
-
-        result = search(pool, fine, screen=exploding_evaluator)
-        assert result.failures
-        assert all("inner_frame" in f.traceback for f in result.failures)
-
     def test_valid_outcomes_have_empty_traceback(self):
         pool = generate_candidates(SPECS, CONS)
         result = search(pool, lambda c: TuneOutcome(c, 1.0, 1.0))

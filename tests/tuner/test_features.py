@@ -115,7 +115,7 @@ class TestTraceFeatures:
 
     def test_trace_block_appended_and_deterministic(self):
         g = ParlooperGemm(128, 128, 128, num_threads=4)
-        base = tuple(g.gemm_loop.specs)
+        base = tuple(g.loop.specs)
         ex = FeatureExtractor(base_specs=base, machine=SPR, num_threads=4,
                               with_trace=True, sim_body=g.sim_body(SPR))
         v1 = ex.vector(g.spec_string)

@@ -16,7 +16,7 @@ CONS = TuningConstraints({"a": 1, "b": 2, "c": 2}, frozenset({"b", "c"}),
 
 def _testbed(machine, M=512, num_threads=16):
     g = ParlooperGemm(M, M, M, num_threads=num_threads)
-    base = tuple(g.gemm_loop.specs)
+    base = tuple(g.loop.specs)
     pool = generate_candidates(base, CONS)
     evaluator = perfmodel_evaluator(base, g.sim_body(machine), machine,
                                     num_threads=num_threads,
@@ -31,7 +31,7 @@ def _testbed(machine, M=512, num_threads=16):
 class TestEditNeighbors:
     def setup_method(self):
         g = ParlooperGemm(512, 512, 512, num_threads=16)
-        self.base = tuple(g.gemm_loop.specs)
+        self.base = tuple(g.loop.specs)
         self.pool = generate_candidates(self.base, CONS)
 
     def test_neighbors_are_admissible(self):

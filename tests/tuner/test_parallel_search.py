@@ -1,5 +1,5 @@
-"""Parallel + screened search must rank exactly like the serial sweep,
-and EvalCache must warm-start it losslessly."""
+"""Parallel search must rank exactly like the serial sweep, and
+EvalCache must warm-start it losslessly."""
 
 import json
 import multiprocessing
@@ -93,44 +93,6 @@ class TestWorkersDeterminism:
     def test_workers_validated(self):
         with pytest.raises(ValueError):
             search(_candidates(budget=2), lambda c: None, workers=0)
-
-
-class TestScreening:
-    def test_screen_keeps_ranking_of_survivors(self):
-        cands = _candidates()
-        cache = TraceCache()
-        full_ev = perfmodel_evaluator(SPECS, _sim_body(ZEN4, DType.F32),
-                                      ZEN4, num_threads=16,
-                                      trace_cache=cache)
-        screen_ev = perfmodel_evaluator(SPECS, _sim_body(ZEN4, DType.F32),
-                                        ZEN4, num_threads=16,
-                                        sample_threads=1, trace_cache=cache)
-        full = search(cands, full_ev)
-        screened = search(cands, full_ev, screen=screen_ev, screen_keep=0.5)
-        assert screened.pruned > 0
-        assert screened.evaluated + screened.pruned + screened.skipped \
-            == len(cands)
-        # survivors must carry their full-evaluator scores
-        full_scores = {o.candidate.label(): o.score for o in full.outcomes}
-        for o in screened.outcomes:
-            assert o.score == full_scores[o.candidate.label()]
-
-    def test_screen_is_deterministic(self):
-        cands = _candidates()
-        ev = perfmodel_evaluator(SPECS, _sim_body(ZEN4, DType.F32), ZEN4,
-                                 num_threads=16, trace_cache=TraceCache())
-        a = search(cands, ev, screen=ev, screen_keep=0.25)
-        b = search(cands, ev, screen=ev, screen_keep=0.25)
-        assert _outcome_tuples(a) == _outcome_tuples(b)
-        assert a.pruned == b.pruned
-
-    def test_screen_invalid_candidates_become_failures(self):
-        bad = Candidate("aBbc", ((), (3,), ()))
-        ev = perfmodel_evaluator(SPECS, _sim_body(ZEN4, DType.F32), ZEN4,
-                                 num_threads=16)
-        res = search(_candidates(budget=4) + [bad], ev, screen=ev)
-        assert res.skipped == 1
-        assert [f.candidate.label() for f in res.failures] == [bad.label()]
 
 
 class TestEvalCache:

@@ -23,7 +23,7 @@ class TestExhaustiveParity:
     def test_ranking_bit_identical_to_classic_path(self):
         """strategy="exhaustive" delegates verbatim to search()."""
         g = gemm()
-        base = tuple(g.gemm_loop.specs)
+        base = tuple(g.loop.specs)
         pool = generate_candidates(base, CONS)
         classic = search(pool, perfmodel_evaluator(
             base, g.sim_body(SPR), SPR, num_threads=g.num_threads,
@@ -53,7 +53,7 @@ class TestExhaustiveParity:
 
     def test_bare_specs_with_sim_body(self):
         g = gemm()
-        report = tune(list(g.gemm_loop.specs), machine=SPR,
+        report = tune(list(g.loop.specs), machine=SPR,
                       sim_body=g.sim_body(SPR), constraints=CONS,
                       budget=12, num_threads=16,
                       total_flops=float(g.flops))
@@ -73,14 +73,6 @@ class TestExhaustiveParity:
 
 
 class TestStrategies:
-    def test_screened_prunes(self):
-        report = tune(gemm(), machine=SPR, constraints=CONS,
-                      strategy="screened", screen_keep=0.25,
-                      trace_cache=TraceCache())
-        assert report.strategy == "screened"
-        assert report.n_pruned > 0
-        assert report.n_model_evals > report.n_exact_evals
-
     def test_guided_spends_fewer_exact_evals(self):
         exhaustive = tune(gemm(), machine=SPR, constraints=CONS,
                           trace_cache=TraceCache())

@@ -25,7 +25,7 @@ class TestGemmRaces:
         # capitalizing the K-block loop makes every thread RMW the same
         # C blocks — the canonical one-keystroke race
         g = small_gemm("Abc")
-        reports = detect_races(g.gemm_loop, g.sim_body(SPR))
+        reports = detect_races(g.loop, g.sim_body(SPR))
         assert reports
         assert all(isinstance(r, RaceReport) for r in reports)
         assert {r.kind for r in reports} == {"WW"}
@@ -33,31 +33,31 @@ class TestGemmRaces:
 
     def test_report_names_spec_char_and_loop(self):
         g = small_gemm("Abc")
-        rep = detect_races(g.gemm_loop, g.sim_body(SPR))[0]
+        rep = detect_races(g.loop, g.sim_body(SPR))[0]
         assert rep.spec_chars == ("A",)
         assert "a" in rep.loop_chars       # the K-block loop varies
         assert "C" in rep.message and "'Abc'" in rep.message
 
     def test_default_spec_clean(self):
         g = small_gemm("aBC")
-        assert detect_races(g.gemm_loop, g.sim_body(SPR)) == []
+        assert detect_races(g.loop, g.sim_body(SPR)) == []
 
     def test_collapse_including_reduction_shape_dependent(self):
         # (M, K) collapse with Kb=4 and 4 threads gives each thread one
         # whole reduction chain — genuinely race-free for this shape
         g = small_gemm("BAc", num_threads=4)
-        assert detect_races(g.gemm_loop, g.sim_body(SPR)) == []
+        assert detect_races(g.loop, g.sim_body(SPR)) == []
         # ... but 3 threads split a chain mid-reduction
         g3 = small_gemm("BAc", num_threads=3)
-        assert detect_races(g3.gemm_loop, g3.sim_body(SPR))
+        assert detect_races(g3.loop, g3.sim_body(SPR))
 
     def test_grid_spec_clean(self):
         g = small_gemm("aB{R:2}C{C:2}", num_threads=None)
-        assert detect_races(g.gemm_loop, g.sim_body(SPR)) == []
+        assert detect_races(g.loop, g.sim_body(SPR)) == []
 
     def test_serial_spec_never_races(self):
         g = small_gemm("abc", num_threads=None)
-        assert detect_races(g.gemm_loop, g.sim_body(SPR)) == []
+        assert detect_races(g.loop, g.sim_body(SPR)) == []
 
 
 class TestDynamicChunkUnits:
@@ -69,14 +69,14 @@ class TestDynamicChunkUnits:
         g = ParlooperGemm(64, 64, 64, 16, 16, 16, k_step=1,
                           spec_string="ABc @ schedule(dynamic, 1)",
                           num_threads=2)
-        reports = detect_races(g.gemm_loop, g.sim_body(SPR))
+        reports = detect_races(g.loop, g.sim_body(SPR))
         assert reports and {r.kind for r in reports} == {"WW"}
 
     def test_dynamic_disjoint_writes_clean(self):
         g = ParlooperGemm(64, 64, 64, 16, 16, 16,
                           spec_string="aBC @ schedule(dynamic, 1)",
                           num_threads=4)
-        assert detect_races(g.gemm_loop, g.sim_body(SPR)) == []
+        assert detect_races(g.loop, g.sim_body(SPR)) == []
 
 
 class TestEpochs:
@@ -145,26 +145,26 @@ class TestKernelDefaults:
 
     def test_gemm_default(self):
         g = ParlooperGemm(128, 128, 128, 32, 32, 32)
-        verify_nest(g.gemm_loop, g.sim_body(SPR))
+        verify_nest(g.loop, g.sim_body(SPR))
 
     def test_mlp_default(self):
         m = MlpLayer(128, 128, 128, bm=32, bn=32, bk=32)
-        verify_nest(m.gemm.gemm_loop, m.gemm.sim_body(SPR))
+        verify_nest(m.gemm.loop, m.gemm.sim_body(SPR))
 
     def test_conv_default(self):
         c = ParlooperConv(ConvSpec(N=4, C=64, K=64, H=8, W=8), bc=32, bk=32)
-        verify_nest(c.conv_loop, c.sim_body(SPR))
+        verify_nest(c.loop, c.sim_body(SPR))
 
     def test_spmm_default(self):
         rng = np.random.default_rng(0)
         dense = rng.standard_normal((64, 64)).astype(np.float32)
         dense[:32] = 0.0
         s = ParlooperSpmm(BCSCMatrix.from_dense(dense, 16, 16), 64, bn=16)
-        verify_nest(s.spmm_loop, s.sim_body(SPR))
+        verify_nest(s.loop, s.sim_body(SPR))
 
     def test_verify_nest_raises_on_racy_spec(self):
         g = small_gemm("Abc")
         with pytest.raises(VerificationError) as exc_info:
-            verify_nest(g.gemm_loop, g.sim_body(SPR))
+            verify_nest(g.loop, g.sim_body(SPR))
         assert exc_info.value.reports
         assert all(r.kind == "WW" for r in exc_info.value.reports)

@@ -23,7 +23,7 @@ def _gemm(spec, num_threads=2):
 
 def _built(kern):
     b = gemm_trace_builder(kern, SPR, kern._conflict_scale())
-    return [b(tid) for tid in range(kern.gemm_loop.num_threads)]
+    return [b(tid) for tid in range(kern.loop.num_threads)]
 
 
 def _report_key(r):
@@ -35,24 +35,24 @@ class TestEquivalence:
     @pytest.mark.parametrize("spec", ["Abc", "aBc", "ABc", "ABC"])
     def test_matches_interpreted_detector(self, spec):
         kern = _gemm(spec, num_threads=4)
-        ref = detect_races(kern.gemm_loop, kern.sim_body(SPR))
-        got = detect_races_compiled(kern.gemm_loop, _built(kern))
+        ref = detect_races(kern.loop, kern.sim_body(SPR))
+        got = detect_races_compiled(kern.loop, _built(kern))
         assert [_report_key(r) for r in got] \
             == [_report_key(r) for r in ref]
 
     def test_racy_reduction_is_reported(self):
         # capital A parallelizes the K reduction: a WW race on C
         kern = _gemm("Abc")
-        reports = detect_races_compiled(kern.gemm_loop, _built(kern))
+        reports = detect_races_compiled(kern.loop, _built(kern))
         assert any(r.kind == "WW" and r.tensor == "C" for r in reports)
 
     def test_clean_spec_is_empty(self):
         kern = _gemm("aBC")
-        assert detect_races_compiled(kern.gemm_loop, _built(kern)) == []
+        assert detect_races_compiled(kern.loop, _built(kern)) == []
 
     def test_single_thread_cannot_race(self):
         kern = _gemm("Abc", num_threads=1)
-        assert detect_races_compiled(kern.gemm_loop, _built(kern)) == []
+        assert detect_races_compiled(kern.loop, _built(kern)) == []
 
 
 class TestGates:
@@ -74,8 +74,8 @@ class TestGates:
         kern = _gemm("Abc")
         tc = TraceCache()
         traces = [
-            compile_trace(tc.thread_trace(kern.gemm_loop,
+            compile_trace(tc.thread_trace(kern.loop,
                                           kern.sim_body(SPR), tid))
             for tid in range(2)]
         with pytest.raises(ValueError, match="event_ind"):
-            detect_races_compiled(kern.gemm_loop, traces)
+            detect_races_compiled(kern.loop, traces)

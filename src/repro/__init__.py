@@ -41,7 +41,7 @@ from .tuner import TuneReport, TuningConstraints
 from .verify import (check_coverage, detect_races, run_fuzz, verify_nest,
                      VerificationError)
 
-__version__ = "1.1.0"
+__version__ = "1.2.0"
 
 __all__ = [
     # facade

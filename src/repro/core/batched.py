@@ -5,8 +5,7 @@ invokes a Python-level ``body_func(ind)`` once per innermost iteration.
 The batched backend instead *enumerates* every ``ind`` a thread would
 visit — in exactly the interpreter's emission order — as one flat
 ``(n, num_loops)`` int64 array, so kernels can replace the per-iteration
-Python loop with tile-level NumPy calls over whole blocking levels and
-trace capture can emit flat index/byte arrays in one shot.
+Python loop with tile-level NumPy calls over whole blocking levels.
 
 The enumeration replays the code generator's partitioning formulas
 symbolically:
@@ -16,23 +15,18 @@ symbolically:
   of their trip range along the declared axis;
 * PAR-MODE-1 collapse groups flatten their trip space and partition it
   per the schedule (static near-equal, static chunked round-robin, or
-  dynamic — see below), then decode flat indices back to loop variables;
+  dynamic), then decode flat indices back to loop variables;
 * the logical index of loop ``l`` is
   ``start_l + sum_p j_p * step_p`` over all occurrences ``p`` of ``l``,
   where ``j_p`` is the local trip index at level ``p`` (each occurrence's
   variable chains off its parent, so the sum telescopes).
 
-Dynamic schedules need a *policy* because chunk ownership is decided at
-run time by :class:`~repro.core.runtime.NestContext.next_chunk`:
-
-``"fcfs"``
-    matches serial execution, where threads run to completion in tid
-    order against one shared context — thread 0 claims every chunk.
-    Only provable when :func:`batchable` accepts the plan.
-``"roundrobin"``
-    matches trace capture
-    (:class:`~repro.simulator.trace._TracingContext`), which hands chunk
-    ``i`` to thread ``i % num_threads`` independent of timing.
+Dynamic chunk ownership is decided at run time by
+:class:`~repro.core.runtime.NestContext.next_chunk`; the enumeration
+reproduces serial execution, where threads run to completion in tid
+order against one shared context, so thread 0 claims every chunk
+(first come, first served).  That is only provable when
+:func:`batchable` accepts the plan.
 
 :func:`batchable` is the gate: it reports whether the batched backend
 can reproduce the interpreter's semantics bit-for-bit for a plan, and
@@ -46,7 +40,7 @@ import numpy as np
 from .plan import LoopLevel, LoopNestPlan
 
 __all__ = ["BACKENDS", "resolve_backend", "batchable", "enumerate_inds",
-           "iteration_count", "clear_enumeration_cache"]
+           "clear_enumeration_cache"]
 
 #: accepted values of the kernel/Session ``backend`` knob
 BACKENDS = ("interp", "batched")
@@ -135,8 +129,8 @@ def _ragged_arange(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
     return base + offs
 
 
-def _unit_flat(unit, plan: LoopNestPlan, num_threads: int, tid: int,
-               dynamic: str) -> np.ndarray:
+def _unit_flat(unit, plan: LoopNestPlan, num_threads: int,
+               tid: int) -> np.ndarray:
     """The flat local-index selection this thread executes for one unit,
     ascending — exactly the order the generated nest emits."""
     kind = unit[0]
@@ -160,14 +154,6 @@ def _unit_flat(unit, plan: LoopNestPlan, num_threads: int, tid: int,
     sched = plan.parsed.schedule
     chunk = plan.parsed.chunk
     if sched == "dynamic":
-        chunk = chunk if chunk else 1
-        if dynamic == "roundrobin":
-            starts = np.arange(tid * chunk, total,
-                               num_threads * chunk, dtype=np.int64)
-            return _ragged_arange(starts,
-                                  np.minimum(starts + chunk, total))
-        if dynamic != "fcfs":
-            raise ValueError(f"unknown dynamic policy {dynamic!r}")
         # serial FCFS: thread 0 runs first against the shared context and
         # claims every chunk (batchable() proved the epochs thread-
         # invariant), so later threads find the counters exhausted
@@ -194,32 +180,21 @@ def clear_enumeration_cache() -> None:
     _ENUM_CACHE.clear()
 
 
-def iteration_count(plan: LoopNestPlan, num_threads: int, tid: int,
-                    dynamic: str = "fcfs") -> int:
-    """Number of body invocations thread *tid* performs."""
-    n = 1
-    for unit in _units(plan):
-        n *= _unit_flat(unit, plan, num_threads, tid, dynamic).shape[0]
-        if n == 0:
-            return 0
-    return n
-
-
-def enumerate_inds(plan: LoopNestPlan, num_threads: int, tid: int,
-                   dynamic: str = "fcfs") -> np.ndarray:
+def enumerate_inds(plan: LoopNestPlan, num_threads: int,
+                   tid: int) -> np.ndarray:
     """Every logical-index vector thread *tid* visits, in emission order.
 
     Returns an ``(n, plan.num_loops)`` int64 array: row *r* is the
     ``ind`` of the interpreter's *r*-th ``body_func`` call on this
-    thread.  Results are cached per (plan, num_threads, tid, policy).
+    thread.  Results are cached per (plan, num_threads, tid).
     """
-    key = (plan.cache_key(), num_threads, tid, dynamic)
+    key = (plan.cache_key(), num_threads, tid)
     cached = _ENUM_CACHE.get(key)
     if cached is not None:
         return cached
 
     units = _units(plan)
-    flats = [_unit_flat(u, plan, num_threads, tid, dynamic) for u in units]
+    flats = [_unit_flat(u, plan, num_threads, tid) for u in units]
     n = 1
     for f in flats:
         n *= f.shape[0]

@@ -15,9 +15,8 @@ cache and session-routed :meth:`~ParlooperKernel.simulate` /
   finalised (``None`` when it finalised none);
 * ``_batched_ok()``, ``(eligible, reason)`` for its batched lowering,
   and ``_run_batched(*ops)``, the lowering itself;
-* ``sim_body(machine, *sim_args)``, ``_key_fields()`` (the fields its
-  trace-cache key needs besides the machine) and
-  ``trace_builder(machine, *sim_args)``, the body's vectorized twin;
+* ``sim_body(machine, *sim_args)`` and ``_key_fields()`` (the fields
+  its trace-cache key needs besides the machine);
 * ``_checksum(*ops)``, and ``_correct(check, *ops)`` where its checksum
   can repair in place.
 
@@ -154,16 +153,12 @@ class ParlooperKernel:
     def predict(self, machine: MachineModel, session=None,
                 sample_threads: int | None = None):
         """Box-B3 performance-model companion of :meth:`simulate`
-        (:class:`~repro.simulator.perfmodel.PerfPrediction`).  Kernels
-        built with ``backend="batched"`` capture traces vectorized."""
+        (:class:`~repro.simulator.perfmodel.PerfPrediction`)."""
         return self._predict(machine, session, sample_threads)
 
     def _predict(self, machine, session, sample_threads, *sim_args):
-        builder = (self.trace_builder(machine, *sim_args)
-                   if self.backend == "batched" else None)
         return _session(session).predict(
             self.loop, self._cached_sim_body(machine, *sim_args), machine,
             sample_threads=sample_threads,
             total_flops=float(self._score_flops),
-            body_key=self._body_key(machine, *sim_args),
-            trace_builder=builder)
+            body_key=self._body_key(machine, *sim_args))

@@ -1,4 +1,4 @@
-"""Batched tile-level nest execution and vectorized trace capture.
+"""Batched tile-level nest execution.
 
 The interpreter runs one Python ``body(ind)`` call per innermost
 iteration.  This module lowers whole loop nests to *block-granular*
@@ -9,27 +9,20 @@ handful of stacked einsum / fancy-index / slice-assign calls over whole
 blocking levels — the LoopStack move of dispatching the nest to batched
 tensor primitives rather than interpreting it.
 
-Correctness contract (fuzz-verified per family, see
-``tests/verify``):
+Correctness contract (fuzz-verified per family, see ``tests/verify``):
+the batched executor performs, per output block, the same reduction
+updates in the same order as the serial interpreter — ascending
+reduction index within each thread, threads in tid order — with the
+same compute-precision casts and store-time down-conversions
+(:mod:`repro.tpp.batched`).  On integer-valued tensors the results are
+bit-identical; on general floats they agree to reduction-order
+tolerance.
 
-* the batched executor performs, per output block, the same reduction
-  updates in the same order as the serial interpreter — ascending
-  reduction index within each thread, threads in tid order — with the
-  same compute-precision casts and store-time down-conversions
-  (:mod:`repro.tpp.batched`).  On integer-valued tensors the results
-  are bit-identical; on general floats they agree to reduction-order
-  tolerance.
-* the trace builders emit, per thread, a :class:`CompiledTrace` equal
-  element-for-element (and digest-for-digest) to compiling the
-  interpreter's captured :class:`~repro.simulator.trace.ThreadTrace` —
-  same first-appearance key interning, same access/event order, same
-  bit-exact ``compute_cycles``.
-
-Execution eligibility is decided by :func:`~repro.core.batched.
-batchable` plus per-kernel layout gates; ineligible nests fall back to
-the interpreter (counted on the ``batched_exec`` obs counter).  Trace
-builders have no such gate: the round-robin chunk policy reproduces the
-tracing context for every plan.
+Eligibility is decided by :func:`~repro.core.batched.batchable` plus
+per-kernel layout gates; ineligible nests fall back to the interpreter
+(counted on the ``batched_exec`` obs counter).  Traces are never built
+here: every kernel's simulator trace comes from interpreting its
+``sim_body``.
 """
 
 from __future__ import annotations
@@ -40,16 +33,12 @@ from ..core.batched import (BACKENDS, batchable, enumerate_inds,
                             resolve_backend)
 from ..core.inject import active_injector
 from ..obs.context import current as _obs
-from ..simulator.reuse import CompiledTrace
-from ..tpp.backend.dispatch import dispatch_brgemm
-from ..tpp.backend.isa import ISA_SPECS
 from ..tpp.batched import (batched_bias_add_col, batched_brgemm,
                            batched_unary)
-from ..tpp.dtypes import DType, from_compute
+from ..tpp.dtypes import from_compute
 
 __all__ = ["BACKENDS", "resolve_backend", "record_backend_outcome",
-           "run_gemm_batched", "run_conv_batched", "run_spmm_batched",
-           "gemm_trace_builder", "conv_trace_builder", "spmm_trace_builder"]
+           "run_gemm_batched", "run_conv_batched", "run_spmm_batched"]
 
 #: cap on elements gathered per stacked call, so transient block stacks
 #: stay cache-friendly instead of materializing the whole nest at once
@@ -100,7 +89,7 @@ def run_gemm_batched(kern, A, B, C, bias_vec=None,
                    else np.asarray(bias_vec).reshape(kern.Mb, kern.bm))
     injector = active_injector()
     for tid in range(nt):
-        inds = enumerate_inds(loop.plan, nt, tid, dynamic="fcfs")
+        inds = enumerate_inds(loop.plan, nt, tid)
         if not inds.shape[0]:
             continue
         ik, im, in_ = inds[:, 0], inds[:, 1], inds[:, 2]
@@ -159,7 +148,7 @@ def run_conv_batched(kern, I, Wt, O) -> np.ndarray:
     elems = br * (ws * kern.bc + kern.bc * kern.bk)
     injector = active_injector()
     for tid in range(nt):
-        inds = enumerate_inds(loop.plan, nt, tid, dynamic="fcfs")
+        inds = enumerate_inds(loop.plan, nt, tid)
         if not inds.shape[0]:
             continue
         # ascending (ic, ir, is_) groups: each O fiber sees its reduction
@@ -223,7 +212,7 @@ def run_spmm_batched(kern, B, C) -> np.ndarray:
     elems = bm * bk + bk * bn + bm * bn
     injector = active_injector()
     for tid in range(nt):
-        inds = enumerate_inds(loop.plan, nt, tid, dynamic="fcfs")
+        inds = enumerate_inds(loop.plan, nt, tid)
         if not inds.shape[0]:
             continue
         i_m, i_n = inds[:, 0], inds[:, 1]
@@ -251,317 +240,6 @@ def run_spmm_batched(kern, B, C) -> np.ndarray:
                 C[(ims * bm)[:, None, None] + rowc[None, :, None],
                   cols[:, None, :]] = stored
     return C
-
-
-# ======================================================================
-# vectorized trace builders
-# ======================================================================
-
-def _intern_codes(flat_codes: np.ndarray, decode) -> tuple:
-    """First-appearance interning of integer key codes — the vectorized
-    twin of ``compile_trace``'s ``dict.setdefault`` walk."""
-    uniq, first_idx, inv = np.unique(flat_codes, return_index=True,
-                                     return_inverse=True)
-    order = np.argsort(first_idx, kind="stable")
-    rank = np.empty(order.size, dtype=np.int64)
-    rank[order] = np.arange(order.size, dtype=np.int64)
-    key_ids = rank[inv.reshape(-1)].astype(np.int64, copy=False)
-    keys = tuple(decode(int(uniq[o])) for o in order)
-    return key_ids, keys
-
-
-def _empty_trace(tid: int, num_loops: int) -> CompiledTrace:
-    return CompiledTrace(
-        tid=tid,
-        key_ids=np.empty(0, np.int64),
-        nbytes=np.empty(0, np.float64),
-        cost_scale=np.empty(0, np.float64),
-        footprint=np.empty(0, np.int64),
-        write=np.empty(0, bool),
-        event_of=np.empty(0, np.int64),
-        compute_cycles=np.empty(0, np.float64),
-        flops=np.empty(0, np.float64),
-        n_events=0,
-        keys=(),
-        event_ind=np.empty((0, num_loops), np.int64),
-    )
-
-
-def _gemm_layer_trace(tid, plan, num_threads, *, Mb, Nb, Kb, k_step,
-                      bm, bn, bk, dtype, machine, names, epilogue,
-                      flops_per_elem, scale) -> CompiledTrace:
-    """One thread's compiled trace of a GEMM-shaped nest, built from the
-    enumeration — no per-iteration Python body calls."""
-    inds = enumerate_inds(plan, num_threads, tid, dynamic="roundrobin")
-    n = inds.shape[0]
-    if n == 0:
-        return _empty_trace(tid, plan.num_loops)
-    ik, im, in_ = inds[:, 0], inds[:, 1], inds[:, 2]
-    ks = k_step
-    last_k = Kb - ks
-    nb = dtype.nbytes
-    a_bytes = bm * bk * nb
-    b_bytes = bk * bn * nb
-    c_bytes = bm * bn * nb
-
-    # radix-encoded keys: (tensor, i, j) -> (t*RI + i)*RJ + j
-    RI = max(Mb, Nb)
-    RJ = max(Kb, Mb)
-    kk = ik[:, None] + np.arange(ks, dtype=np.int64)[None, :]
-    a_code = im[:, None] * RJ + kk
-    b_code = (RI + in_)[:, None] * RJ + kk
-    c_code = ((2 * RI + in_) * RJ + im)[:, None]
-    ncol = 2 * ks + 4
-    # column layout per iteration row, in the interpreter's access
-    # order: [A x ks][B x ks][C read][C write][elt C read][elt C write]
-    codes = np.concatenate([a_code, b_code, c_code, c_code, c_code,
-                            c_code], axis=1)
-    mask = np.ones((n, ncol), dtype=bool)
-    mask[:, 2 * ks] = ik > 0     # beta read skipped on first touch
-    if epilogue:
-        elt = ik == last_k
-    else:
-        elt = np.zeros(n, dtype=bool)
-    mask[:, 2 * ks + 2] = elt
-    mask[:, 2 * ks + 3] = elt
-
-    rij = RI * RJ
-
-    def decode(code):
-        t, rem = divmod(code, rij)
-        i, j = divmod(rem, RJ)
-        return (names[t], i, j)
-
-    key_ids, keys = _intern_codes(codes[mask], decode)
-
-    row_nbytes = np.array([a_bytes] * ks + [b_bytes] * ks + [c_bytes] * 4,
-                          dtype=np.float64)
-    row_fp = np.array([a_bytes] * ks + [int(b_bytes * scale)] * ks
-                      + [c_bytes] * 4, dtype=np.int64)
-    row_cs = np.array([1.0] * ks + [float(scale)] * ks + [1.0] * 4,
-                      dtype=np.float64)
-    row_wr = np.array([False] * (2 * ks) + [False, True, False, True],
-                      dtype=bool)
-
-    ev_count = 1 + elt.astype(np.int64)
-    ev_base = np.concatenate(([0], np.cumsum(ev_count)[:-1]))
-    E = int(ev_base[-1] + ev_count[-1])
-    col_ev = np.array([0] * (2 * ks + 2) + [1, 1], dtype=np.int64)
-    event_of = (ev_base[:, None] + col_ev[None, :])[mask]
-
-    cfg = dispatch_brgemm(machine.isa_for(dtype), dtype, bm, bn, bk, ks)
-    br_flops = 2.0 * bm * bn * bk * ks
-    br_cc = br_flops / max(cfg.flops_per_cycle(), 1e-9)
-    flops = np.full(E, br_flops, dtype=np.float64)
-    cc = np.full(E, br_cc, dtype=np.float64)
-    if elt.any():
-        spec = ISA_SPECS[machine.isa_for(DType.F32)]
-        el_flops = flops_per_elem * bm * bn
-        el_cc = el_flops / max(spec.flops_per_cycle(DType.F32) / 2.0,
-                               1e-9)
-        eidx = ev_base[elt] + 1
-        flops[eidx] = el_flops
-        cc[eidx] = el_cc
-
-    return CompiledTrace(
-        tid=tid,
-        key_ids=key_ids,
-        nbytes=np.broadcast_to(row_nbytes, (n, ncol))[mask],
-        cost_scale=np.broadcast_to(row_cs, (n, ncol))[mask],
-        footprint=np.broadcast_to(row_fp, (n, ncol))[mask],
-        write=np.broadcast_to(row_wr, (n, ncol))[mask],
-        event_of=event_of,
-        compute_cycles=cc,
-        flops=flops,
-        n_events=E,
-        keys=keys,
-        event_ind=np.repeat(inds, ev_count, axis=0),
-    )
-
-
-def gemm_trace_builder(kern, machine, scale: float, names=("A", "B", "C")):
-    """``tid -> CompiledTrace`` for a ParlooperGemm (or one MLP layer),
-    equal to compiling the interpreter's trace of ``kern.sim_body(
-    machine, names)``; *scale* is ``kern._conflict_scale()``."""
-    loop = kern.loop
-    epilogue = kern.act_tpp is not None or kern.bias_tpp is not None
-
-    def build(tid: int) -> CompiledTrace:
-        return _gemm_layer_trace(
-            tid, loop.plan, loop.num_threads, Mb=kern.Mb, Nb=kern.Nb,
-            Kb=kern.Kb, k_step=kern.k_step, bm=kern.bm, bn=kern.bn,
-            bk=kern.bk, dtype=kern.dtype, machine=machine,
-            names=names, epilogue=epilogue,
-            flops_per_elem=2.0 if kern.bias else 1.0, scale=scale)
-    return build
-
-
-def conv_trace_builder(kern, machine):
-    """``tid -> CompiledTrace`` for a ParlooperConv, equal to compiling
-    the interpreter's trace of ``kern.sim_body(machine)``."""
-    sp = kern.spec
-    loop = kern.loop
-    cs, R, S = kern.c_step, sp.R, sp.S
-    Cb, Kb = kern.Cb, kern.Kb
-    N, H, P, Q, st = sp.N, sp.H, sp.P, sp.Q, sp.stride
-    T = max(N * Cb * H, Kb * Cb * R * S, N * Kb * P * Q)
-    # A gather: c outer, r inner over range(R); B: c outer, r mid, s inner
-    cA = np.repeat(np.arange(cs, dtype=np.int64), R)
-    rA = np.tile(np.arange(R, dtype=np.int64), cs)
-    cB = np.repeat(np.arange(cs, dtype=np.int64), R * S)
-    rB = np.tile(np.repeat(np.arange(R, dtype=np.int64), S), cs)
-    sB = np.tile(np.arange(S, dtype=np.int64), cs * R)
-    nb = kern.dtype.nbytes
-    a_bytes = kern.w_step * kern.bc * nb
-    b_bytes = kern.bc * kern.bk * nb
-    c_bytes = kern.w_step * kern.bk * nb
-    brcount = cs * R * S
-    cfg = dispatch_brgemm(machine.isa_for(kern.dtype), kern.dtype,
-                          kern.w_step, kern.bk, kern.bc, brcount)
-    ev_flops = 2.0 * kern.w_step * kern.bk * kern.bc * brcount
-    ev_cc = ev_flops / max(cfg.flops_per_cycle(), 1e-9)
-
-    def decode(code):
-        t, rem = divmod(code, T)
-        if t == 0:
-            nc, row = divmod(rem, H)
-            nn, c = divmod(nc, Cb)
-            return ("I", nn, c, row)
-        if t == 1:
-            kcr, s = divmod(rem, S)
-            kc, r = divmod(kcr, R)
-            kb, c = divmod(kc, Cb)
-            return ("Wt", kb, c, r, s)
-        np_, q = divmod(rem, Q)
-        nk, p = divmod(np_, P)
-        nn, kb = divmod(nk, Kb)
-        return ("O", nn, kb, p, q)
-
-    def build(tid: int) -> CompiledTrace:
-        inds = enumerate_inds(loop.plan, loop.num_threads, tid,
-                              dynamic="roundrobin")
-        n = inds.shape[0]
-        if n == 0:
-            return _empty_trace(tid, loop.plan.num_loops)
-        in_, ic, ikk = inds[:, 0], inds[:, 1], inds[:, 2]
-        ih, iw = inds[:, 3], inds[:, 4]
-        a_code = (in_[:, None] * Cb + ic[:, None] + cA[None, :]) * H \
-            + ih[:, None] * st + rA[None, :]
-        b_code = T + (((ikk[:, None] * Cb + ic[:, None] + cB[None, :]) * R
-                       + rB[None, :]) * S + sB[None, :])
-        c_code = (2 * T
-                  + ((in_ * Kb + ikk) * P + ih) * Q + iw)[:, None]
-        ncol = cs * R + cs * R * S + 2
-        codes = np.concatenate([a_code, b_code, c_code, c_code], axis=1)
-        mask = np.ones((n, ncol), dtype=bool)
-        mask[:, ncol - 2] = ic > 0   # beta read skipped on first touch
-        key_ids, keys = _intern_codes(codes[mask], decode)
-        row_nbytes = np.array([a_bytes] * (cs * R)
-                              + [b_bytes] * (cs * R * S)
-                              + [c_bytes] * 2, dtype=np.float64)
-        row_fp = row_nbytes.astype(np.int64)
-        row_wr = np.array([False] * (ncol - 1) + [True], dtype=bool)
-        event_of = np.broadcast_to(
-            np.arange(n, dtype=np.int64)[:, None], (n, ncol))[mask]
-        return CompiledTrace(
-            tid=tid,
-            key_ids=key_ids,
-            nbytes=np.broadcast_to(row_nbytes, (n, ncol))[mask],
-            cost_scale=np.ones(key_ids.size, dtype=np.float64),
-            footprint=np.broadcast_to(row_fp, (n, ncol))[mask],
-            write=np.broadcast_to(row_wr, (n, ncol))[mask],
-            event_of=event_of,
-            compute_cycles=np.full(n, ev_cc, dtype=np.float64),
-            flops=np.full(n, ev_flops, dtype=np.float64),
-            n_events=n,
-            keys=keys,
-            event_ind=inds,
-        )
-    return build
-
-
-def spmm_trace_builder(kern, machine):
-    """``tid -> CompiledTrace`` for a ParlooperSpmm, equal to compiling
-    the interpreter's trace of ``kern.sim_body(machine)`` (empty block
-    rows emit no event, exactly like the ``None`` body returns)."""
-    a = kern.a
-    loop = kern.loop
-    counts = np.diff(a.row_ptr)
-    mx = int(counts.max()) if counts.size and a.nnz_blocks else 0
-    NBR, NBC, Nb = a.n_block_rows, a.n_block_cols, kern.Nb
-    # dense table of each block row's nonzero block-columns (ascending,
-    # like row_blocks); padded slots are masked out below
-    tab = np.zeros((NBR, max(mx, 1)), dtype=np.int64)
-    vtab = np.arange(max(mx, 1), dtype=np.int64)[None, :] < counts[:, None]
-    tab[vtab] = a.col_idx
-    T = max(NBR * max(NBC, 1), NBC * Nb, NBR * Nb)
-    bm, bk, bn = a.bm, a.bk, kern.bn
-    nb = kern.dtype.nbytes
-    a_bytes = bm * bk * nb
-    b_bytes = bk * bn * nb
-    c_bytes = bm * bn * nb
-    isa = machine.isa_for(kern.dtype)
-
-    def decode(code):
-        t, rem = divmod(code, T)
-        if t == 0:
-            i, kc = divmod(rem, max(NBC, 1))
-            return ("Asp", i, kc)
-        name = "B" if t == 1 else "C"
-        i, j = divmod(rem, Nb)
-        return (name, i, j) if t == 2 else ("B", i, j)
-
-    def build(tid: int) -> CompiledTrace:
-        inds = enumerate_inds(loop.plan, loop.num_threads, tid,
-                              dynamic="roundrobin")
-        n = inds.shape[0]
-        if n == 0:
-            return _empty_trace(tid, loop.plan.num_loops)
-        i_m, i_n = inds[:, 0], inds[:, 1]
-        kcs = tab[i_m]
-        vmask = vtab[i_m]
-        has = counts[i_m] > 0
-        a_code = i_m[:, None] * max(NBC, 1) + kcs
-        b_code = T + kcs * Nb + i_n[:, None]
-        c_code = (2 * T + i_m * Nb + i_n)[:, None]
-        w = kcs.shape[1]
-        codes = np.concatenate([a_code, b_code, c_code], axis=1)
-        mask = np.concatenate([vmask, vmask, has[:, None]], axis=1)
-        key_ids, keys = _intern_codes(codes[mask], decode)
-        row_nbytes = np.array([a_bytes] * w + [b_bytes] * w + [c_bytes],
-                              dtype=np.float64)
-        row_wr = np.array([False] * (2 * w) + [True], dtype=bool)
-        ev_count = has.astype(np.int64)
-        ev_base = np.concatenate(([0], np.cumsum(ev_count)[:-1]))
-        E = int(ev_count.sum())
-        event_of = np.broadcast_to(ev_base[:, None],
-                                   (n, 2 * w + 1))[mask]
-        nnz_r = counts[i_m][has]
-        flops = np.empty(E, dtype=np.float64)
-        cc = np.empty(E, dtype=np.float64)
-        for nz in np.unique(nnz_r):
-            cfg = dispatch_brgemm(isa, kern.dtype, bm, bn, bk,
-                                  max(1, int(nz)))
-            f = 2.0 * bm * bn * bk * int(nz)
-            m = nnz_r == nz
-            flops[m] = f
-            cc[m] = f / max(cfg.flops_per_cycle(), 1e-9)
-        return CompiledTrace(
-            tid=tid,
-            key_ids=key_ids,
-            nbytes=np.broadcast_to(row_nbytes, (n, 2 * w + 1))[mask],
-            cost_scale=np.ones(key_ids.size, dtype=np.float64),
-            footprint=np.broadcast_to(row_nbytes.astype(np.int64),
-                                      (n, 2 * w + 1))[mask],
-            write=np.broadcast_to(row_wr, (n, 2 * w + 1))[mask],
-            event_of=event_of,
-            compute_cycles=cc,
-            flops=flops,
-            n_events=E,
-            keys=keys,
-            event_ind=inds[has],
-        )
-    return build
 
 
 # ======================================================================

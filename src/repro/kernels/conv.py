@@ -34,7 +34,7 @@ from ..tpp.gemm import BRGemmTPP
 from ..tpp.unary import ZeroTPP
 from .abft import conv_check
 from .base import ParlooperKernel
-from .batched import conv_batched_ok, conv_trace_builder, run_conv_batched
+from .batched import conv_batched_ok, run_conv_batched
 from .common import as_dtype, divisible
 
 __all__ = ["ConvSpec", "ParlooperConv", "DEFAULT_CONV_SPEC"]
@@ -214,10 +214,6 @@ class ParlooperConv(ParlooperKernel):
                 brcount, a_keys, b_keys, ("O", in_, ik, ih, iw),
                 beta=1.0, c_first_touch=(ic == 0))
         return body
-
-    def trace_builder(self, machine: MachineModel):
-        """``tid -> CompiledTrace`` twin of :meth:`sim_body`."""
-        return conv_trace_builder(self, machine)
 
     def _key_fields(self) -> tuple:
         return (self.spec, self.bc, self.bk, self.w_step, self.c_step,

@@ -22,7 +22,7 @@ from ..tpp.unary import GeluTPP, ReluTPP, ZeroTPP
 from ..tpp.binary import BiasAddColTPP
 from .abft import gemm_check, gemm_correct_single
 from .base import ParlooperKernel
-from .batched import gemm_batched_ok, gemm_trace_builder, run_gemm_batched
+from .batched import gemm_batched_ok, run_gemm_batched
 from .common import (alloc_blocked_c, divisible, pack_a_blocked,
                      pack_b_blocked, unpack_c_blocked)
 
@@ -54,8 +54,8 @@ class ParlooperGemm(ParlooperKernel):
     backend:
         ``"interp"`` (default) runs one body call per iteration;
         ``"batched"`` lowers eligible nests to tile-level stacked NumPy
-        (:mod:`repro.kernels.batched`) and vectorizes trace capture,
-        falling back to the interpreter otherwise.
+        (:mod:`repro.kernels.batched`), falling back to the interpreter
+        otherwise.  Simulation and prediction are backend-independent.
     """
 
     kind = "gemm"
@@ -254,11 +254,6 @@ class ParlooperGemm(ParlooperKernel):
                     flops_per_elem=2.0 if self.bias else 1.0))
             return events
         return body
-
-    def trace_builder(self, machine: MachineModel, names=("A", "B", "C")):
-        """``tid -> CompiledTrace`` twin of :meth:`sim_body`."""
-        return gemm_trace_builder(self, machine, self._conflict_scale(),
-                                  names)
 
     def _conflict_scale(self) -> float:
         """Cache-footprint inflation for flat-B with a large power-of-two

@@ -20,7 +20,7 @@ from ..tpp.dtypes import DType, Precision
 from ..tpp.sparse import BCSCMatrix, BlockSpMMTPP
 from .abft import spmm_check
 from .base import ParlooperKernel
-from .batched import run_spmm_batched, spmm_batched_ok, spmm_trace_builder
+from .batched import run_spmm_batched, spmm_batched_ok
 from .common import as_dtype, divisible
 
 __all__ = ["ParlooperSpmm", "DEFAULT_SPMM_SPEC"]
@@ -142,11 +142,6 @@ class ParlooperSpmm(ParlooperKernel):
                               len(cols), a_keys, b_keys,
                               ("C", i_m, i_n), beta=0.0)
         return body
-
-    def trace_builder(self, machine: MachineModel):
-        """``tid -> CompiledTrace`` twin of :meth:`sim_body` (empty block
-        rows emit no event)."""
-        return spmm_trace_builder(self, machine)
 
     def _key_fields(self) -> tuple:
         return (self._a_token, self.N, self.bn, self.dtype)

@@ -144,21 +144,15 @@ class Session:
 
     def predict(self, loop, sim_body, machine=None,
                 sample_threads: int | None = None,
-                total_flops: float | None = None, body_key=None,
-                trace_builder=None):
+                total_flops: float | None = None, body_key=None):
         """Box-B3 performance prediction through the session's memoized
-        trace cache (:func:`repro.simulator.perfmodel.predict`).
-
-        *trace_builder* (``tid -> CompiledTrace``) captures traces
-        vectorized instead of interpreting the nest; kernels pass their
-        builders automatically when built with ``backend="batched"``."""
+        trace cache (:func:`repro.simulator.perfmodel.predict`)."""
         with self.activate():
             return _predict(loop, sim_body, self._resolve_machine(machine),
                             sample_threads=sample_threads,
                             total_flops=total_flops,
                             trace_cache=self.trace_cache,
-                            body_key=body_key,
-                            trace_builder=trace_builder)
+                            body_key=body_key)
 
     def simulate(self, loop, sim_body, machine=None,
                  dispatch_overhead: bool = True, body_key=None):

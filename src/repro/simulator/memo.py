@@ -151,7 +151,7 @@ class TraceCache:
                 loop, self._memo_body(sim_body, body_key), tids=[tid])[0])
 
     def compiled_thread_trace(self, loop: ThreadedLoop, sim_body, tid: int,
-                              body_key=None, builder=None) -> CompiledTrace:
+                              body_key=None) -> CompiledTrace:
         """Array-compiled form of :meth:`thread_trace` (also cached).
 
         Compiled traces with identical ``(key_ids, footprint)`` patterns —
@@ -159,20 +159,10 @@ class TraceCache:
         sequences whose interned ids coincide — additionally share one
         :attr:`~repro.simulator.reuse.CompiledTrace.reuse_memo`, so the
         reuse-distance pass runs once per *pattern*, not once per thread.
-
-        *builder* (``tid -> CompiledTrace``) is the vectorized capture
-        path: on a miss it replaces interpreting the nest with a tracing
-        body.  Builders contract to emit exactly what compiling the
-        interpreter's trace would (the fuzzer compares digests), so the
-        cache key is deliberately the same either way — hits are shared
-        between the two capture paths.
         """
         key = ("threadc", self._body_key(sim_body, body_key),
                self._specs_key(loop), _thread_order_key(loop.spec_string),
                loop.num_threads, tid)
-        if builder is not None:
-            return self._get(
-                key, lambda: self._share_reuse_memo(builder(tid)))
         return self._get(
             key,
             lambda: self._share_reuse_memo(compile_trace(

@@ -53,8 +53,7 @@ class PerfPrediction:
 def predict(loop: ThreadedLoop, sim_body, machine: MachineModel,
             sample_threads: int | None = None,
             total_flops: float | None = None,
-            trace_cache=None, body_key=None,
-            trace_builder=None) -> PerfPrediction:
+            trace_cache=None, body_key=None) -> PerfPrediction:
     """Model the performance of *loop* on *machine*.
 
     ``sim_body(ind)`` describes the per-invocation work (see
@@ -77,10 +76,6 @@ def predict(loop: ThreadedLoop, sim_body, machine: MachineModel,
     fall back to the LRU replay.  ``sim_body`` must be a pure function of
     ``ind``; pass a stable *body_key* when the closure is rebuilt per
     call.
-
-    *trace_builder* (``tid -> CompiledTrace``, requires *trace_cache*)
-    captures traces vectorized instead of interpreting the nest — see
-    :meth:`~repro.simulator.memo.TraceCache.compiled_thread_trace`.
     """
     with _obs().span("predict", spec=loop.spec_string,
                      machine=machine.name,
@@ -88,7 +83,7 @@ def predict(loop: ThreadedLoop, sim_body, machine: MachineModel,
         if trace_cache is not None:
             return _predict_memoized(loop, sim_body, machine,
                                      sample_threads, total_flops,
-                                     trace_cache, body_key, trace_builder)
+                                     trace_cache, body_key)
         if sample_threads is not None and sample_threads < loop.num_threads:
             step = max(1, loop.num_threads // sample_threads)
             tids = list(range(0, loop.num_threads, step))[:sample_threads]
@@ -97,15 +92,14 @@ def predict(loop: ThreadedLoop, sim_body, machine: MachineModel,
             if tids[-1] != loop.num_threads - 1:
                 tids.append(loop.num_threads - 1)
             traces = trace_threaded_loop(loop, sim_body, tids=tids)
-            pred = predict_traces(traces, machine, loop.num_threads, None)
+            pred = predict_traces(traces, machine, loop.num_threads)
             flops = (total_flops if total_flops is not None
                      else pred.total_flops * loop.num_threads / len(traces))
             return PerfPrediction(pred.seconds, flops,
                                   pred.per_thread_seconds,
                                   pred.hit_fractions)
         traces = trace_threaded_loop(loop, sim_body)
-        pred = predict_traces(traces, machine, loop.num_threads,
-                              sample_threads)
+        pred = predict_traces(traces, machine, loop.num_threads)
         if total_flops is not None:
             pred = PerfPrediction(pred.seconds, total_flops,
                                   pred.per_thread_seconds,
@@ -132,18 +126,10 @@ def _thread_view(machine: MachineModel, num_threads: int) -> tuple:
     return capacities, bandwidths, freq
 
 
-def predict_traces(traces, machine: MachineModel, num_threads: int,
-                   sample_threads: int | None = None) -> PerfPrediction:
-    if sample_threads is not None and sample_threads < len(traces):
-        step = max(1, len(traces) // sample_threads)
-        picked = list(traces[::step])[:sample_threads]
-        # always include the heaviest trace so load imbalance is seen
-        heaviest = max(traces, key=lambda t: len(t))
-        if heaviest not in picked:
-            picked.append(heaviest)
-    else:
-        picked = list(traces)
-
+def predict_traces(traces, machine: MachineModel,
+                   num_threads: int) -> PerfPrediction:
+    """Scalar LRU replay of *traces*, one private hierarchy per thread
+    (the seed path, and the oracle of :func:`_predict_compiled`)."""
     num_threads = max(1, num_threads)
     capacities, bandwidths, freq = _thread_view(machine, num_threads)
     n_levels = len(machine.caches)
@@ -151,7 +137,7 @@ def predict_traces(traces, machine: MachineModel, num_threads: int,
     per_thread_s = []
     level_bytes = [0.0] * (n_levels + 1)
     total_flops = 0.0
-    for trace in picked:
+    for trace in traces:
         hier = CacheHierarchy(capacities)
         t = 0.0
         for ev in trace.events:
@@ -165,12 +151,6 @@ def predict_traces(traces, machine: MachineModel, num_threads: int,
         per_thread_s.append(t)
         total_flops += trace.flops
 
-    # unsampled threads contribute flops to throughput accounting
-    if len(picked) < len(traces):
-        sampled = {tr.tid for tr in picked}
-        total_flops += sum(tr.flops for tr in traces
-                           if tr.tid not in sampled)
-
     makespan = max(per_thread_s) if per_thread_s else 0.0
     tot_bytes = sum(level_bytes) or 1.0
     return PerfPrediction(
@@ -183,7 +163,7 @@ def predict_traces(traces, machine: MachineModel, num_threads: int,
 
 def _predict_memoized(loop: ThreadedLoop, sim_body, machine: MachineModel,
                       sample_threads, total_flops, trace_cache,
-                      body_key, trace_builder=None) -> PerfPrediction:
+                      body_key) -> PerfPrediction:
     """The memoized + vectorized twin of :func:`predict`.
 
     Same tid selection, same extrapolation arithmetic; replay goes
@@ -203,15 +183,14 @@ def _predict_memoized(loop: ThreadedLoop, sim_body, machine: MachineModel,
         tids = list(range(num_threads))
     try:
         compiled = [trace_cache.compiled_thread_trace(loop, sim_body, tid,
-                                                      body_key=body_key,
-                                                      builder=trace_builder)
+                                                      body_key=body_key)
                     for tid in tids]
         pred = _predict_compiled(compiled, machine, num_threads)
     except ValueError:
         traces = [trace_cache.thread_trace(loop, sim_body, tid,
                                            body_key=body_key)
                   for tid in tids]
-        pred = predict_traces(traces, machine, num_threads, None)
+        pred = predict_traces(traces, machine, num_threads)
     if sampled:
         flops = (total_flops if total_flops is not None
                  else pred.total_flops * num_threads / len(tids))

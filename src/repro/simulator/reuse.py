@@ -38,7 +38,6 @@ constancy and :func:`compile_trace` verifies it.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,11 +81,6 @@ class CompiledTrace:
     flops: np.ndarray          # float64 [E]
     n_events: int
     keys: tuple                # id -> original slice key
-    #: optional int64 [E, num_loops] logical index vector of each event's
-    #: body invocation — populated by the batched trace builders so
-    #: :mod:`repro.verify.races` can attribute accesses to iterations
-    #: without replaying the nest; ``None`` for interpreter-compiled traces
-    event_ind: np.ndarray = field(default=None, repr=False, compare=False)
     #: scratch memo for :func:`hit_levels` — filtered streams and reuse
     #: distances are capacity-keyed, so replays of the same trace on
     #: different machines share whatever prefix of the hierarchy matches
@@ -95,20 +89,6 @@ class CompiledTrace:
     @property
     def n_accesses(self) -> int:
         return int(self.key_ids.size)
-
-    def digest(self) -> str:
-        """Content hash of everything the replay consumes (``event_ind``
-        and the scratch memo excluded).  Two traces with equal digests
-        produce identical simulation results; the differential fuzzer
-        compares interpreter-compiled vs builder-emitted traces this way
-        because the frozen dataclass ``==`` is unusable on ndarrays."""
-        h = hashlib.sha1(repr((self.tid, self.n_events,
-                               self.keys)).encode())
-        for arr in (self.key_ids, self.nbytes, self.cost_scale,
-                    self.footprint, self.write, self.event_of,
-                    self.compute_cycles, self.flops):
-            h.update(np.ascontiguousarray(arr).tobytes())
-        return h.hexdigest()
 
     @property
     def total_flops(self) -> float:

@@ -165,7 +165,9 @@ def tune(kernel_or_specs, *, machine=None, sim_body=None,
         kernel = kernel_or_specs
         base_specs = tuple(kernel.loop.specs)
         if sim_body is None:
-            sim_body = kernel.sim_body(machine)
+            # the kernel's cached body: a stable identity lets repeated
+            # tunes hit the session trace cache
+            sim_body = kernel._cached_sim_body(machine)
         if total_flops is None:
             total_flops = float(getattr(kernel, "flops", 0)) or None
         if num_threads is None:

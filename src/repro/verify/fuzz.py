@@ -10,6 +10,10 @@ kernel family (GEMM / MLP / conv / SpMM) and cross-checks three oracles:
   one thread) vs ``execution="threads"`` must agree *bit-exactly*.
   Inputs are small-integer-valued float32 tensors, so every summation
   order produces the identical result and exact comparison is sound.
+  Every exact case then runs a **backend oracle**: the same kernel built
+  with ``backend="batched"`` must reproduce the serial reference
+  bit-exactly too (through the tile-level executor where eligible,
+  through its interpreter fallback otherwise).
 * **race analysis** — when :func:`~repro.verify.races.detect_races`
   flags a spec (e.g. a capitalized reduction loop), the numerics really
   may diverge, so the run is counted ``racy`` and the comparison is
@@ -26,14 +30,6 @@ kernel family (GEMM / MLP / conv / SpMM) and cross-checks three oracles:
 Case counts default to :data:`DEFAULT_CASES` and are overridden by the
 ``REPRO_FUZZ_CASES`` environment variable (the CI fuzz job runs ~200 per
 family); all randomness is seeded, so failures replay.
-
-With ``REPRO_FUZZ_BACKEND=batched`` every exact-match case additionally
-runs a **backend oracle**: the same kernel built with
-``backend="batched"`` must reproduce the serial reference bit-exactly
-(through the tile-level executor where eligible, through its interpreter
-fallback otherwise), and its vectorized trace builder must emit
-:class:`~repro.simulator.reuse.CompiledTrace`\\ s whose digests equal
-the interpreter-captured ones for every thread.
 """
 
 from __future__ import annotations
@@ -54,7 +50,7 @@ from .coverage import check_coverage
 from .races import detect_races
 
 __all__ = ["FuzzFamily", "FuzzResult", "default_families", "fuzz_family",
-           "run_fuzz", "dump_failures", "fuzz_backend", "DEFAULT_CASES"]
+           "run_fuzz", "dump_failures", "DEFAULT_CASES"]
 
 DEFAULT_CASES = 30
 _SCHEDULES = ("", "", "schedule(static)", "schedule(static,2)",
@@ -78,8 +74,7 @@ class FuzzFamily:
     ``execution="serial"`` the kernel runs the *serialized* spec on one
     thread (the reference); with ``"threads"`` it runs the candidate spec
     on real threads; with ``"batched"`` it runs the candidate spec on the
-    batched backend, and the third element is instead a thunk returning
-    the per-tid digest pairs of its trace builder.
+    batched backend.
     """
 
     name: str
@@ -111,10 +106,8 @@ class FuzzResult:
         return self.mismatches + self.coverage_failures + self.span_failures
 
     def describe(self) -> str:
-        backend = (f", {self.backend_checked} backend-checked"
-                   if self.backend_checked else "")
-        return (f"{self.family}: {self.cases} cases | {self.passed} exact"
-                f"{backend}, "
+        return (f"{self.family}: {self.cases} cases | {self.passed} exact, "
+                f"{self.backend_checked} backend-checked, "
                 f"{self.racy} racy, {self.hazards} barrier hazards, "
                 f"{self.rejected} near-valid rejected | "
                 f"{len(self.mismatches)} numeric mismatches, "
@@ -129,25 +122,6 @@ def _int_array(rng, shape):
     return rng.integers(-2, 3, size=shape).astype(np.float32)
 
 
-def fuzz_backend() -> str:
-    """The backend oracle selector (``REPRO_FUZZ_BACKEND``); empty means
-    the classic interp-only differential run."""
-    return os.environ.get("REPRO_FUZZ_BACKEND", "").strip()
-
-
-def _digest_pairs(loop, sim_body, builder) -> list:
-    """Per-tid ``(interpreted digest, builder digest)`` pairs — the
-    trace-equivalence half of the backend oracle."""
-    from ..simulator.memo import TraceCache
-    from ..simulator.reuse import compile_trace
-    tc = TraceCache()
-    return [
-        (compile_trace(tc.thread_trace(loop, sim_body, tid)).digest(),
-         builder(tid).digest())
-        for tid in range(loop.num_threads)
-    ]
-
-
 def _family(name: str, base: tuple, make, run) -> FuzzFamily:
     """A family over the kernels ``make(spec, block_steps, num_threads,
     backend)`` builds, each executed by ``run(kernel)``."""
@@ -155,11 +129,8 @@ def _family(name: str, base: tuple, make, run) -> FuzzFamily:
     def build(spec, block_steps, num_threads, execution):
         if execution == "batched":
             kern = make(spec, block_steps, num_threads, "batched")
-            builder = kern.trace_builder(SPR)
-            return (kern.loop, lambda: run(kern),
-                    lambda: _digest_pairs(kern.loop, kern.sim_body(SPR),
-                                          builder))
-        kern = make(_serialize_spec(spec), block_steps, None, "interp")
+        else:
+            kern = make(_serialize_spec(spec), block_steps, None, "interp")
         if execution == "threads":
             kern.loop = ThreadedLoop(kern.loop.specs, spec,
                                      num_threads=num_threads,
@@ -368,7 +339,7 @@ def _run_valid_case(family: FuzzFamily, spec: str, blocks, num_threads,
                    f"(no race was reported)"))
         return
 
-    if fuzz_backend() == "batched" and "|" not in spec:
+    if "|" not in spec:
         # barrier specs cannot instantiate on the serial nest the batched
         # build uses (serial emulation cannot interleave); the executor
         # falls back for them anyway, so there is nothing to cross-check
@@ -377,13 +348,12 @@ def _run_valid_case(family: FuzzFamily, spec: str, blocks, num_threads,
 
 def _run_batched_oracle(family: FuzzFamily, spec: str, blocks, num_threads,
                         ref, res: FuzzResult) -> None:
-    """The ``REPRO_FUZZ_BACKEND=batched`` oracle: the batched backend
-    (tile-level executor or its interpreter fallback) must match the
-    serial reference bit-exactly, and the vectorized trace builder must
-    emit digests equal to the interpreter-captured compiled traces."""
+    """The backend oracle: the batched backend (tile-level executor or
+    its interpreter fallback) must match the serial reference
+    bit-exactly."""
     try:
-        _loop, run, digest_pairs = family.build(spec, blocks, num_threads,
-                                                "batched")
+        _loop, run, _sb = family.build(spec, blocks, num_threads,
+                                       "batched")
         out = run()
     except Exception as exc:  # noqa: BLE001 - any escape is a finding
         res.mismatches.append(
@@ -395,19 +365,6 @@ def _run_batched_oracle(family: FuzzFamily, spec: str, blocks, num_threads,
         res.mismatches.append(
             (spec, f"serial vs batched backend max abs diff {diff}"))
         return
-    try:
-        pairs = digest_pairs()
-    except Exception as exc:  # noqa: BLE001 - any escape is a finding
-        res.mismatches.append(
-            (spec, f"trace builder raised {type(exc).__name__}: {exc}"))
-        return
-    for tid, (d_ref, d_built) in enumerate(pairs):
-        if d_ref != d_built:
-            res.mismatches.append(
-                (spec, f"compiled-trace digest diverges for tid {tid}: "
-                       f"interpreted {d_ref[:12]} != builder "
-                       f"{d_built[:12]}"))
-            return
     res.backend_checked += 1
 
 

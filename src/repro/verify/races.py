@@ -31,15 +31,13 @@ runtime chunk assignment and no count can be trusted).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from ..core.threaded_loop import ThreadedLoop
 from ..simulator.trace import BarrierMarker, BodyEvent, ChunkMarker, \
     trace_threaded_loop
 
-__all__ = ["RaceReport", "detect_races", "detect_races_compiled"]
+__all__ = ["RaceReport", "detect_races"]
 
 #: at most this many reports per kind are materialized (a racy reduction
 #: conflicts on *every* output block; one report per block is noise)
@@ -171,9 +169,8 @@ def detect_races(loop: ThreadedLoop, sim_body) -> list:
 
 def _conflict_pass(writers: dict, readers: dict, par_chars: tuple,
                    spec_string: str) -> list:
-    """The shared W-W / R-W pass over ``(epoch, key) -> {unit: ind}``
-    tables — deterministic report order regardless of how the tables
-    were populated (interpreted or compiled traces)."""
+    """The W-W / R-W pass over ``(epoch, key) -> {unit: ind}`` tables,
+    in a deterministic report order."""
     reports: list[RaceReport] = []
     ww = rw = 0
     for (epoch, key), wmap in sorted(writers.items(),
@@ -195,52 +192,3 @@ def _conflict_pass(writers: dict, readers: dict, par_chars: tuple,
                 "RW", key, epoch, a, wmap[a], b, rmap[b], par_chars,
                 spec_string))
     return reports
-
-
-def detect_races_compiled(loop: ThreadedLoop, compiled_traces) -> list:
-    """:func:`detect_races` over builder-emitted
-    :class:`~repro.simulator.reuse.CompiledTrace`\\ s — no nest replay.
-
-    Accepts only plans the single-epoch/per-thread-unit model covers
-    exactly: no barriers (every access would be epoch 0 anyway, but
-    barrier *hazard* checks need the interpreted path) and no dynamic
-    worksharing (whose per-chunk concurrency units need chunk markers).
-    Raises ``ValueError`` otherwise, or when a trace lacks the
-    ``event_ind`` index vectors; callers fall back to
-    :func:`detect_races`.  For eligible plans the reports are
-    element-for-element those of the interpreted detector.
-    """
-    plan = loop.plan
-    if plan.has_barriers:
-        raise ValueError(
-            "compiled race detection cannot certify barrier semantics; "
-            "use detect_races")
-    if plan.parsed.schedule == "dynamic" and plan.parsed.collapse_groups():
-        raise ValueError(
-            "dynamic worksharing needs per-chunk concurrency units; "
-            "use detect_races")
-    if loop.num_threads <= 1 or plan.par_mode == 0:
-        return []
-    par_chars = tuple(sorted({t.char for t in plan.parsed.tokens
-                              if t.parallel}))
-    writers: dict = {}
-    readers: dict = {}
-    for ct in compiled_traces:
-        if ct.event_ind is None:
-            raise ValueError(
-                f"compiled trace for tid {ct.tid} has no event_ind; only "
-                "builder-emitted traces carry iteration attribution")
-        unit = ("tid", ct.tid)
-        for table, sel in ((writers, np.nonzero(ct.write)[0]),
-                           (readers, np.nonzero(~ct.write)[0])):
-            if not sel.size:
-                continue
-            # first chronological access per key with this write-ness
-            _ids, first = np.unique(ct.key_ids[sel], return_index=True)
-            for fi in first:
-                acc = int(sel[fi])
-                key = ct.keys[int(ct.key_ids[acc])]
-                ind = tuple(int(v)
-                            for v in ct.event_ind[int(ct.event_of[acc])])
-                table.setdefault((0, key), {}).setdefault(unit, ind)
-    return _conflict_pass(writers, readers, par_chars, loop.spec_string)

@@ -107,6 +107,22 @@ class TestStrategies:
         assert "exact" in text and "candidates" in text and "best" in text
 
 
+class TestSessionTraceCache:
+    def test_repeated_tune_reuses_captured_traces(self):
+        """A second tune of the same kernel replays the session's cached
+        traces instead of capturing them again."""
+        sess = repro.Session(machine=SPR, obs=repro.ObsConfig.disabled())
+        g = ParlooperGemm(256, 256, 256, num_threads=4)
+        first = sess.tune(g, budget=12)
+        entries = len(sess.trace_cache)
+        hits = sess.trace_cache.hits
+        second = sess.tune(g, budget=12)
+        assert len(sess.trace_cache) == entries
+        assert sess.trace_cache.hits > hits
+        assert [(o.candidate.spec_string, o.score) for o in second.outcomes] \
+            == [(o.candidate.spec_string, o.score) for o in first.outcomes]
+
+
 class TestEvalCacheIntegration:
     def test_eval_cache_needs_workload_sig(self):
         with pytest.raises(ValueError, match="workload_sig"):

@@ -20,8 +20,6 @@ from __future__ import annotations
 from ..kernels.conv import ConvSpec, ParlooperConv
 from ..kernels.gemm import ParlooperGemm
 from ..platform.machine import MachineModel
-from ..simulator.cost import bandwidth_event
-from ..simulator.engine import simulate
 from ..tpp.dtypes import DType
 from .base import BaselineResult, GemmBaseline
 

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from ..core.loop_spec import LoopSpecs
 from ..kernels.gemm import ParlooperGemm
 from ..platform.machine import MachineModel
-from ..simulator.engine import simulate
 from ..simulator.perfmodel import predict
 from ..tpp.dtypes import DType
 from ..tuner.constraints import TuningConstraints

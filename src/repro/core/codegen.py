@@ -17,7 +17,6 @@ equivalent of the body of ``#pragma omp parallel``.
 
 from __future__ import annotations
 
-import textwrap
 from dataclasses import dataclass
 
 from .errors import SpecError

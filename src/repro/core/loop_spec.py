@@ -8,7 +8,7 @@ consume if the loop's mnemonic appears more than once (Listing 1, lines
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import SpecError
 

@@ -23,7 +23,7 @@ Grammar, informally::
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..obs.context import current as _obs
 from .errors import SpecError

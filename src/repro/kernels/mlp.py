@@ -20,7 +20,7 @@ from ..simulator.engine import SimResult, simulate_traces
 from ..simulator.trace import trace_threaded_loop
 from ..tpp.dtypes import DType
 from .base import _session
-from .common import pack_b_blocked, unpack_c_blocked
+from .common import unpack_c_blocked
 from .gemm import DEFAULT_GEMM_SPEC, ParlooperGemm
 
 __all__ = ["ParlooperMlp", "MlpLayer"]

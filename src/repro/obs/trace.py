@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .clock import wall_clock
 

@@ -10,7 +10,7 @@ hybrid-core description (for ADL's P+E cores).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..tpp.backend.isa import ISA, ISA_SPECS
 from ..tpp.dtypes import DType

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.inject import clear_injector, set_injector
-from .faults import FaultWindow, hash01
+from .faults import hash01
 
 __all__ = ["SdcPlan", "SdcInjector", "FlipRecord", "sdc_injection",
            "flip_bit", "EXPONENT_MSB"]

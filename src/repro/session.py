@@ -31,7 +31,6 @@ from .simulator.engine import simulate as _simulate
 from .simulator.memo import TraceCache, global_trace_cache
 from .simulator.perfmodel import predict as _predict
 from .tuner.evalcache import EvalCache
-from .tuner.search import search as _search
 from .tuner.tune import tune as _tune
 
 __all__ = ["Session", "default_session", "resolve_session",
@@ -173,7 +172,7 @@ class Session:
         ``search`` three-call dance: pass a kernel (or bare spec
         declarations plus ``sim_body=``), pick
         ``strategy="exhaustive" | "guided"``, and read the
-        returned :class:`~repro.tuner.tune.TuneReport`.  The session's
+        returned :class:`~repro.tuner.search.TuneReport`.  The session's
         trace cache backs evaluation, and its eval cache absorbs
         results whenever ``workload_sig=`` is given."""
         kwargs.setdefault("trace_cache", self.trace_cache)
@@ -182,15 +181,6 @@ class Session:
         with self.activate():
             return _tune(kernel_or_specs,
                          machine=self._resolve_machine(machine), **kwargs)
-
-    def search(self, candidates, evaluator, **kwargs):
-        """A tuning sweep (:func:`repro.tuner.search.search`) reporting
-        into this session's tracer/metrics.
-
-        The classic low-level entry point; :meth:`tune` wraps candidate
-        generation, evaluator construction and this sweep in one call."""
-        with self.activate():
-            return _search(candidates, evaluator, **kwargs)
 
     # -- serve -------------------------------------------------------------
     def serve(self, config, machine=None, **kwargs):

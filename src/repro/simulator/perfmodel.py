@@ -13,7 +13,7 @@ and low-concurrency get a low score".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from ..obs.context import current as _obs
 from ..platform.machine import MachineModel
 from .lru import CacheHierarchy
 from .reuse import hit_levels
-from .trace import ThreadTrace, trace_threaded_loop
+from .trace import trace_threaded_loop
 
 __all__ = ["PerfPrediction", "predict", "predict_traces"]
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..core.plan import LoopNestPlan
 from ..core.runtime import NestContext
 from ..core.threaded_loop import ThreadedLoop
 

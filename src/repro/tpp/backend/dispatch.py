@@ -12,7 +12,6 @@ from __future__ import annotations
 import threading
 from typing import Callable
 
-from ..base import TPPSignature
 from ..dtypes import DType
 from .isa import ISA
 from .microkernel import MicrokernelConfig, configure_microkernel

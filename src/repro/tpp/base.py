@@ -17,12 +17,12 @@ the dispatch cache in :mod:`repro.tpp.backend.dispatch`.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
-from .dtypes import DType, Precision, from_compute, to_compute
+from .dtypes import Precision, from_compute, to_compute
 
 __all__ = ["TPP", "TPPSignature", "flops_of", "bytes_of"]
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .base import TPP, TPPSignature
-from .dtypes import DType, Precision, from_compute
+from .dtypes import Precision
 from .memory import Ptr
 
 __all__ = ["GemmTPP", "BRGemmTPP"]

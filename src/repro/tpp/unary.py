@@ -11,12 +11,10 @@ training workloads (ResNet-50, BERT fine-tuning).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .base import TPP, TPPSignature
-from .dtypes import DType, Precision
+from .dtypes import Precision
 
 __all__ = [
     "UnaryTPP",

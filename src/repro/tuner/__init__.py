@@ -7,24 +7,23 @@ from .constraints import TuningConstraints, prefix_products, prime_factors
 from .evalcache import EvalCache
 from .features import FEATURE_VERSION, FeatureExtractor
 from .generator import Candidate, generate_candidates
-from .guided import GuidedResult, edit_neighbors, guided_search
+from .guided import edit_neighbors, guided_search
 from .model import ModelVersionError, RidgeCostModel
 from .online import OnlineTuner, TuneDecision
-from .search import (RacyCandidate, SearchFailure, SearchResult, TuneOutcome,
+from .search import (RacyCandidate, SearchFailure, TuneOutcome, TuneReport,
                      engine_evaluator, perfmodel_evaluator, race_verifier,
                      search)
-from .timing import TuningCost
-from .tune import Evaluator, TuneReport, tune
+from .tune import Evaluator, tune
 
 __all__ = [
     "TuningConstraints", "prime_factors", "prefix_products",
     "Candidate", "generate_candidates",
-    "TuneOutcome", "SearchResult", "SearchFailure", "RacyCandidate",
+    "TuneOutcome", "SearchFailure", "RacyCandidate",
     "search", "perfmodel_evaluator", "engine_evaluator", "race_verifier",
-    "EvalCache", "TuningCost",
+    "EvalCache",
     "FEATURE_VERSION", "FeatureExtractor",
     "RidgeCostModel", "ModelVersionError",
-    "GuidedResult", "guided_search", "edit_neighbors",
+    "guided_search", "edit_neighbors",
     "OnlineTuner", "TuneDecision",
     "Evaluator", "TuneReport", "tune",
 ]

@@ -8,7 +8,7 @@ parallelized, and all permutations thereof.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..core.errors import SpecError
 

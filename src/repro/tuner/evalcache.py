@@ -9,10 +9,7 @@ between processes.
 
 Only successful evaluations are cached; invalid candidates re-raise
 their (cheap, build-time) errors so :func:`~repro.tuner.search.search`
-accounting stays intact.  With ``search(workers=N)``, lookups hit in
-every forked worker but stores made inside workers die with them — call
-:meth:`record` on the returned ``SearchResult`` to backfill the parent
-cache from the outcomes (which do survive the pool) before saving.
+accounting stays intact.
 """
 
 from __future__ import annotations
@@ -77,7 +74,8 @@ class EvalCache:
         plain signature string; *workload_sig* must identify the kernel
         shape + body (e.g. ``"gemm-f32-2048x2048x2048-nt112-st2"``) —
         the cache cannot see the closure, so a colliding signature
-        silently returns the wrong numbers.
+        silently returns the wrong numbers.  The wrapper carries
+        *evaluator*'s ``.verifier``, so ``verify=True`` still works.
         """
         machine_sig = getattr(machine, "name", None) or str(machine)
 
@@ -91,28 +89,8 @@ class EvalCache:
             if out.valid:
                 self.store(k, out.score, out.seconds)
             return out
+        evaluate.verifier = getattr(evaluator, "verifier", None)
         return evaluate
-
-    def record(self, result, machine, workload_sig: str) -> int:
-        """Backfill the cache from a finished search's valid outcomes.
-
-        Needed after ``search(workers=N)``: evaluations (and the stores a
-        wrapped evaluator makes) happen in forked workers, but the
-        outcomes come back to the parent — record them here before
-        :meth:`save`.  Returns how many entries were added.
-        """
-        machine_sig = getattr(machine, "name", None) or str(machine)
-        added = 0
-        for out in result.outcomes:
-            if not out.valid:
-                continue
-            k = self.key(out.candidate, machine_sig, workload_sig)
-            with self._lock:
-                if k not in self._data:
-                    self._data[k] = {"score": out.score,
-                                     "seconds": out.seconds}
-                    added += 1
-        return added
 
     def records(self) -> list:
         """Parsed cache entries, oldest-insertion first.
@@ -142,58 +120,6 @@ class EvalCache:
                         "score": entry["score"],
                         "seconds": entry["seconds"]})
         return out
-
-    def export_jsonl(self, path: str) -> int:
-        """Write one JSON object per line — the interchange format for
-        shipping training corpora between machines and committing small
-        fixtures.  Lines are sorted by key so the file is diff-stable.
-        Returns how many records were written."""
-        with self._lock:
-            items = sorted(self._data.items())
-        directory = os.path.dirname(os.path.abspath(path))
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                for key, entry in items:
-                    fh.write(json.dumps({"key": key, **entry},
-                                        sort_keys=True) + "\n")
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
-        return len(items)
-
-    def import_jsonl(self, path: str) -> int:
-        """Merge records exported by :meth:`export_jsonl`; returns how
-        many were added (existing keys keep their current values —
-        imports warm-start, they never clobber fresher local results).
-        Malformed lines are skipped with a warning rather than killing
-        the sweep the corpus was meant to seed."""
-        added = skipped = 0
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    rec = json.loads(line)
-                    key = rec["key"]
-                    entry = {"score": float(rec["score"]),
-                             "seconds": float(rec["seconds"])}
-                except (json.JSONDecodeError, KeyError, TypeError,
-                        ValueError):
-                    skipped += 1
-                    continue
-                with self._lock:
-                    if key not in self._data:
-                        self._data[key] = entry
-                        added += 1
-        if skipped:
-            warnings.warn(
-                f"{path}: skipped {skipped} malformed JSONL line(s)",
-                stacklevel=2)
-        return added
 
     def save(self, path: str | None = None) -> str:
         """Atomically persist the table as JSON; returns the path."""

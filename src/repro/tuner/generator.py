@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from ..core.errors import ExecutionError, SpecError
 from ..core.loop_spec import LoopSpecs

@@ -10,9 +10,10 @@ a neighboring prefix-product, re-capitalize which loop is parallelized —
 outward from the incumbents, model-screening each neighborhood before
 spending exact evaluations.
 
-The result reports ``n_model_evals`` vs ``n_exact_evals`` explicitly:
-the whole point of the architecture is that the first number may be
-thousands while the second stays tens, with the same top-1
+The :class:`~repro.tuner.search.TuneReport` it returns counts
+``n_model_evals`` vs ``n_exact_evals`` explicitly: the whole point of
+the architecture is that the first number may be thousands while the
+second stays tens, with the same top-1
 (``benchmarks/bench_guided_search.py`` asserts a >= 10x gap on the Fig 4
 testbeds).
 
@@ -25,7 +26,6 @@ return identical reports.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,38 +35,9 @@ from ..obs.context import current as _obs
 from .constraints import TuningConstraints, prefix_products
 from .generator import Candidate, _capitals_adjacent
 from .model import RidgeCostModel
-from .search import SearchFailure, TuneOutcome, _safe_eval
+from .search import SearchFailure, TuneReport, _safe_eval
 
-__all__ = ["GuidedResult", "guided_search", "edit_neighbors"]
-
-
-@dataclass(frozen=True)
-class GuidedResult:
-    """Outcome of one guided search, with its evaluation budget split."""
-
-    outcomes: tuple           # exact-evaluated, sorted by score, best first
-    #: model (learned-screen) scorings — the cheap kind
-    n_model_evals: int
-    #: exact simulator evaluations (bootstrap + survivors + beam rounds)
-    n_exact_evals: int
-    #: candidates the model screened out without an exact evaluation
-    n_pruned: int
-    #: edit-neighborhood rounds actually run
-    rounds: int
-    #: rows the bootstrap corpus contributed to model training (0 when a
-    #: pre-trained model was supplied)
-    trained_rows: int
-    wall_seconds: float
-    failures: tuple = ()
-
-    @property
-    def best(self) -> TuneOutcome:
-        if not self.outcomes:
-            raise ValueError("guided search produced no valid outcomes")
-        return self.outcomes[0]
-
-    def top(self, k: int) -> tuple:
-        return self.outcomes[:k]
+__all__ = ["guided_search", "edit_neighbors"]
 
 
 # -- spec-edit actions ----------------------------------------------------
@@ -199,7 +170,7 @@ def guided_search(candidates, evaluator, extractor, base_specs,
                   exact_budget: int | None = None,
                   beam_width: int = 4, max_rounds: int = 3,
                   bootstrap: int | None = None,
-                  top_k: int | None = None) -> GuidedResult:
+                  top_k: int | None = None) -> TuneReport:
     """Find the best candidate spending exact evaluations sparingly.
 
     *candidates* is the enumerated pool (``generate_candidates``
@@ -207,7 +178,8 @@ def guided_search(candidates, evaluator, extractor, base_specs,
     *extractor* a :class:`~repro.tuner.features.FeatureExtractor` over
     the same *base_specs*.
 
-    Stages, all counted in the returned :class:`GuidedResult`:
+    Stages, all counted in the returned
+    :class:`~repro.tuner.search.TuneReport` (``strategy="guided"``):
 
     1. **bootstrap** (skipped when a fitted *model* is passed): an evenly
        strided sample of the pool is exact-evaluated and a fresh ridge
@@ -231,7 +203,7 @@ def guided_search(candidates, evaluator, extractor, base_specs,
 
 def _guided_search(candidates, evaluator, extractor, base_specs,
                    constraints, model, exact_budget, beam_width,
-                   max_rounds, bootstrap, top_k) -> GuidedResult:
+                   max_rounds, bootstrap, top_k) -> TuneReport:
     t0 = time.perf_counter()
     pool = list(candidates)
     if not pool:
@@ -334,8 +306,9 @@ def _guided_search(candidates, evaluator, extractor, base_specs,
     if obs.enabled:
         obs.inc("tuner_candidates", n_exact, kind="guided_exact")
         obs.inc("tuner_candidates", n_model, kind="guided_model")
-    return GuidedResult(ranked, n_model_evals=n_model, n_exact_evals=n_exact,
-                        n_pruned=max(0, n_pruned), rounds=rounds,
-                        trained_rows=trained_rows,
-                        wall_seconds=time.perf_counter() - t0,
-                        failures=tuple(failures))
+    return TuneReport(
+        "guided", ranked, n_candidates=len(pool), n_model_evals=n_model,
+        n_exact_evals=n_exact, n_pruned=max(0, n_pruned),
+        n_skipped=len(failures), n_racy=0,
+        wall_seconds=time.perf_counter() - t0, failures=tuple(failures),
+        rounds=rounds, trained_rows=trained_rows)

@@ -5,19 +5,17 @@ Candidates are benchmarked by an *evaluator* — the lightweight perf model
 best spec string becomes the runtime knob.  Zero lines of user kernel code
 change across candidates.
 
-Throughput knobs (all ranking-preserving — results are identical to the
-plain serial sweep, only faster):
+``trace_cache=`` on the evaluators is the throughput knob: it memoizes
+trace capture and switches the perfmodel to its vectorized
+reuse-distance replay, with rankings identical to the plain sweep.
 
-* ``trace_cache=`` on the evaluators memoizes trace capture and switches
-  the perfmodel to its vectorized reuse-distance replay;
-* ``search(..., workers=N)`` fans candidate evaluation out over forked
-  worker processes in deterministic chunks.
+Every ranking path — :func:`search`, :func:`~repro.tuner.guided.
+guided_search` and :func:`~repro.tuner.tune.tune` — reports one
+:class:`TuneReport`.
 """
 
 from __future__ import annotations
 
-import math
-import multiprocessing
 import time
 import traceback
 from dataclasses import dataclass
@@ -29,7 +27,7 @@ from ..simulator.engine import simulate
 from ..simulator.perfmodel import predict
 from .generator import Candidate
 
-__all__ = ["TuneOutcome", "SearchResult", "SearchFailure", "RacyCandidate",
+__all__ = ["TuneOutcome", "TuneReport", "SearchFailure", "RacyCandidate",
            "search", "perfmodel_evaluator", "engine_evaluator",
            "race_verifier"]
 
@@ -43,9 +41,8 @@ class TuneOutcome:
     seconds: float            # predicted/simulated kernel time
     valid: bool = True
     error: str = ""
-    #: ``repr`` + formatted traceback of the failure.  Captured at raise
-    #: time because outcomes are the only thing that survives the fork
-    #: pool — the exception object itself dies with the worker.
+    #: formatted traceback + ``repr`` of the failure, captured at raise
+    #: time so the report keeps its diagnostics
     traceback: str = ""
 
 
@@ -55,8 +52,7 @@ class SearchFailure:
 
     candidate: Candidate
     error: str
-    #: full formatted traceback (ending in ``repr(exc)``-style text) from
-    #: the raising process, fork-safe
+    #: full formatted traceback (ending in ``repr(exc)``-style text)
     traceback: str = ""
 
 
@@ -73,26 +69,54 @@ class RacyCandidate:
 
 
 @dataclass(frozen=True)
-class SearchResult:
-    """Ranked tuning outcomes plus the cost of the search itself."""
+class TuneReport:
+    """Everything one ranking run did, with its budget split."""
 
-    outcomes: tuple           # sorted by score, best first
-    evaluated: int
-    skipped: int
+    strategy: str             # "exhaustive" | "guided"
+    outcomes: tuple           # valid outcomes, sorted by score, best first
+    n_candidates: int         # enumerated pool size
+    #: cheap scorings (learned model for "guided", 0 for "exhaustive")
+    n_model_evals: int
+    #: exact evaluator invocations ("exhaustive": those that produced a
+    #: valid score)
+    n_exact_evals: int
+    #: candidates the model dropped without an exact evaluation
+    n_pruned: int
+    #: candidates skipped as invalid for these bounds (build/eval errors)
+    n_skipped: int
+    #: candidates excluded by race verification
+    n_racy: int
     wall_seconds: float
-    #: one :class:`SearchFailure` per skipped candidate
-    failures: tuple = ()
-    #: candidates excluded by ``verify=`` (one :class:`RacyCandidate` each)
-    racy: tuple = ()
+    failures: tuple = ()      # SearchFailure per skipped candidate
+    racy: tuple = ()          # RacyCandidate per excluded candidate
+    #: guided edit-neighborhood rounds run (0 for "exhaustive")
+    rounds: int = 0
+    #: rows the guided bootstrap trained the model on (0 for
+    #: "exhaustive" or when a fitted model was supplied)
+    trained_rows: int = 0
 
     @property
     def best(self) -> TuneOutcome:
         if not self.outcomes:
-            raise ValueError("search produced no valid outcomes")
+            raise ValueError("tuning produced no valid outcomes")
         return self.outcomes[0]
+
+    @property
+    def best_spec(self) -> str:
+        return self.best.candidate.spec_string
 
     def top(self, k: int) -> tuple:
         return self.outcomes[:k]
+
+    def summary(self) -> str:
+        head = (f"{self.strategy}: {self.n_candidates} candidates, "
+                f"{self.n_model_evals} model / {self.n_exact_evals} exact "
+                f"evals, {self.n_pruned} pruned, {self.n_skipped} skipped, "
+                f"{self.n_racy} racy, {self.wall_seconds:.2f}s")
+        if self.outcomes:
+            head += (f"\nbest: {self.best.candidate.label()} @ "
+                     f"{self.best.score:.1f}")
+        return head
 
 
 def race_verifier(base_specs, sim_body, num_threads: int | None = None):
@@ -149,28 +173,23 @@ def engine_evaluator(base_specs, sim_body, machine: MachineModel,
 
 
 def search(candidates, evaluator, top_k: int | None = None,
-           workers: int | None = None, verify=False) -> SearchResult:
+           verify=False) -> TuneReport:
     """Evaluate candidates, skipping ones invalid for these loop bounds
     (imperfect blocking chains etc.) or whose evaluation fails at
     runtime, and rank by score.  A poisoned candidate is recorded as an
     invalid outcome — it never aborts the rest of the search; skipped
-    candidates are reported in ``result.failures``.
+    candidates are reported in ``report.failures``.
 
     ``verify=True`` runs the race detector over every candidate before
     any evaluation, using the ``.verifier`` the stock evaluators carry
     (:func:`race_verifier` under the hood); racy candidates are excluded
-    from the ranking and surfaced in ``result.racy`` with their
+    from the ranking and surfaced in ``report.racy`` with their
     :class:`~repro.verify.races.RaceReport` diagnostics — an auto-tuner
     must never recommend a spec that wins by corrupting C.  Pass a
     callable (candidate -> reports) to verify with custom logic.
-
-    ``workers=N`` evaluates chunks of candidates in N forked processes;
-    chunking is deterministic and results are merged in candidate order,
-    so the ranking is identical to ``workers=1`` for any evaluator.  (On
-    platforms without ``fork`` the search silently runs serially.)
     """
     with _obs().span("search"):
-        return _search(candidates, evaluator, top_k, workers, verify)
+        return _search(candidates, evaluator, top_k, verify)
 
 
 def _split_racy(candidates, evaluator, verify) -> tuple:
@@ -205,12 +224,10 @@ def _split_racy(candidates, evaluator, verify) -> tuple:
     return clean, racy
 
 
-def _search(candidates, evaluator, top_k, workers, verify) -> SearchResult:
-    if workers is not None and workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+def _search(candidates, evaluator, top_k, verify) -> TuneReport:
     t0 = time.perf_counter()
     candidates, racy = _split_racy(candidates, evaluator, verify)
-    outcomes = _evaluate(candidates, evaluator, workers)
+    outcomes = [_safe_eval(evaluator, c) for c in candidates]
     failures = tuple(SearchFailure(o.candidate, o.error, o.traceback)
                      for o in outcomes if not o.valid)
     wall = time.perf_counter() - t0
@@ -225,9 +242,11 @@ def _search(candidates, evaluator, top_k, workers, verify) -> SearchResult:
                         ("racy", len(racy))):
             if n:
                 obs.inc("tuner_candidates", n, kind=kind)
-    return SearchResult(ranked, evaluated=evaluated, skipped=len(failures),
-                        wall_seconds=wall, failures=failures,
-                        racy=tuple(racy))
+    return TuneReport(
+        "exhaustive", ranked, n_candidates=len(candidates) + len(racy),
+        n_model_evals=0, n_exact_evals=evaluated, n_pruned=0,
+        n_skipped=len(failures), n_racy=len(racy), wall_seconds=wall,
+        failures=failures, racy=tuple(racy))
 
 
 def _safe_eval(evaluator, candidate: Candidate) -> TuneOutcome:
@@ -238,50 +257,3 @@ def _safe_eval(evaluator, candidate: Candidate) -> TuneOutcome:
             tb = f"{traceback.format_exc()}\n{exc!r}"
             return TuneOutcome(candidate, float("-inf"), float("inf"),
                                valid=False, error=str(exc), traceback=tb)
-
-
-def _evaluate(candidates, evaluator, workers) -> list:
-    if workers is not None and workers > 1 and len(candidates) > 1:
-        parallel = _evaluate_parallel(candidates, evaluator, workers)
-        if parallel is not None:
-            return parallel
-    return [_safe_eval(evaluator, c) for c in candidates]
-
-
-# Evaluators are closures over loops/bodies/machines and cannot be
-# pickled, so the parallel path is fork-only: workers inherit the work
-# via this module-level slot and are sent plain index ranges.
-_FORK_WORK: dict = {}
-
-
-def _fork_eval_range(bounds) -> list:
-    lo, hi = bounds
-    candidates = _FORK_WORK["candidates"]
-    evaluator = _FORK_WORK["evaluator"]
-    return [_safe_eval(evaluator, candidates[i]) for i in range(lo, hi)]
-
-
-def _evaluate_parallel(candidates, evaluator, workers):
-    """Chunked fork-pool evaluation; None when fork is unavailable.
-
-    Chunks are fixed index ranges and results are concatenated in order,
-    so the outcome list is identical to the serial sweep regardless of
-    scheduling.  Caches populated inside workers (trace/eval caches) die
-    with them — warm the parent first if cache persistence matters.
-    """
-    try:
-        ctx = multiprocessing.get_context("fork")
-    except ValueError:
-        return None
-    n = len(candidates)
-    workers = min(int(workers), n)
-    chunk = max(1, math.ceil(n / (workers * 4)))
-    bounds = [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
-    _FORK_WORK["candidates"] = candidates
-    _FORK_WORK["evaluator"] = evaluator
-    try:
-        with ctx.Pool(processes=workers) as pool:
-            parts = pool.map(_fork_eval_range, bounds)
-    finally:
-        _FORK_WORK.clear()
-    return [out for part in parts for out in part]

@@ -6,7 +6,8 @@ caller threading specs, bodies, and caches between them.  :func:`tune`
 collapses it: give it a kernel (a GEMM, conv or SpMM
 :class:`~repro.kernels.base.ParlooperKernel`: its ``loop``,
 ``sim_body(machine)``, ``flops`` and ``num_threads``) or a bare spec
-declaration list, pick a strategy, and get a :class:`TuneReport` back.
+declaration list, pick a strategy, and get a
+:class:`~repro.tuner.search.TuneReport` back.
 
 Strategies:
 
@@ -26,7 +27,7 @@ to support ``verify=True``).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import replace
 from typing import Protocol, runtime_checkable
 
 from ..core.loop_spec import LoopSpecs
@@ -35,10 +36,10 @@ from .constraints import TuningConstraints
 from .features import FeatureExtractor
 from .generator import generate_candidates
 from .guided import guided_search
-from .search import (TuneOutcome, _split_racy, engine_evaluator,
-                     perfmodel_evaluator, search)
+from .search import (TuneOutcome, TuneReport, _split_racy,
+                     engine_evaluator, perfmodel_evaluator, search)
 
-__all__ = ["Evaluator", "TuneReport", "tune"]
+__all__ = ["Evaluator", "tune"]
 
 
 @runtime_checkable
@@ -50,51 +51,6 @@ class Evaluator(Protocol):
     ``.verifier`` used by ``verify=True``; custom evaluators may too."""
 
     def __call__(self, candidate) -> TuneOutcome: ...
-
-
-@dataclass(frozen=True)
-class TuneReport:
-    """Everything one :func:`tune` call did, with its budget split."""
-
-    strategy: str
-    outcomes: tuple           # valid outcomes, sorted by score, best first
-    n_candidates: int         # enumerated pool size
-    #: cheap scorings (learned model for "guided", 0 for "exhaustive")
-    n_model_evals: int
-    #: exact evaluator invocations that produced a valid score
-    n_exact_evals: int
-    #: candidates the model dropped without an exact evaluation
-    n_pruned: int
-    #: candidates skipped as invalid for these bounds (build/eval errors)
-    n_skipped: int
-    #: candidates excluded by race verification
-    n_racy: int
-    wall_seconds: float
-    failures: tuple = ()      # SearchFailure per skipped candidate
-    racy: tuple = ()          # RacyCandidate per excluded candidate
-
-    @property
-    def best(self) -> TuneOutcome:
-        if not self.outcomes:
-            raise ValueError("tuning produced no valid outcomes")
-        return self.outcomes[0]
-
-    @property
-    def best_spec(self) -> str:
-        return self.best.candidate.spec_string
-
-    def top(self, k: int) -> tuple:
-        return self.outcomes[:k]
-
-    def summary(self) -> str:
-        head = (f"{self.strategy}: {self.n_candidates} candidates, "
-                f"{self.n_model_evals} model / {self.n_exact_evals} exact "
-                f"evals, {self.n_pruned} pruned, {self.n_skipped} skipped, "
-                f"{self.n_racy} racy, {self.wall_seconds:.2f}s")
-        if self.outcomes:
-            head += (f"\nbest: {self.best.candidate.label()} @ "
-                     f"{self.best.score:.1f}")
-        return head
 
 
 def _default_constraints(base_specs) -> TuningConstraints:
@@ -112,7 +68,6 @@ def tune(kernel_or_specs, *, machine=None, sim_body=None,
          sample_threads: int | None = 4,
          total_flops: float | None = None,
          verify=False, top_k: int | None = None,
-         workers: int | None = None,
          model=None, exact_budget: int | None = None,
          beam_width: int = 4, max_rounds: int = 3,
          trace_cache=None, eval_cache=None,
@@ -176,7 +131,6 @@ def tune(kernel_or_specs, *, machine=None, sim_body=None,
     if constraints is None:
         constraints = _default_constraints(base_specs)
     if budget is not None and constraints.max_candidates != budget:
-        from dataclasses import replace
         constraints = replace(constraints, max_candidates=budget)
     if candidates is None:
         candidates = generate_candidates(base_specs, constraints)
@@ -202,44 +156,23 @@ def tune(kernel_or_specs, *, machine=None, sim_body=None,
         if workload_sig is None:
             raise ValueError("eval_cache= needs workload_sig= to key "
                              "entries")
-        cached = eval_cache.wrap(exact, machine, workload_sig)
-        cached.verifier = getattr(exact, "verifier", None)
-        exact = cached
+        exact = eval_cache.wrap(exact, machine, workload_sig)
 
     with _obs().span("tune", strategy=strategy,
                      candidates=len(candidates)):
         if strategy == "guided":
-            return _tune_guided(
-                candidates, exact, base_specs, constraints, machine,
-                num_threads, verify, model, exact_budget, beam_width,
-                max_rounds, top_k, t0)
-        result = search(candidates, exact, top_k=top_k, workers=workers,
-                        verify=verify)
-        return TuneReport(
-            strategy=strategy, outcomes=result.outcomes,
-            n_candidates=len(candidates), n_model_evals=0,
-            n_exact_evals=result.evaluated, n_pruned=0,
-            n_skipped=result.skipped, n_racy=len(result.racy),
-            wall_seconds=time.perf_counter() - t0,
-            failures=result.failures, racy=result.racy)
-
-
-def _tune_guided(candidates, exact, base_specs, constraints, machine,
-                 num_threads, verify, model, exact_budget, beam_width,
-                 max_rounds, top_k, t0) -> TuneReport:
-    clean, racy = _split_racy(candidates, exact, verify)
-    extractor = FeatureExtractor(base_specs=base_specs, machine=machine,
-                                 num_threads=num_threads)
-    result = guided_search(clean, exact, extractor, base_specs,
-                           constraints, model=model,
-                           exact_budget=exact_budget,
-                           beam_width=beam_width, max_rounds=max_rounds,
-                           top_k=top_k)
-    return TuneReport(
-        strategy="guided", outcomes=result.outcomes,
-        n_candidates=len(candidates),
-        n_model_evals=result.n_model_evals,
-        n_exact_evals=result.n_exact_evals, n_pruned=result.n_pruned,
-        n_skipped=len(result.failures), n_racy=len(racy),
-        wall_seconds=time.perf_counter() - t0,
-        failures=result.failures, racy=tuple(racy))
+            clean, racy = _split_racy(candidates, exact, verify)
+            extractor = FeatureExtractor(base_specs=base_specs,
+                                         machine=machine,
+                                         num_threads=num_threads)
+            report = replace(
+                guided_search(clean, exact, extractor, base_specs,
+                              constraints, model=model,
+                              exact_budget=exact_budget,
+                              beam_width=beam_width, max_rounds=max_rounds,
+                              top_k=top_k),
+                n_candidates=len(candidates), n_racy=len(racy),
+                racy=tuple(racy))
+        else:
+            report = search(candidates, exact, top_k=top_k, verify=verify)
+    return replace(report, wall_seconds=time.perf_counter() - t0)

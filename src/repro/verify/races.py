@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..core.threaded_loop import ThreadedLoop
-from ..simulator.trace import BarrierMarker, BodyEvent, ChunkMarker, \
+from ..simulator.trace import BarrierMarker, ChunkMarker, \
     trace_threaded_loop
 
 __all__ = ["RaceReport", "detect_races"]

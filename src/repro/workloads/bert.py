@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..baselines.stacks import STACKS, StackModel
+from ..baselines.stacks import STACKS
 from ..platform.machine import MachineModel
 from ..tpp.dropout import DropoutTPP
 from ..tpp.dtypes import DType

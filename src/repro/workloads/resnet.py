@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..baselines.stacks import STACKS
-from ..kernels.conv import ConvSpec, ParlooperConv
+from ..kernels.conv import ConvSpec
 from ..platform.machine import MachineModel
 from ..tpp.dtypes import DType
 from .opsim import OpCostModel

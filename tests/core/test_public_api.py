@@ -1,11 +1,12 @@
 """The public API surface, asserted exactly.
 
-``repro.__all__`` is a contract: additions and removals must be
-deliberate (update the snapshot here *and* the DESIGN.md migration
-notes).
+``repro.__all__`` and ``repro.tuner.__all__`` are contracts: additions
+and removals must be deliberate (update the snapshot here *and* the
+DESIGN.md migration notes).
 """
 
 import repro
+import repro.tuner
 from repro.platform import SPR
 
 API_SNAPSHOT = [
@@ -34,6 +35,19 @@ API_SNAPSHOT = [
     "__version__",
 ]
 
+TUNER_SNAPSHOT = [
+    "TuningConstraints", "prime_factors", "prefix_products",
+    "Candidate", "generate_candidates",
+    "TuneOutcome", "SearchFailure", "RacyCandidate",
+    "search", "perfmodel_evaluator", "engine_evaluator", "race_verifier",
+    "EvalCache",
+    "FEATURE_VERSION", "FeatureExtractor",
+    "RidgeCostModel", "ModelVersionError",
+    "guided_search", "edit_neighbors",
+    "OnlineTuner", "TuneDecision",
+    "Evaluator", "TuneReport", "tune",
+]
+
 
 class TestAllSnapshot:
     def test_exact_all(self):
@@ -45,6 +59,12 @@ class TestAllSnapshot:
 
     def test_no_duplicates(self):
         assert len(repro.__all__) == len(set(repro.__all__))
+
+    def test_exact_tuner_all(self):
+        assert repro.tuner.__all__ == TUNER_SNAPSHOT
+        for name in TUNER_SNAPSHOT:
+            assert getattr(repro.tuner, name, None) is not None, name
+        assert repro.TuneReport is repro.tuner.TuneReport
 
 
 class TestSessionFacade:

@@ -1,23 +1,21 @@
-"""Parallel search must rank exactly like the serial sweep, and
-EvalCache must warm-start it losslessly."""
+"""EvalCache: warm-starting sweeps losslessly, JSON persistence and
+quarantine, and the records() training view."""
 
 import json
-import multiprocessing
 import os
 
 import pytest
 
-from repro.core import ExecutionError, LoopSpecs
+from repro.core import LoopSpecs
 from repro.platform import SPR, ZEN4
-from repro.simulator import TraceCache, brgemm_event
+from repro.simulator import brgemm_event
 from repro.tpp.dtypes import DType
 from repro.tuner import (Candidate, EvalCache, TuningConstraints,
-                         engine_evaluator, generate_candidates,
-                         perfmodel_evaluator, search)
+                         generate_candidates, perfmodel_evaluator, search)
 
 SPECS = [LoopSpecs(0, 8, 8), LoopSpecs(0, 16, 1), LoopSpecs(0, 16, 1)]
-
-_HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
+CONS = TuningConstraints({"a": 1, "b": 2, "c": 2}, frozenset({"b", "c"}),
+                         max_candidates=16)
 
 
 def _sim_body(machine, dtype):
@@ -40,59 +38,11 @@ def _outcome_tuples(res):
     return [(o.candidate.label(), o.score, o.valid) for o in res.outcomes]
 
 
-def _failure_tuples(res):
-    return sorted((f.candidate.label(), type(f).__name__)
-                  for f in res.failures)
-
-
-@pytest.mark.skipif(not _HAS_FORK, reason="needs fork start method")
-class TestWorkersDeterminism:
-    def test_perfmodel_workers_match_serial(self):
-        cands = _candidates()
-        ev = perfmodel_evaluator(SPECS, _sim_body(ZEN4, DType.F32), ZEN4,
-                                 num_threads=16, sample_threads=2,
-                                 trace_cache=TraceCache())
-        serial = search(cands, ev, workers=1)
-        par = search(cands, ev, workers=4)
-        assert _outcome_tuples(par) == _outcome_tuples(serial)
-        assert par.evaluated == serial.evaluated
-        assert par.skipped == serial.skipped
-        assert par.best.candidate.label() == serial.best.candidate.label()
-
-    def test_engine_workers_match_serial(self):
-        cands = _candidates(budget=6)
-        ev = engine_evaluator(SPECS, _sim_body(SPR, DType.F32), SPR,
-                              num_threads=8)
-        serial = search(cands, ev, workers=1)
-        par = search(cands, ev, workers=2)
-        assert _outcome_tuples(par) == _outcome_tuples(serial)
-
-    def test_failures_recorded_in_parallel(self):
-        cands = _candidates(budget=8)
-        bad = Candidate("aBbc", ((), (3,), ()))   # 3 does not divide 16
-        inner = perfmodel_evaluator(SPECS, _sim_body(ZEN4, DType.F32),
-                                    ZEN4, num_threads=16)
-        poisoned_label = cands[2].candidate_key() \
-            if hasattr(cands[2], "candidate_key") else cands[2].label()
-
-        def evaluator(c):
-            if c.label() == poisoned_label:
-                raise ExecutionError("boom")
-            return inner(c)
-
-        mixed = cands + [bad]
-        serial = search(mixed, evaluator, workers=1)
-        par = search(mixed, evaluator, workers=3)
-        assert serial.skipped == par.skipped == 2
-        assert _failure_tuples(par) == _failure_tuples(serial)
-        assert {f.candidate.label() for f in par.failures} == \
-               {poisoned_label, bad.label()}
-        assert all(f.error for f in par.failures)
-        assert _outcome_tuples(par) == _outcome_tuples(serial)
-
-    def test_workers_validated(self):
-        with pytest.raises(ValueError):
-            search(_candidates(budget=2), lambda c: None, workers=0)
+def seeded_cache():
+    cache = EvalCache()
+    for i, cand in enumerate(generate_candidates(SPECS, CONS)):
+        cache.store(cache.key(cand, "spr", "wl"), 10.0 + i, 1e-3 * (i + 1))
+    return cache
 
 
 class TestEvalCache:
@@ -128,30 +78,6 @@ class TestEvalCache:
         search(cands, ec.wrap(inner, SPR, "sig-a"))
         assert ec.misses == misses + 2 * len(cands)
 
-    @pytest.mark.skipif(not _HAS_FORK, reason="needs fork start method")
-    def test_record_backfills_after_parallel_sweep(self, tmp_path):
-        """Stores made in forked workers die with them; record() rebuilds
-        the parent cache from the returned outcomes."""
-        cands = _candidates(budget=6)
-        inner = perfmodel_evaluator(SPECS, _sim_body(ZEN4, DType.F32),
-                                    ZEN4, num_threads=16)
-        ec = EvalCache(path=os.fspath(tmp_path / "evals.json"))
-        res = search(cands, ec.wrap(inner, ZEN4, "wl"), workers=2)
-        assert len(ec) == 0                    # worker stores were lost
-        assert ec.record(res, ZEN4, "wl") == len(cands)
-        ec.save()
-
-        calls = []
-
-        def counting(c):
-            calls.append(c.label())
-            return inner(c)
-
-        ec2 = EvalCache(path=os.fspath(tmp_path / "evals.json"))
-        warm = search(cands, ec2.wrap(counting, ZEN4, "wl"))
-        assert calls == []
-        assert _outcome_tuples(warm) == _outcome_tuples(res)
-
     def test_save_load_round_trip(self, tmp_path):
         path = os.fspath(tmp_path / "evals.json")
         cands = _candidates(budget=6)
@@ -173,6 +99,16 @@ class TestEvalCache:
         warm = search(cands, ec2.wrap(counting, ZEN4, "wl"))
         assert calls == []                      # fully warm from disk
         assert _outcome_tuples(warm) == _outcome_tuples(cold)
+
+    def test_wrapped_evaluator_keeps_its_verifier(self):
+        """verify=True works the same with or without the cache."""
+        cands = _candidates(budget=8)
+        inner = perfmodel_evaluator(SPECS, _sim_body(SPR, DType.F32), SPR,
+                                    num_threads=16)
+        wrapped = EvalCache().wrap(inner, SPR, "sig")
+        assert wrapped.verifier is inner.verifier
+        assert _outcome_tuples(search(cands, wrapped, verify=True)) == \
+            _outcome_tuples(search(cands, inner, verify=True))
 
 
 class TestEvalCacheQuarantine:
@@ -200,3 +136,22 @@ class TestEvalCacheQuarantine:
         search(cands, ec.wrap(inner, ZEN4, "wl"))
         ec.save()
         assert len(EvalCache(path=path)) == len(cands)
+
+
+class TestRecords:
+    def test_round_trips_candidate_identity(self):
+        cache = seeded_cache()
+        recs = cache.records()
+        assert len(recs) == len(cache)
+        for rec in recs:
+            cand = Candidate(rec["spec_string"], rec["block_steps"])
+            assert cache.key(cand, rec["machine_sig"],
+                             rec["workload_sig"]) in cache._data
+            assert rec["score"] > 0 and rec["seconds"] > 0
+
+    def test_block_steps_parse_back_as_int_tuples(self):
+        cache = EvalCache()
+        cand = Candidate("aCBbc", ((), (4,), (8, 2)))
+        cache.store(cache.key(cand, "m", "w"), 1.0, 1.0)
+        rec = cache.records()[0]
+        assert rec["block_steps"] == ((), (4,), (8, 2))

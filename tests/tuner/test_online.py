@@ -4,7 +4,7 @@ import pytest
 
 import repro
 from repro import ParlooperGemm, ServeSimulator, TrafficGenerator
-from repro.platform import SPR
+from repro.platform import ADL, SPR
 from repro.tuner import EvalCache, OnlineTuner, TuneDecision
 from repro.workloads import LlmConfig
 
@@ -75,6 +75,32 @@ class TestLadder:
             assert retuned is not g
             assert retuned.spec_string == decision.spec_string
             assert retuned.M == g.M and retuned.num_threads == g.num_threads
+
+    def test_blocking_is_part_of_the_decision_key(self):
+        """Kernels of one shape with different blocking get their own
+        decisions: the narrow kernel's pick blocks N by 16, which the
+        wide kernel's 8 N-blocks cannot take."""
+        tuner = OnlineTuner(max_exact=6, min_gain=0.0)
+        tuner.decide(gemm(1024, 1024, 1024, num_threads=8), ADL)
+        tuner.decide(gemm(2048, 512, 1024, num_threads=16), ADL)
+        narrow = tuner.decide(gemm(512, 2048, 512, num_threads=32), ADL)
+        wide = ParlooperGemm(512, 2048, 512, bn=256, num_threads=32)
+        retuned = tuner.retune(wide, ADL)
+        decision = tuner.decide(wide, ADL)
+        assert decision is not narrow
+        if retuned is not None:
+            assert retuned.bn == 256
+            assert retuned.spec_string == decision.spec_string
+
+    def test_blockings_keep_separate_corpus_entries(self):
+        # the EvalCache cannot see the body, so its signature must
+        # name the blocking too
+        tuner = OnlineTuner(max_exact=2)
+        tuner.decide(gemm(), SPR)
+        tuner.decide(ParlooperGemm(512, 512, 512, bn=128, num_threads=8),
+                     SPR)
+        sigs = {r["workload_sig"] for r in tuner.eval_cache.records()}
+        assert len(sigs) == 2
 
     def test_min_gain_hysteresis_keeps_incumbent_on_ties(self):
         # an enormous min_gain means nothing ever beats the default

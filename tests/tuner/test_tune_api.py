@@ -37,7 +37,7 @@ class TestExhaustiveParity:
               o.seconds) for o in classic.outcomes]
         assert report.strategy == "exhaustive"
         assert report.n_model_evals == 0
-        assert report.n_exact_evals == classic.evaluated
+        assert report.n_exact_evals == classic.n_exact_evals
 
     def test_kernel_protocol_resolves_everything(self):
         report = tune(gemm(), machine=SPR, constraints=CONS, budget=12)

@@ -8,7 +8,7 @@ from repro.core import ExecutionError, LoopSpecs, SpecError, ThreadedLoop
 from repro.platform import SPR, ZEN4
 from repro.simulator import brgemm_event
 from repro.tpp.dtypes import DType
-from repro.tuner import (Candidate, SearchResult, TuningConstraints,
+from repro.tuner import (Candidate, TuningConstraints,
                          engine_evaluator, generate_candidates,
                          perfmodel_evaluator, prefix_products, prime_factors,
                          search)
@@ -168,13 +168,13 @@ class TestSearch:
                                                 ZEN4, num_threads=16))
         scores = [o.score for o in res.outcomes]
         assert scores == sorted(scores, reverse=True)
-        assert res.evaluated == 20
+        assert res.n_exact_evals == 20
 
     def test_invalid_candidates_skipped(self):
         bad = Candidate("aBbc", ((), (3,), ()))  # 3 does not divide 16
         res = search([bad], perfmodel_evaluator(
             SPECS, _sim_body(ZEN4, DType.F32), ZEN4, num_threads=4))
-        assert res.skipped == 1
+        assert res.n_skipped == 1
         with pytest.raises(ValueError):
             res.best
 
@@ -194,8 +194,8 @@ class TestSearch:
             return inner(cand)
 
         res = search(cands, evaluator)
-        assert res.skipped == 1
-        assert res.evaluated == len(cands) - 1
+        assert res.n_skipped == 1
+        assert res.n_exact_evals == len(cands) - 1
         assert res.best.valid
         assert poisoned.label() not in [o.candidate.label()
                                         for o in res.outcomes]
@@ -275,7 +275,7 @@ class TestVerifiedSearch:
         cands, ev, _ = self._setup()
         res = search(cands, ev, verify=False)
         assert res.racy == ()
-        assert res.evaluated == len(cands)
+        assert res.n_exact_evals == len(cands)
 
     def test_verified_ranking_unchanged_for_clean_candidates(self):
         cands, ev, _ = self._setup()
@@ -285,15 +285,6 @@ class TestVerifiedSearch:
         kept = [o.candidate.spec_string for o in plain.outcomes
                 if o.candidate.spec_string not in racy_specs]
         assert [o.candidate.spec_string for o in verified.outcomes] == kept
-
-    def test_tuning_cost_surfaces_race_reports(self):
-        from repro.tuner import TuningCost
-        cands, ev, _ = self._setup()
-        res = search(cands, ev, verify=True)
-        cost = TuningCost.from_search(res)
-        assert cost.racy == len(res.racy) > 0
-        assert len(cost.race_reports) == cost.racy
-        assert f"{cost.racy} racy" in cost.describe()
 
     def test_generator_verify_prunes_at_source(self):
         _, _, verifier = self._setup()

@@ -8,7 +8,9 @@ machine-independent, so the memoized path captures each candidate once
 and replays it vectorized everywhere):
 
 * **seed**: per-candidate nest re-execution + per-access OrderedDict LRU
-  replay (the pre-acceleration path, still the differential oracle);
+  replay (the pre-acceleration path).  The library no longer takes it:
+  `_seed_evaluator` calls the differential oracle (`trace_threaded_loop`
+  + `predict_traces`) directly;
 * **fast**: `TraceCache` memoization + reuse-distance replay
   (`simulator.reuse`), bit-identical scores;
 * **warm**: a re-run of the same sweep through an `EvalCache`, the
@@ -27,10 +29,11 @@ import time
 from repro.bench import ExperimentTable
 from repro.core import LoopSpecs
 from repro.platform import ADL, GVT3, SPR, ZEN4
-from repro.simulator import TraceCache, brgemm_event
+from repro.simulator import (PerfPrediction, TraceCache, brgemm_event,
+                             predict_traces, trace_threaded_loop)
 from repro.tpp.dtypes import DType
-from repro.tuner import (EvalCache, TuningConstraints, generate_candidates,
-                         perfmodel_evaluator, search)
+from repro.tuner import (EvalCache, TuneOutcome, TuningConstraints,
+                         generate_candidates, perfmodel_evaluator, search)
 
 MACHINES = [SPR, GVT3, ZEN4, ADL]   # the paper's four tuned testbeds
 SIZES = [(1024, 1024, 1024), (2048, 2048, 2048)]
@@ -57,16 +60,41 @@ def _workload(M, N, K, budget):
     return specs, cands, body, 2.0 * M * N * K
 
 
+def _seed_evaluator(specs, body, machine, total_flops):
+    """The seed path: trace the sampled tids (``predict``'s selection)
+    by re-executing the nest, replay them through the scalar LRU model,
+    and score against the exact flop count."""
+    def evaluate(candidate):
+        loop = candidate.build_loop(specs, num_threads=NUM_THREADS)
+        n = loop.num_threads
+        tids = None
+        if SAMPLE_THREADS < n:
+            tids = list(range(0, n, max(1, n // SAMPLE_THREADS)))
+            tids = tids[:SAMPLE_THREADS]
+            if tids[-1] != n - 1:
+                tids.append(n - 1)
+        pred = predict_traces(trace_threaded_loop(loop, body, tids=tids),
+                              machine, n)
+        pred = PerfPrediction(pred.seconds, total_flops,
+                              pred.per_thread_seconds, pred.hit_fractions)
+        return TuneOutcome(candidate, pred.score, pred.seconds)
+    return evaluate
+
+
 def _sweep(specs, cands, body, total_flops, trace_cache=None,
            eval_cache=None, workload_sig=""):
-    """One multi-machine tuning sweep; returns ({machine: result}, secs)."""
+    """One multi-machine tuning sweep; returns ({machine: result}, secs).
+    Without a *trace_cache* the sweep runs the seed evaluator."""
     results = {}
     t0 = time.perf_counter()
     for m in MACHINES:
-        evaluator = perfmodel_evaluator(
-            specs, body, m, num_threads=NUM_THREADS,
-            sample_threads=SAMPLE_THREADS, total_flops=total_flops,
-            trace_cache=trace_cache)
+        if trace_cache is None:
+            evaluator = _seed_evaluator(specs, body, m, total_flops)
+        else:
+            evaluator = perfmodel_evaluator(
+                specs, body, m, num_threads=NUM_THREADS,
+                sample_threads=SAMPLE_THREADS, total_flops=total_flops,
+                trace_cache=trace_cache)
         if eval_cache is not None:
             evaluator = eval_cache.wrap(evaluator, m, workload_sig)
         results[m.name] = search(cands, evaluator)

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from ..core.loop_spec import LoopSpecs
 from ..kernels.gemm import ParlooperGemm
 from ..platform.machine import MachineModel
-from ..simulator.perfmodel import predict
 from ..tpp.dtypes import DType
 from ..tuner.constraints import TuningConstraints
 from ..tuner.generator import generate_candidates
@@ -108,9 +107,7 @@ class TvmAnsorBaseline(GemmBaseline):
                     num_threads=machine.total_cores)
             except Exception:
                 continue
-            pred = predict(kernel.loop, kernel.sim_body(machine),
-                           machine, sample_threads=2,
-                           total_flops=kernel.flops)
+            pred = kernel.predict(machine, sample_threads=2)
             noisy = pred.score * math.exp(
                 rng.gauss(0.0, self.SCORE_NOISE_SIGMA))
             if noisy > best_noisy:

@@ -17,7 +17,7 @@ import numpy as np
 
 from ..platform.machine import MachineModel
 from ..simulator.engine import SimResult, simulate_traces
-from ..simulator.trace import trace_threaded_loop
+from ..simulator.trace import ThreadTrace
 from ..tpp.dtypes import DType
 from .base import _session
 from .common import unpack_c_blocked
@@ -127,22 +127,26 @@ class ParlooperMlp:
         """Simulate the full cascade as one run so activations written in
         layer l are the slices read in layer l+1 (core-to-core traffic).
 
-        The merged multi-layer trace cannot go through the session's
-        single-loop trace cache, but the run still reports into the
-        session's (or ambient) observability scope."""
+        Each layer's per-thread traces come from the session's (or the
+        default) trace cache; the run reports into the same session's
+        observability scope."""
         sess = _session(session)
         with sess.activate(), sess.obs.span(
                 "mlp_simulate", layers=len(self.layers),
                 machine=machine.name):
             merged = None
             for l, layer in enumerate(self.layers):
-                traces = trace_threaded_loop(
-                    layer.gemm.loop, self._layer_sim_body(l, machine))
+                loop = layer.gemm.loop
+                body = self._layer_sim_body(l, machine)
+                key = layer.gemm._body_key(machine, self._names(l))
+                traces = [sess.trace_cache.thread_trace(loop, body, tid,
+                                                        body_key=key)
+                          for tid in range(loop.num_threads)]
                 if merged is None:
-                    merged = traces
-                else:
-                    for t, extra in zip(merged, traces):
-                        t.events.extend(extra.events)
+                    # cached traces are shared: concatenate into fresh ones
+                    merged = [ThreadTrace(t.tid) for t in traces]
+                for t, extra in zip(merged, traces):
+                    t.events.extend(extra.events)
             return simulate_traces(merged, machine)
 
     def predict(self, machine: MachineModel, session=None,

@@ -236,8 +236,10 @@ def predict(loop, sim_body, machine, sample_threads: int | None = None,
             total_flops: float | None = None, trace_cache=None,
             body_key=None):
     """Module-level :func:`repro.simulator.perfmodel.predict`, run in the
-    default session's (disabled) observability scope.  Signature and
-    results are unchanged: ``trace_cache`` stays opt-in here."""
+    default session's (disabled) observability scope.  With no
+    ``trace_cache`` the call captures through a private cache, as the
+    simulator function does; pass one (or call :meth:`Session.predict`)
+    to share capture across calls."""
     with default_session().activate():
         return _predict(loop, sim_body, machine,
                         sample_threads=sample_threads,

@@ -6,7 +6,6 @@ from .engine import SimResult, simulate, simulate_flat, simulate_traces
 from .lru import CacheHierarchy, LRUCache
 from .memo import TraceCache, global_trace_cache
 from .perfmodel import PerfPrediction, predict, predict_traces
-from .report import format_result, thread_balance
 from .reuse import (CompiledTrace, ReuseStats, compile_trace, hit_levels,
                     stack_distances)
 from .trace import (Access, BodyEvent, ThreadTrace, trace_flat,
@@ -22,5 +21,4 @@ __all__ = [
     "brgemm_event", "spmm_event", "eltwise_event", "bandwidth_event",
     "PerfPrediction", "predict", "predict_traces",
     "SimResult", "simulate", "simulate_flat", "simulate_traces",
-    "format_result", "thread_balance",
 ]

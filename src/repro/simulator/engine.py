@@ -30,7 +30,8 @@ from ..obs.context import current as _obs
 from ..platform.machine import CoreCluster, MachineModel
 from ..tpp.dtypes import DType
 from .lru import CacheHierarchy, LRUCache
-from .trace import BodyEvent, ThreadTrace, trace_flat, trace_threaded_loop
+from .memo import TraceCache
+from .trace import BodyEvent, ThreadTrace
 
 __all__ = ["SimResult", "simulate", "simulate_traces", "simulate_flat"]
 
@@ -267,24 +268,23 @@ def simulate(loop: ThreadedLoop, sim_body, machine: MachineModel,
     Static/grid schedules replay per-thread traces in lock-step; dynamic
     schedules are re-assigned greedily (self-scheduling).
 
-    *trace_cache* (a :class:`~repro.simulator.memo.TraceCache`) memoizes
-    trace capture across calls — repeated engine runs of the same
-    iteration order (e.g. one candidate simulated on several machine
-    models, or a perfmodel pass followed by an engine pass) then skip the
-    nest re-execution.  Replay itself is unchanged, so results are
-    bit-identical with or without the cache.
+    Traces are captured through *trace_cache* (a
+    :class:`~repro.simulator.memo.TraceCache`; a private one when None).
+    Sharing one cache memoizes capture across calls — repeated engine
+    runs of the same iteration order (e.g. one candidate simulated on
+    several machine models, or a perfmodel pass followed by an engine
+    pass) then skip the nest re-execution.  Replay is the same either
+    way, so results do not depend on which cache served the traces.
     """
+    if trace_cache is None:
+        trace_cache = TraceCache()
     with _obs().span("simulate", spec=loop.spec_string,
                      machine=machine.name):
         if loop.plan.parsed.schedule == "dynamic":
-            flat = trace_flat(loop, sim_body, trace_cache=trace_cache,
-                              body_key=body_key)
+            flat = trace_cache.flat_trace(loop, sim_body, body_key=body_key)
             return simulate_flat(flat, machine, loop.num_threads,
                                  dispatch_overhead)
-        if trace_cache is not None:
-            traces = [trace_cache.thread_trace(loop, sim_body, tid,
-                                               body_key=body_key)
-                      for tid in range(loop.num_threads)]
-        else:
-            traces = trace_threaded_loop(loop, sim_body)
+        traces = [trace_cache.thread_trace(loop, sim_body, tid,
+                                           body_key=body_key)
+                  for tid in range(loop.num_threads)]
         return simulate_traces(traces, machine, dispatch_overhead)

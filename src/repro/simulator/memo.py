@@ -1,4 +1,5 @@
-"""Memoized trace capture (the tuning-throughput cache).
+"""Memoized trace capture: the one way the library captures the traces
+the perf model and the engine replay.
 
 Tracing a candidate means running the generated nest with a recording
 body — but the *trace content* only depends on the iteration order, not
@@ -31,7 +32,8 @@ from collections import OrderedDict
 from ..core.threaded_loop import ThreadedLoop
 from ..obs.context import current as _obs
 from .reuse import CompiledTrace, compile_trace
-from .trace import ThreadTrace, _serialize_spec, trace_threaded_loop
+from .trace import (ThreadTrace, _serialize_spec, trace_flat,
+                    trace_threaded_loop)
 
 __all__ = ["TraceCache", "global_trace_cache"]
 
@@ -203,7 +205,6 @@ class TraceCache:
         Keyed by the *serialized* order, so e.g. ``bC{R:4}aBc`` and
         ``bcaB{C:4}c @ schedule(dynamic)`` share one entry.
         """
-        from .trace import trace_flat   # late: trace_flat takes a TraceCache
         key = ("flat", self._body_key(sim_body, body_key),
                self._specs_key(loop), _serialize_spec(loop.spec_string))
         return self._get(

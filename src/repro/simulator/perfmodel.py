@@ -21,8 +21,8 @@ from ..core.threaded_loop import ThreadedLoop
 from ..obs.context import current as _obs
 from ..platform.machine import MachineModel
 from .lru import CacheHierarchy
+from .memo import TraceCache
 from .reuse import hit_levels
-from .trace import trace_threaded_loop
 
 __all__ = ["PerfPrediction", "predict", "predict_traces"]
 
@@ -66,45 +66,51 @@ def predict(loop: ThreadedLoop, sim_body, machine: MachineModel,
     it when sampling, otherwise the extrapolation from sampled threads
     over-credits schedules that starve most threads.
 
-    *trace_cache* (a :class:`~repro.simulator.memo.TraceCache`) switches
-    on the fast path: traces are captured once per iteration order and
-    replayed through the vectorized reuse-distance simulator
-    (:mod:`repro.simulator.reuse`) instead of per-access LRU updates.
-    ``seconds``/``total_flops``/``score`` are bit-identical to the seed
-    path (``hit_fractions`` can differ in the last ulps); traces whose
-    footprints violate the reuse-distance preconditions transparently
-    fall back to the LRU replay.  ``sim_body`` must be a pure function of
-    ``ind``; pass a stable *body_key* when the closure is rebuilt per
-    call.
+    Traces are captured through *trace_cache* (a
+    :class:`~repro.simulator.memo.TraceCache`; a private one when None),
+    once per iteration order, and replayed through the vectorized
+    reuse-distance simulator (:mod:`repro.simulator.reuse`).
+    ``seconds``/``total_flops``/``score`` are bit-identical to the
+    scalar LRU replay :func:`predict_traces` (``hit_fractions`` can
+    differ in the last ulps); traces whose footprints violate the
+    reuse-distance preconditions fall back to it.  ``sim_body`` must be
+    a pure function of ``ind``; pass a stable *body_key* when the
+    closure is rebuilt per call.
     """
+    if sample_threads is not None and sample_threads < 1:
+        raise ValueError(
+            f"sample_threads must be >= 1, got {sample_threads}")
+    if trace_cache is None:
+        trace_cache = TraceCache()
+    num_threads = loop.num_threads
+    sampled = sample_threads is not None and sample_threads < num_threads
+    if sampled:
+        step = max(1, num_threads // sample_threads)
+        tids = list(range(0, num_threads, step))[:sample_threads]
+        # include the last tid: static block distributions put the
+        # remainder-starved thread at the end
+        if tids[-1] != num_threads - 1:
+            tids.append(num_threads - 1)
+    else:
+        tids = range(num_threads)
     with _obs().span("predict", spec=loop.spec_string,
-                     machine=machine.name,
-                     memoized=trace_cache is not None):
-        if trace_cache is not None:
-            return _predict_memoized(loop, sim_body, machine,
-                                     sample_threads, total_flops,
-                                     trace_cache, body_key)
-        if sample_threads is not None and sample_threads < loop.num_threads:
-            step = max(1, loop.num_threads // sample_threads)
-            tids = list(range(0, loop.num_threads, step))[:sample_threads]
-            # include the last tid: static block distributions put the
-            # remainder-starved thread at the end
-            if tids[-1] != loop.num_threads - 1:
-                tids.append(loop.num_threads - 1)
-            traces = trace_threaded_loop(loop, sim_body, tids=tids)
-            pred = predict_traces(traces, machine, loop.num_threads)
-            flops = (total_flops if total_flops is not None
-                     else pred.total_flops * loop.num_threads / len(traces))
-            return PerfPrediction(pred.seconds, flops,
-                                  pred.per_thread_seconds,
-                                  pred.hit_fractions)
-        traces = trace_threaded_loop(loop, sim_body)
-        pred = predict_traces(traces, machine, loop.num_threads)
-        if total_flops is not None:
-            pred = PerfPrediction(pred.seconds, total_flops,
-                                  pred.per_thread_seconds,
-                                  pred.hit_fractions)
+                     machine=machine.name):
+        try:
+            pred = _predict_compiled(
+                [trace_cache.compiled_thread_trace(loop, sim_body, tid,
+                                                   body_key=body_key)
+                 for tid in tids], machine, num_threads)
+        except ValueError:
+            pred = predict_traces(
+                [trace_cache.thread_trace(loop, sim_body, tid,
+                                          body_key=body_key)
+                 for tid in tids], machine, num_threads)
+    if sampled and total_flops is None:
+        total_flops = pred.total_flops * num_threads / len(tids)
+    if total_flops is None:
         return pred
+    return PerfPrediction(pred.seconds, total_flops,
+                          pred.per_thread_seconds, pred.hit_fractions)
 
 
 def _thread_view(machine: MachineModel, num_threads: int) -> tuple:
@@ -128,8 +134,10 @@ def _thread_view(machine: MachineModel, num_threads: int) -> tuple:
 
 def predict_traces(traces, machine: MachineModel,
                    num_threads: int) -> PerfPrediction:
-    """Scalar LRU replay of *traces*, one private hierarchy per thread
-    (the seed path, and the oracle of :func:`_predict_compiled`)."""
+    """Scalar LRU replay of *traces*, one private hierarchy per thread:
+    the oracle of :func:`_predict_compiled`, and :func:`predict`'s
+    fallback for traces :func:`~repro.simulator.reuse.compile_trace`
+    rejects."""
     num_threads = max(1, num_threads)
     capacities, bandwidths, freq = _thread_view(machine, num_threads)
     n_levels = len(machine.caches)
@@ -159,47 +167,6 @@ def predict_traces(traces, machine: MachineModel,
         per_thread_seconds=tuple(per_thread_s),
         hit_fractions=tuple(b / tot_bytes for b in level_bytes),
     )
-
-
-def _predict_memoized(loop: ThreadedLoop, sim_body, machine: MachineModel,
-                      sample_threads, total_flops, trace_cache,
-                      body_key) -> PerfPrediction:
-    """The memoized + vectorized twin of :func:`predict`.
-
-    Same tid selection, same extrapolation arithmetic; replay goes
-    through :func:`~repro.simulator.reuse.hit_levels` instead of
-    per-access LRU updates.  Falls back to the LRU replay (still with
-    memoized capture) when a trace violates the reuse-distance
-    preconditions.
-    """
-    num_threads = loop.num_threads
-    sampled = sample_threads is not None and sample_threads < num_threads
-    if sampled:
-        step = max(1, num_threads // sample_threads)
-        tids = list(range(0, num_threads, step))[:sample_threads]
-        if tids[-1] != num_threads - 1:
-            tids.append(num_threads - 1)
-    else:
-        tids = list(range(num_threads))
-    try:
-        compiled = [trace_cache.compiled_thread_trace(loop, sim_body, tid,
-                                                      body_key=body_key)
-                    for tid in tids]
-        pred = _predict_compiled(compiled, machine, num_threads)
-    except ValueError:
-        traces = [trace_cache.thread_trace(loop, sim_body, tid,
-                                           body_key=body_key)
-                  for tid in tids]
-        pred = predict_traces(traces, machine, num_threads)
-    if sampled:
-        flops = (total_flops if total_flops is not None
-                 else pred.total_flops * num_threads / len(tids))
-        return PerfPrediction(pred.seconds, flops,
-                              pred.per_thread_seconds, pred.hit_fractions)
-    if total_flops is not None:
-        return PerfPrediction(pred.seconds, total_flops,
-                              pred.per_thread_seconds, pred.hit_fractions)
-    return pred
 
 
 def _predict_compiled(compiled, machine: MachineModel,

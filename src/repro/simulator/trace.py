@@ -163,36 +163,21 @@ def trace_threaded_loop(loop: ThreadedLoop, sim_body, tids=None,
     return traces
 
 
-def trace_flat(loop: ThreadedLoop, sim_body, trace_cache=None,
-               body_key=None) -> ThreadTrace:
+def trace_flat(loop: ThreadedLoop, sim_body) -> ThreadTrace:
     """A single whole-nest trace (thread-agnostic iteration order).
 
     Used by the engine's dynamic-scheduling path, which re-assigns events
     to cores greedily by simulated availability.
 
     The serial helper loop reuses ``loop._cache``, so the nest is only
-    JITed once per serialized order; pass a
-    :class:`~repro.simulator.memo.TraceCache` as *trace_cache* to also
-    memoize the trace itself (candidates differing only in parallel
-    annotations then share one capture).
+    JITed once per serialized order;
+    :meth:`~repro.simulator.memo.TraceCache.flat_trace` also memoizes the
+    trace itself (candidates differing only in parallel annotations then
+    share one capture).
     """
-    if trace_cache is not None:
-        return trace_cache.flat_trace(loop, sim_body, body_key=body_key)
     serial = ThreadedLoop(loop.specs, _serialize_spec(loop.spec_string),
                           num_threads=1, cache=loop._cache)
-    out = ThreadTrace(0)
-
-    def body(ind):
-        ev = sim_body(list(ind))
-        if ev is None:
-            return
-        if isinstance(ev, BodyEvent):
-            out.events.append(ev)
-        else:
-            out.events.extend(ev)
-
-    serial(body)
-    return out
+    return trace_threaded_loop(serial, sim_body)[0]
 
 
 def _serialize_spec(spec: str) -> str:

@@ -223,7 +223,8 @@ class FeatureExtractor:
     under this context; :attr:`names` aligns with it index-for-index.
 
     With ``with_trace=True`` the extractor captures (or cache-hits) the
-    per-thread compiled trace of ``trace_tid`` and appends its
+    per-thread compiled trace of ``trace_tid`` through ``trace_cache``
+    (a private one when None) and appends its
     reuse-distance summary — the expensive, high-signal family, used
     when traces already exist (training-corpus enrichment) rather than
     in the cheap screening path.
@@ -242,6 +243,9 @@ class FeatureExtractor:
         self.base_specs = tuple(self.base_specs)
         if self.with_trace and self.sim_body is None:
             raise ValueError("with_trace=True needs a sim_body")
+        if self.with_trace and self.trace_cache is None:
+            from ..simulator.memo import TraceCache
+            self.trace_cache = TraceCache()
         names = list(spec_feature_names())
         if self.machine is not None:
             names += machine_feature_names()
@@ -286,8 +290,6 @@ class FeatureExtractor:
 
     def _compiled(self, candidate, specs):
         from ..core.threaded_loop import ThreadedLoop
-        from ..simulator.reuse import compile_trace
-        from ..simulator.trace import trace_threaded_loop
         if isinstance(candidate, str):
             loop = ThreadedLoop(specs, candidate,
                                 num_threads=self.num_threads)
@@ -295,8 +297,5 @@ class FeatureExtractor:
             loop = candidate.build_loop(self.base_specs,
                                         num_threads=self.num_threads)
         tid = min(self.trace_tid, loop.num_threads - 1)
-        if self.trace_cache is not None:
-            return self.trace_cache.compiled_thread_trace(
-                loop, self.sim_body, tid, body_key=self.body_key)
-        return compile_trace(
-            trace_threaded_loop(loop, self.sim_body, tids=[tid])[0])
+        return self.trace_cache.compiled_thread_trace(
+            loop, self.sim_body, tid, body_key=self.body_key)

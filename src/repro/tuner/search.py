@@ -5,9 +5,11 @@ Candidates are benchmarked by an *evaluator* — the lightweight perf model
 best spec string becomes the runtime knob.  Zero lines of user kernel code
 change across candidates.
 
-``trace_cache=`` on the evaluators is the throughput knob: it memoizes
-trace capture and switches the perfmodel to its vectorized
-reuse-distance replay, with rankings identical to the plain sweep.
+Each evaluator captures traces through one
+:class:`~repro.simulator.memo.TraceCache` (``trace_cache=``, or a
+private one made when the evaluator is built), so the candidates of a
+sweep share capture; pass one cache to several evaluators to share it
+across machines too.
 
 Every ranking path — :func:`search`, :func:`~repro.tuner.guided.
 guided_search` and :func:`~repro.tuner.tune.tune` — reports one
@@ -24,6 +26,7 @@ from ..core.errors import ExecutionError, SpecError
 from ..obs.context import current as _obs
 from ..platform.machine import MachineModel
 from ..simulator.engine import simulate
+from ..simulator.memo import TraceCache
 from ..simulator.perfmodel import predict
 from .generator import Candidate
 
@@ -146,10 +149,14 @@ def perfmodel_evaluator(base_specs, sim_body, machine: MachineModel,
 
     Pass ``total_flops`` (the instantiation-independent kernel flop
     count) whenever sampling, so starved schedules are not over-credited.
-    A shared ``trace_cache`` (:class:`~repro.simulator.memo.TraceCache`)
-    makes sweeps trace each iteration order once and replay it through
-    the vectorized reuse-distance simulator; scores are bit-identical.
+    The sweep traces each iteration order once through ``trace_cache``
+    (:class:`~repro.simulator.memo.TraceCache`; one private cache when
+    None) and replays it through the vectorized reuse-distance
+    simulator.
     """
+    if trace_cache is None:
+        trace_cache = TraceCache()
+
     def evaluate(candidate: Candidate) -> TuneOutcome:
         loop = candidate.build_loop(base_specs, num_threads=num_threads)
         pred = predict(loop, sim_body, machine,
@@ -163,7 +170,12 @@ def perfmodel_evaluator(base_specs, sim_body, machine: MachineModel,
 
 def engine_evaluator(base_specs, sim_body, machine: MachineModel,
                      num_threads: int | None = None, trace_cache=None):
-    """Evaluator using the full engine — the 'benchmark offline' path."""
+    """Evaluator using the full engine — the 'benchmark offline' path.
+    Candidates share capture through ``trace_cache`` (one private
+    :class:`~repro.simulator.memo.TraceCache` when None)."""
+    if trace_cache is None:
+        trace_cache = TraceCache()
+
     def evaluate(candidate: Candidate) -> TuneOutcome:
         loop = candidate.build_loop(base_specs, num_threads=num_threads)
         res = simulate(loop, sim_body, machine, trace_cache=trace_cache)

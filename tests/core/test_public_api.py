@@ -1,11 +1,12 @@
 """The public API surface, asserted exactly.
 
-``repro.__all__`` and ``repro.tuner.__all__`` are contracts: additions
-and removals must be deliberate (update the snapshot here *and* the
-DESIGN.md migration notes).
+``repro.__all__``, ``repro.tuner.__all__`` and ``repro.simulator.__all__``
+are contracts: additions and removals must be deliberate (update the
+snapshot here *and* the DESIGN.md migration notes).
 """
 
 import repro
+import repro.simulator
 import repro.tuner
 from repro.platform import SPR
 
@@ -48,6 +49,18 @@ TUNER_SNAPSHOT = [
     "Evaluator", "TuneReport", "tune",
 ]
 
+SIMULATOR_SNAPSHOT = [
+    "Access", "BodyEvent", "ThreadTrace", "trace_flat",
+    "trace_threaded_loop",
+    "LRUCache", "CacheHierarchy",
+    "CompiledTrace", "ReuseStats", "compile_trace", "hit_levels",
+    "stack_distances",
+    "TraceCache", "global_trace_cache",
+    "brgemm_event", "spmm_event", "eltwise_event", "bandwidth_event",
+    "PerfPrediction", "predict", "predict_traces",
+    "SimResult", "simulate", "simulate_flat", "simulate_traces",
+]
+
 
 class TestAllSnapshot:
     def test_exact_all(self):
@@ -65,6 +78,11 @@ class TestAllSnapshot:
         for name in TUNER_SNAPSHOT:
             assert getattr(repro.tuner, name, None) is not None, name
         assert repro.TuneReport is repro.tuner.TuneReport
+
+    def test_exact_simulator_all(self):
+        assert repro.simulator.__all__ == SIMULATOR_SNAPSHOT
+        for name in SIMULATOR_SNAPSHOT:
+            assert getattr(repro.simulator, name, None) is not None, name
 
 
 class TestSessionFacade:

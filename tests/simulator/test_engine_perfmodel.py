@@ -201,3 +201,11 @@ class TestPerfModel:
         assert p.total_flops == 2 * 512**3
         assert abs(sum(p.hit_fractions) - 1.0) < 1e-6
         assert p.gflops == p.score
+
+    @pytest.mark.parametrize("sample_threads", [0, -1])
+    def test_sample_threads_must_be_positive(self, sample_threads):
+        body = gemm_body(ZEN4, DType.F32, 8)
+        loop = gemm_loop("aBC", 8, 8, 8, 4)
+        with pytest.raises(ValueError,
+                           match=f"sample_threads.*got {sample_threads}"):
+            predict(loop, body, ZEN4, sample_threads=sample_threads)

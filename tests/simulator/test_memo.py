@@ -5,7 +5,7 @@ import pytest
 from repro.core import LoopSpecs, ThreadedLoop
 from repro.platform import SPR
 from repro.simulator import (Access, BodyEvent, TraceCache, predict, simulate,
-                             trace_flat)
+                             simulate_traces, trace_threaded_loop)
 
 SPECS = [LoopSpecs(0, 4, 1), LoopSpecs(0, 4, 1)]
 
@@ -77,19 +77,19 @@ class TestKeySharing:
         """Flat traces key on the *serialized* order: parallel markup and
         schedule directives don't change it."""
         cache = TraceCache()
-        a = trace_flat(ThreadedLoop(SPECS, "bA", num_threads=2),
-                       _body, trace_cache=cache)
-        b = trace_flat(
+        a = cache.flat_trace(ThreadedLoop(SPECS, "bA", num_threads=2),
+                             _body)
+        b = cache.flat_trace(
             ThreadedLoop(SPECS, "ba @ schedule(dynamic, 1)", num_threads=2),
-            _body, trace_cache=cache)
+            _body)
         assert cache.hits == 1 and b is a
 
     def test_different_orders_do_not_collide(self):
         cache = TraceCache()
-        a = trace_flat(ThreadedLoop(SPECS, "ab", num_threads=1),
-                       _body, trace_cache=cache)
-        b = trace_flat(ThreadedLoop(SPECS, "ba", num_threads=1),
-                       _body, trace_cache=cache)
+        a = cache.flat_trace(ThreadedLoop(SPECS, "ab", num_threads=1),
+                             _body)
+        b = cache.flat_trace(ThreadedLoop(SPECS, "ba", num_threads=1),
+                             _body)
         assert cache.misses == 2
         assert [e.accesses[0].key for e in a.events] != \
                [e.accesses[0].key for e in b.events]
@@ -112,10 +112,10 @@ class TestBodyMemo:
 
         cache = TraceCache()
         # two candidates sweeping the same 4x4 space
-        trace_flat(ThreadedLoop(SPECS, "ab", num_threads=1),
-                   counting, trace_cache=cache, body_key="cnt")
-        trace_flat(ThreadedLoop(SPECS, "ba", num_threads=1),
-                   counting, trace_cache=cache, body_key="cnt")
+        cache.flat_trace(ThreadedLoop(SPECS, "ab", num_threads=1),
+                         counting, body_key="cnt")
+        cache.flat_trace(ThreadedLoop(SPECS, "ba", num_threads=1),
+                         counting, body_key="cnt")
         assert len(calls) == 16                 # not 32
         assert len(set(calls)) == 16
 
@@ -128,8 +128,8 @@ class TestBodyMemo:
 
         cache = TraceCache()
         loop = ThreadedLoop(SPECS, "ab", num_threads=1)
-        trace_flat(loop, counting, trace_cache=cache, body_key="k1")
-        trace_flat(loop, counting, trace_cache=cache, body_key="k2")
+        cache.flat_trace(loop, counting, body_key="k1")
+        cache.flat_trace(loop, counting, body_key="k2")
         # different body keys don't share the ind memo (k2 re-traces
         # because the flat-trace key differs too)
         assert len(calls) == 32
@@ -176,9 +176,9 @@ class TestConsumers:
     def test_engine_and_perfmodel_share_raw_traces(self):
         loop = ThreadedLoop(SPECS, "aB", num_threads=2)
         cache = TraceCache()
-        no_cache = simulate(loop, _body, SPR)
-        with_cache = simulate(loop, _body, SPR, trace_cache=cache)
-        assert with_cache == no_cache
+        oracle = simulate_traces(trace_threaded_loop(loop, _body), SPR)
+        assert simulate(loop, _body, SPR) == oracle
+        assert simulate(loop, _body, SPR, trace_cache=cache) == oracle
         # perfmodel replays the same cached raw traces
         hits = cache.hits
         predict(loop, _body, SPR, trace_cache=cache)

@@ -2,9 +2,11 @@
 
 The seed ``LRUCache``/``CacheHierarchy`` stays in the tree precisely to
 serve as the oracle here: :func:`repro.simulator.reuse.hit_levels` must
-agree with it hit-level-for-hit-level on randomized traces, and the
-memoized fast ``predict`` path must reproduce the seed prediction bit for
-bit.
+agree with it hit-level-for-hit-level on randomized traces, and
+``predict`` / ``simulate`` — which always capture through a
+``TraceCache`` — must reproduce the uncached oracle (``trace_threaded_loop``
+/ ``trace_flat`` capture, ``predict_traces`` / ``simulate_traces`` /
+``simulate_flat`` replay) bit for bit.
 """
 
 import random
@@ -15,8 +17,10 @@ import pytest
 from repro.core import LoopSpecs, ThreadedLoop
 from repro.platform import ADL, GVT3, SPR, ZEN4
 from repro.simulator import (Access, BodyEvent, CacheHierarchy, CompiledTrace,
-                             ThreadTrace, TraceCache, brgemm_event,
-                             compile_trace, hit_levels, predict, simulate)
+                             PerfPrediction, ThreadTrace, TraceCache,
+                             brgemm_event, compile_trace, hit_levels, predict,
+                             predict_traces, simulate, simulate_flat,
+                             simulate_traces, trace_flat, trace_threaded_loop)
 from repro.simulator.reuse import (_DENSE_PAIR_MAX, _intervening_bytes,
                                    _prev_next)
 from repro.tpp.dtypes import DType
@@ -160,33 +164,51 @@ def _gemm_workload(nb=4):
     return specs, body
 
 
+def _oracle_predict(loop, body, machine, total_flops=None, tids=None):
+    """The uncached scalar model: capture with ``trace_threaded_loop``,
+    replay with ``predict_traces``."""
+    traces = trace_threaded_loop(loop, body, tids=tids)
+    pred = predict_traces(traces, machine, loop.num_threads)
+    if total_flops is None:
+        return pred
+    return PerfPrediction(pred.seconds, total_flops,
+                          pred.per_thread_seconds, pred.hit_fractions)
+
+
+def _same_prediction(a, b):
+    assert a.seconds == b.seconds
+    assert a.total_flops == b.total_flops
+    assert a.per_thread_seconds == b.per_thread_seconds
+    assert a.score == b.score
+
+
 class TestFastPredictBitIdentity:
     @pytest.mark.parametrize("spec", ["bcA", "Bca", "bC{R:4}a",
-                                      "b|cA", "BCa"])
+                                      "b|cA", "BCa",
+                                      "bCa @ schedule(dynamic, 1)"])
     def test_predict_identical_across_machines(self, spec):
         specs, body = _gemm_workload()
         execution = "threads" if "|" in spec else "serial"
         loop = ThreadedLoop(specs, spec, num_threads=4, execution=execution)
-        cache = TraceCache()
+        flops = 2.0 * 4 * 64 ** 3
+        shared = TraceCache()
         for machine in (SPR, GVT3, ZEN4, ADL):
-            a = predict(loop, body, machine, total_flops=2.0 * 4 * 64 ** 3)
-            b = predict(loop, body, machine, total_flops=2.0 * 4 * 64 ** 3,
-                        trace_cache=cache)
-            assert a.seconds == b.seconds
-            assert a.total_flops == b.total_flops
-            assert a.per_thread_seconds == b.per_thread_seconds
-            assert a.score == b.score
+            want = _oracle_predict(loop, body, machine, flops)
+            for cache in (None, TraceCache(), shared):
+                _same_prediction(
+                    predict(loop, body, machine, total_flops=flops,
+                            trace_cache=cache), want)
 
     def test_predict_identical_when_sampling(self):
         specs, body = _gemm_workload(nb=8)
         loop = ThreadedLoop(specs, "bCa", num_threads=8)
-        cache = TraceCache()
-        a = predict(loop, body, SPR, sample_threads=2,
-                    total_flops=2.0 * 8 * 64 ** 3)
-        b = predict(loop, body, SPR, sample_threads=2,
-                    total_flops=2.0 * 8 * 64 ** 3, trace_cache=cache)
-        assert a.seconds == b.seconds
-        assert a.per_thread_seconds == b.per_thread_seconds
+        flops = 2.0 * 8 * 64 ** 3
+        # two of eight threads: every fourth tid, plus the last one
+        want = _oracle_predict(loop, body, SPR, flops, tids=[0, 4, 7])
+        for cache in (None, TraceCache()):
+            _same_prediction(
+                predict(loop, body, SPR, sample_threads=2,
+                        total_flops=flops, trace_cache=cache), want)
 
     def test_falls_back_to_lru_on_zero_footprint(self):
         """Traces violating reuse preconditions use the oracle replay."""
@@ -199,10 +221,12 @@ class TestFastPredictBitIdentity:
                              flops=1.0)
 
         loop = ThreadedLoop(specs, "ab", num_threads=1)
-        a = predict(loop, weird, SPR)
-        b = predict(loop, weird, SPR, trace_cache=TraceCache())
-        assert a.seconds == b.seconds
-        assert a.per_thread_seconds == b.per_thread_seconds
+        with pytest.raises(ValueError, match="positive"):
+            compile_trace(trace_threaded_loop(loop, weird)[0])
+        want = _oracle_predict(loop, weird, SPR)
+        for cache in (None, TraceCache()):
+            _same_prediction(predict(loop, weird, SPR, trace_cache=cache),
+                             want)
 
 
 class TestCompiledTrace:
@@ -227,9 +251,22 @@ class TestCompiledTrace:
 
 class TestEngineWithCache:
     def test_simulate_identical_with_trace_cache(self):
+        """``simulate`` matches the uncached oracle: per-thread capture
+        and lock-step replay for static schedules, a flat trace and
+        greedy replay for dynamic ones (ADL's hybrid cores tell the two
+        replays apart)."""
         specs, body = _gemm_workload()
-        for spec in ("bCa", "bca @ schedule(dynamic, 1)"):
+        shared = TraceCache()
+        for spec in ("bCa", "bca @ schedule(dynamic, 1)",
+                     "bCa @ schedule(dynamic, 1)"):
             loop = ThreadedLoop(specs, spec, num_threads=4)
-            a = simulate(loop, body, SPR)
-            b = simulate(loop, body, SPR, trace_cache=TraceCache())
-            assert a == b
+            for machine in (SPR, ADL):
+                if "dynamic" in spec:
+                    want = simulate_flat(trace_flat(loop, body), machine,
+                                         loop.num_threads)
+                else:
+                    want = simulate_traces(trace_threaded_loop(loop, body),
+                                           machine)
+                for cache in (None, TraceCache(), shared):
+                    assert simulate(loop, body, machine,
+                                    trace_cache=cache) == want

@@ -74,12 +74,14 @@ class FuzzFamily:
     ``execution="serial"`` the kernel runs the *serialized* spec on one
     thread (the reference); with ``"threads"`` it runs the candidate spec
     on real threads; with ``"batched"`` it runs the candidate spec on the
-    batched backend.
+    batched backend.  ``make(spec, block_steps, num_threads, backend)``
+    returns the bare kernel those runs use.
     """
 
     name: str
     base_specs: tuple          # LoopSpecs per logical loop, no block chains
     build: object
+    make: object
 
 
 @dataclass
@@ -137,7 +139,7 @@ def _family(name: str, base: tuple, make, run) -> FuzzFamily:
                                      execution="threads")
         return kern.loop, lambda: run(kern), kern.sim_body(SPR)
 
-    return FuzzFamily(name, base, build)
+    return FuzzFamily(name, base, build, make)
 
 
 def _gemm_family(name: str = "gemm", mlp: bool = False) -> FuzzFamily:

@@ -133,9 +133,8 @@ class ParlooperSpmm(ParlooperKernel):
 
         def body(ind):
             i_m, i_n = ind[0], ind[1]
+            # an empty block row still stores its (zero) C block: beta=0
             cols = [kc for kc, _blk in a.row_blocks(i_m)]
-            if not cols:
-                return None
             a_keys = [("Asp", i_m, kc) for kc in cols]
             b_keys = [("B", kc, i_n) for kc in cols]
             return spmm_event(machine, self.dtype, a.bm, self.bn, a.bk,

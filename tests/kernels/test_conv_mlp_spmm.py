@@ -224,6 +224,23 @@ class TestSpmm:
             512, dtype=DType.BF16, num_threads=8)
         assert big.effective_gflops(SPR) > 2 * small.effective_gflops(SPR)
 
+    @pytest.mark.parametrize("backend", ["interp", "batched"])
+    def test_empty_block_row_writes_zero_c(self, backend):
+        """Both executors store a zero C block for an empty block row
+        (beta = 0), so the simulator charges that write: zero flops, one
+        C write and no reads."""
+        a = np.ones((64, 64), dtype=np.float32)
+        a[16:32, :] = 0.0
+        sp = ParlooperSpmm(BCSCMatrix.from_dense(a, 16, 16), 64, bn=16,
+                           num_threads=2, backend=backend)
+        c = np.full((64, 64), 7.0, dtype=np.float32)
+        sp(sp.pack_b(rand(64, 64, seed=21)), c)
+        assert not c[16:32].any()
+        ev = sp.sim_body(SPR)([1, 0])
+        assert ev.flops == 0.0
+        assert [(acc.key, acc.write) for acc in ev.accesses] == \
+            [(("C", 1, 0), True)]
+
     def test_b_shape_validated(self):
         a = block_sparse(64, 64, 8, 8, 0.5)
         sp = ParlooperSpmm(BCSCMatrix.from_dense(a, 8, 8), 64)

@@ -232,10 +232,7 @@ def _spmm_with_empty_row():
 
 
 FIXED = {
-    "spmm-empty-block-row": pytest.param(
-        _spmm_with_empty_row, marks=pytest.mark.xfail(
-            strict=True, reason="sim_body drops an empty block row's C "
-                                "write")),
+    "spmm-empty-block-row": _spmm_with_empty_row,
     "conv-stride2-w_step<Q": lambda: ParlooperConv(
         ConvSpec(N=1, C=32, K=32, H=11, W=11, stride=2), bc=16, bk=16,
         w_step=1, c_step=2, spec_string="Abcdefg", num_threads=2),

@@ -21,7 +21,6 @@ from __future__ import annotations
 import os
 
 from ..obs.context import current as _obs
-from .batched import resolve_backend
 from .cache import NestCache, global_nest_cache
 from .codegen import GeneratedNest
 from .errors import ExecutionError, SpecError
@@ -61,25 +60,16 @@ class ThreadedLoop:
         ``"serial"`` (deterministic emulation, default) or ``"threads"``.
     cache:
         Nest cache to use; defaults to the process-global cache.
-    backend:
-        ``"interp"`` (per-iteration ``body_func`` calls, default) or
-        ``"batched"``.  ``__call__`` always interprets — the knob is
-        advisory, recorded here so kernels that own a ThreadedLoop can
-        dispatch their tile-level batched executors
-        (:mod:`repro.kernels.batched`) and fall back per
-        :func:`repro.core.batched.batchable`.
     """
 
     def __init__(self, specs, spec_string: str,
                  num_threads: int | None = None,
                  execution: str = "serial",
-                 cache: NestCache | None = None,
-                 backend: str = "interp"):
+                 cache: NestCache | None = None):
         if isinstance(specs, LoopSpecs):
             specs = [specs]
         self.specs = tuple(specs)
         self.spec_string = spec_string
-        self.backend = resolve_backend(backend)
         with _obs().span("compile", spec=spec_string):
             self.plan: LoopNestPlan = build_plan(self.specs, spec_string)
             self.execution = execution
@@ -150,7 +140,7 @@ class ThreadedLoop:
         the knob varies (§II-D).
         """
         opts = dict(num_threads=None, execution=self.execution,
-                    cache=self._cache, backend=self.backend)
+                    cache=self._cache)
         opts.update(kwargs)
         return ThreadedLoop(self.specs, spec_string, **opts)
 

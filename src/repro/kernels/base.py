@@ -32,7 +32,7 @@ from ..core.threaded_loop import ThreadedLoop
 from ..platform.machine import MachineModel
 from ..simulator.engine import SimResult
 from .abft import record_abft_outcome, resolve_abft
-from .batched import record_backend_outcome
+from .batched import record_backend_outcome, resolve_backend
 
 __all__ = ["ParlooperKernel"]
 
@@ -54,13 +54,9 @@ class ParlooperKernel:
     def __init__(self, specs, spec_string: str, num_threads: int | None,
                  backend: str, abft: str):
         self.abft = resolve_abft(abft)
-        self.loop = ThreadedLoop(specs, spec_string,
-                                 num_threads=num_threads, backend=backend)
+        self.backend = resolve_backend(backend)
+        self.loop = ThreadedLoop(specs, spec_string, num_threads=num_threads)
         self._sim_bodies: dict = {}
-
-    @property
-    def backend(self) -> str:
-        return self.loop.backend
 
     @property
     def num_threads(self) -> int:

@@ -116,21 +116,15 @@ class Session:
     # -- core -------------------------------------------------------------
     def compile(self, specs, spec_string: str,
                 num_threads: int | None = None,
-                execution: str = "serial",
-                backend: str = "interp") -> ThreadedLoop:
+                execution: str = "serial") -> ThreadedLoop:
         """Build (or fetch from this session's nest cache) a
-        :class:`~repro.core.threaded_loop.ThreadedLoop`.
-
-        ``backend="batched"`` marks the loop for tile-level batched
-        execution (see :mod:`repro.kernels.batched`); kernels holding
-        the loop dispatch accordingly and fall back to the interpreter
-        when :func:`repro.core.batched.batchable` says no."""
+        :class:`~repro.core.threaded_loop.ThreadedLoop`.  The execution
+        backend is a kernel knob (``backend=`` on the kernel ctors)."""
         with self.activate():
             return ThreadedLoop(specs, spec_string,
                                 num_threads=num_threads,
                                 execution=execution,
-                                cache=self.nest_cache,
-                                backend=backend)
+                                cache=self.nest_cache)
 
     # -- simulator ---------------------------------------------------------
     def _resolve_machine(self, machine):

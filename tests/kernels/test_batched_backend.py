@@ -44,13 +44,21 @@ class TestBackendKnob:
         with pytest.raises(ValueError, match="unknown backend"):
             ParlooperGemm(64, 64, 64, 32, 32, 32, backend="bogus")
 
-    def test_session_compile_validates_backend(self):
-        from repro.core import LoopSpecs
-        from repro.session import Session
-        with pytest.raises(ValueError) as exc:
-            Session().compile([LoopSpecs(0, 4, 1)], "a", backend="bogus")
-        # the error names every valid choice
-        assert "interp" in str(exc.value) and "batched" in str(exc.value)
+    def test_loop_swap_keeps_the_kernel_backend(self):
+        """The backend belongs to the kernel: swapping in a new loop (as
+        the fuzzer and the tuner do) keeps a batched kernel batched."""
+        from repro.obs import MetricRegistry, ObsContext, use
+        kern = ParlooperGemm(64, 64, 64, 16, 16, 16, num_threads=2,
+                             backend="batched")
+        kern.loop = ThreadedLoop(kern.loop.specs, "aBc", num_threads=2)
+        assert kern.backend == "batched"
+        a, b = ints((64, 64)), ints((64, 64))
+        reg = MetricRegistry()
+        with use(ObsContext(metrics=reg)):
+            out = kern.run_flat(a, b)
+        assert reg.value("batched_exec", kernel="gemm",
+                         outcome="lowered") == 1
+        assert np.array_equal(out, a @ b)
 
     def test_kernel_ctor_validates_abft(self):
         with pytest.raises(ValueError) as exc:

@@ -35,8 +35,7 @@ def _conv(rng, backend, eligible=True, abft="off"):
     if not eligible:
         # a barrier spec at two threads needs real threads to run at all
         kern.loop = ThreadedLoop(kern.loop.specs, "A|bcdefg",
-                                 num_threads=2, execution="threads",
-                                 backend=backend)
+                                 num_threads=2, execution="threads")
     I = kern.pack_input(ints(rng, 2, 32, 6, 6))
     Wt = kern.pack_weights(ints(rng, 32, 32, 3, 3))
     return lambda: kern(I, Wt, kern.alloc_output())

@@ -1,26 +1,23 @@
-"""Fault-injection registry for nest execution.
+"""Fault-injection registry for kernel execution.
 
-The runtime and the batched executors need a way to hand each completed
-tile to an (optional) corruption injector without importing the
-resilience package — ``repro.resilience`` already imports serve/kernel
-modules, so a direct dependency here would be circular.  This module is
-the narrow waist: a single module-global slot holding the active
-injector, set and cleared by :func:`repro.resilience.sdc.sdc_injection`.
+Kernels need a way to hand each completed tile to an (optional)
+corruption injector without importing the resilience package —
+``repro.resilience`` already imports serve/kernel modules, so a direct
+dependency here would be circular.  This module is the narrow waist: a
+single module-global slot holding the active injector, set and cleared
+by :func:`repro.resilience.sdc.sdc_injection`.
 
-An injector is any object with the protocol consumed by
-:mod:`repro.core.runtime` and :mod:`repro.kernels.batched`:
+An injector is any object with the protocol :mod:`repro.kernels`
+consumes:
 
-* ``begin_call(locator)`` — a kernel announces one nest execution and
-  registers a ``locator(ind) -> ndarray | None`` mapping a body index
-  tuple to the output tile it finalised (``None`` when the index is not
-  a final write).  Returns the call index.
-* ``bind(body_func)`` — the runtime asks for a wrapped body; returns
-  ``None`` when the injector is not armed for this nest (e.g. a tuner
-  probe nest running inside the same context).
-* ``maybe_flip(tile, ind)`` — the batched executors offer each stored
-  tile directly.
+* ``begin_call()`` — a kernel announces one nest execution; returns the
+  call index.
+* ``maybe_flip(tile, ind)`` — either executor offers each output tile a
+  body call finalised, keyed by that call's body index tuple.
 
-Everything here is dependency-free on purpose; keep it that way.
+The nest runtime never sees the injector, so bare nests (tuner probes,
+verifier replays) run untouched.  Everything here is dependency-free on
+purpose; keep it that way.
 """
 
 __all__ = ["set_injector", "active_injector", "clear_injector"]

@@ -21,7 +21,6 @@ import threading
 
 from ..obs.context import current as _obs
 from .errors import ExecutionError, SpecError
-from .inject import active_injector
 
 __all__ = ["NestContext", "run_nest", "EXECUTION_MODES"]
 
@@ -142,15 +141,6 @@ def _run_nest(nest_func, num_threads: int, body_func, init_func,
         raise ExecutionError(
             f"thread grid {(gr, gc, gd)} requires {gr * gc * gd} threads "
             f"but {num_threads} were provided")
-
-    # corruption-injection hook: when an armed injector is installed
-    # (repro.resilience.sdc via repro.core.inject), the body is wrapped
-    # so each finalised output tile can take a seeded bit flip
-    injector = active_injector()
-    if injector is not None:
-        hooked = injector.bind(body_func)
-        if hooked is not None:
-            body_func = hooked
 
     if num_threads == 1:
         # single logical thread: no interleaving possible in either mode,

@@ -1,40 +1,51 @@
 """The kernel protocol shared by the GEMM, conv and SpMM families.
 
-A kernel in the paper is a loop declaration, a spec string and a TPP
-body (Listings 1, 4, 5).  :class:`ParlooperKernel` owns everything
-around those: the ``backend`` / ``num_threads`` / ``abft`` knobs, the
-choice between the batched executor and the interpreter, SDC injector
-arming, the ABFT detect → correct → recompute ladder, the simulator-body
-cache and session-routed :meth:`~ParlooperKernel.simulate` /
-:meth:`~ParlooperKernel.predict`.  A family supplies
-
-* its loop declaration, passed to ``__init__``, and ``kind``, the
-  ``kernel`` label of its ``batched_exec`` / ``sdc_events`` counters;
-* ``_interp_body(*ops)``, the interpreter body of one call, and
-  ``_final_tile(*ops)``, which maps a body index to the output tile it
-  finalised (``None`` when it finalised none);
-* ``_batched_ok()``, ``(eligible, reason)`` for its batched lowering,
-  and ``_run_batched(*ops)``, the lowering itself;
-* ``sim_body(machine, *sim_args)`` and ``_key_fields()`` (the fields
-  its trace-cache key needs besides the machine);
-* ``_checksum(*ops)``, and ``_correct(check, *ops)`` where its checksum
-  can repair in place.
-
-``ops`` is the family's operand tuple, passed unchanged from its
-``__call__`` through both executors and the ABFT ladder.
+In the paper each body call is one TPP call on block addresses
+(Listings 1, 4, 5).  A family writes those addresses once, in
+``block_map(ind)``: plain index arithmetic that maps one body index to
+its :class:`BlockMap`, or one index column per loop to the maps of a
+whole run of calls.  The interpreter, the batched executor all families
+share (:mod:`repro.kernels.batched`), the SDC final-tile offer and
+``sim_body`` read it.  :class:`ParlooperKernel` owns the knobs, the
+executor choice, the ABFT ladder and session-routed ``simulate`` /
+``predict``.  Besides its loops, ``kind`` and ``block_map``, a family
+supplies ``_blocks(*ops)`` (its ``__call__`` operands as input and
+output arrays of blocks), ``_tpp_call`` (one call's TPPs),
+``_tpp_batched`` / ``_epilogue`` where its body is not one bare BRGEMM,
+``_layout_gate``, ``tensors`` / ``_events`` / ``_key_fields`` for the
+simulator, and ``_checksum`` / ``_correct`` for ABFT.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
+from ..core.batched import resolve_backend
 from ..core.errors import SdcDetectedError
 from ..core.inject import active_injector
 from ..core.threaded_loop import ThreadedLoop
+from ..obs.context import current as _obs
 from ..platform.machine import MachineModel
 from ..simulator.engine import SimResult
+from ..tpp.batched import batched_brgemm
 from .abft import record_abft_outcome, resolve_abft
-from .batched import record_backend_outcome, resolve_backend
+from .batched import batched_ok, offer_final_tiles, run_batched
 
-__all__ = ["ParlooperKernel"]
+__all__ = ["ParlooperKernel", "BlockMap"]
+
+
+class BlockMap(NamedTuple):
+    """A body call's block addresses: ``reads[j]``, the coordinates of
+    the blocks it reads from input ``j``; ``write``, those of the output
+    block; ``first`` / ``last``, whether it starts (zeroes) or finishes
+    (epilogue, SDC offer) that block.  From index columns every entry is
+    a column, and ragged reads pad to the longest call with ``count``."""
+
+    reads: tuple
+    write: tuple
+    first: object
+    last: object
+    count: object = None
 
 
 def _session(session):
@@ -96,22 +107,41 @@ class ParlooperKernel:
     def _execute(self, *ops) -> None:
         """One nest execution: the batched executor when the plan allows
         it, else the interpreter, counted on ``batched_exec`` for
-        batched kernels.  The active SDC injector is armed either way;
-        the interpreter's with the final-tile locator."""
+        batched kernels.  Either way an active SDC injector is offered
+        every output tile a call finalises."""
         injector = active_injector()
-        if self.backend == "batched":
-            ok, reason = self._batched_ok()
-            if ok:
-                record_backend_outcome(self.kind, "lowered")
-                if injector is not None:
-                    injector.begin_call()
-                self._run_batched(*ops)
-                return
-            record_backend_outcome(self.kind, "fallback", reason)
-        body = self._interp_body(*ops)
         if injector is not None:
-            injector.begin_call(self._final_tile(*ops))
+            injector.begin_call()
+        if self.backend == "batched":
+            ok, reason = batched_ok(self)
+            if _obs().enabled:
+                _obs().inc("batched_exec", kernel=self.kind,
+                           outcome="lowered" if ok else "fallback",
+                           **({"reason": reason} if reason else {}))
+            if ok:
+                run_batched(self, *ops)
+                return
+        ins, out = self._blocks(*ops)
+
+        def body(ind):
+            m = self.block_map(ind)
+            tile = out[m.write]
+            self._tpp_call(m, ins, tile, *ops)
+            if injector is not None:
+                offer_final_tiles(injector, out, (m.write,), (m.last,),
+                                  (ind,))
+
         self.loop(body)
+
+    def _tpp_batched(self, reads, old):
+        tpp = self.brgemm_tpp
+        return batched_brgemm(*reads, old, tpp.beta, tpp.precision)
+
+    def _epilogue(self, stored, write, *ops):
+        return stored
+
+    #: why the family's operand layout keeps the batched executor off
+    _layout_gate = ""
 
     def _correct(self, check, *ops) -> bool:
         """Repair *check*'s corruption in place; False when the family's
@@ -123,6 +153,21 @@ class ParlooperKernel:
     def _score_flops(self) -> int:
         """The flop count :meth:`predict` scores against."""
         return self.flops
+
+    def sim_body(self, machine: MachineModel, names=None):
+        """Simulator description of one body call, read off its block
+        map.  *names* relabel the tensors: an MLP layer passes its
+        weights and the activations it reads and writes, so the engine
+        sees one layer's output as the next layer's input."""
+        names = names or self.tensors
+
+        def body(ind):
+            m = self.block_map(ind)
+            keys = [[(t, *map(int, c)) for c in r]
+                    for t, r in zip(names, m.reads)]
+            return self._events(machine, keys, (names[-1], *m.write),
+                                m.first, m.last)
+        return body
 
     def _cached_sim_body(self, machine: MachineModel, *sim_args):
         """One closure per (machine, sim args): repeated simulate/predict

@@ -14,7 +14,7 @@ from ..tpp.dtypes import DType, from_compute
 
 __all__ = ["pack_a_blocked", "pack_b_blocked", "pack_c_blocked",
            "unpack_c_blocked", "alloc_blocked_c", "as_dtype",
-           "divisible"]
+           "divisible", "tiles"]
 
 
 def divisible(value: int, block: int, what: str) -> None:
@@ -56,6 +56,12 @@ def pack_c_blocked(c: np.ndarray, bm: int, bn: int,
     divisible(n, bn, "N")
     blocked = c.reshape(m // bm, bm, n // bn, bn).transpose(2, 0, 1, 3)
     return np.ascontiguousarray(as_dtype(blocked, dtype))
+
+
+def tiles(x: np.ndarray, r: int, c: int) -> np.ndarray:
+    """A flat (R, C) matrix seen, without a copy, as ``[R/r][C/c]``
+    blocks of (r, c)."""
+    return x.reshape(x.shape[0] // r, r, x.shape[1] // c, c).swapaxes(1, 2)
 
 
 def unpack_c_blocked(cb: np.ndarray) -> np.ndarray:

@@ -6,11 +6,9 @@ Seven logical loops traverse the iteration space::
     c = Kb (output-channel blocks)   d = P (output rows, step h_step)
     e = Q (output cols, step w_step) f = R, g = S (filter taps)
 
-The body folds ``c_step * r_step * s_step`` contraction steps into one
-batch-reduce GEMM of shape (w_step pixels) x (bk out-channels) x (bc
-in-channels); R = S = 1 convolutions degenerate to the stride-based
-BRGEMM, others use gathered-address blocks (the offset-based variant of
-the paper).
+The body folds ``c_step * R * S`` contraction steps into one
+address-based batch-reduce GEMM of shape (w_step pixels) x (bk
+out-channels) x (bc in-channels).
 
 Tensor layouts (Listing 4 lines 1-3)::
 
@@ -27,14 +25,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.loop_spec import LoopSpecs
-from ..platform.machine import MachineModel
 from ..simulator.cost import brgemm_event
 from ..tpp.dtypes import DType, Precision
 from ..tpp.gemm import BRGemmTPP
 from ..tpp.unary import ZeroTPP
 from .abft import conv_check
-from .base import ParlooperKernel
-from .batched import conv_batched_ok, run_conv_batched
+from .base import BlockMap, ParlooperKernel
 from .common import as_dtype, divisible
 
 __all__ = ["ConvSpec", "ParlooperConv", "DEFAULT_CONV_SPEC"]
@@ -74,6 +70,7 @@ class ParlooperConv(ParlooperKernel):
     """Forward convolution kernel (Listing 4)."""
 
     kind = "conv"
+    tensors = ("I", "Wt", "O")
 
     def __init__(self, spec: ConvSpec, bc: int = 64, bk: int = 64,
                  w_step: int | None = None, c_step: int = 1,
@@ -142,41 +139,34 @@ class ParlooperConv(ParlooperKernel):
         self._compute(I, Wt, O)
         return O
 
-    def _batched_ok(self) -> tuple:
-        return conv_batched_ok(self)
-
-    def _run_batched(self, I, Wt, O):
-        run_conv_batched(self, I, Wt, O)
-
-    def _interp_body(self, I, Wt, O):
+    # -- the block map and its executors -----------------------------------
+    def block_map(self, ind) -> BlockMap:
+        """Listing 4's addresses: call ``(n, c, k, h, w, r, s)`` reduces,
+        per folded (channel block, tap), the ``w_step``-pixel input window
+        at ``I[n][c][h*stride + r]``, column ``w*stride + s``, against
+        ``W[k][c][r][s]`` into window ``O[n][k][h]``, column ``w``."""
+        n, ic, ik, ih, iw, ir, is_ = ind
         sp = self.spec
-        st = sp.stride
+        taps = [(ic + c, ir + r, is_ + s) for c in range(self.c_step)
+                for r in range(sp.R) for s in range(sp.S)]
+        return BlockMap(
+            reads=([(n, c, ih * sp.stride + r, iw * sp.stride + s)
+                    for c, r, s in taps],
+                   [(ik, c, r, s) for c, r, s in taps]),
+            write=(n, ik, ih, iw), first=(ic == 0) & (ir == 0) & (is_ == 0),
+            last=ic == self.Cb - self.c_step)
 
-        def body(ind):
-            in_, ic, ik, ih, iw, ir, is_ = ind
-            if ic == 0 and ir == 0 and is_ == 0:
-                self.zero_tpp(O[in_][ik][ih, iw:iw + self.w_step])
-            a_blocks = []
-            b_blocks = []
-            for c in range(ic, ic + self.c_step):
-                for r in range(ir, ir + sp.R):
-                    for s in range(is_, is_ + sp.S):
-                        row = ih * st + r
-                        col0 = iw * st + s
-                        a_blocks.append(
-                            I[in_, c, row,
-                              col0:col0 + self.w_step * st:st, :])
-                        b_blocks.append(Wt[ik, c, r, s])
-            brcount = len(a_blocks)
-            self.brgemm_tpp(a_blocks, b_blocks,
-                            O[in_][ik][ih, iw:iw + self.w_step], brcount)
-        return body
+    def _blocks(self, I, Wt, O):
+        return ((_windows(I, self.w_step, self.spec.stride), Wt),
+                _windows(O, self.w_step, 1))
 
-    def _final_tile(self, I, Wt, O):
-        c_final = self.Cb - self.c_step
-        ws = self.w_step
-        return (lambda ind: O[ind[0]][ind[2]][ind[3], ind[4]:ind[4] + ws]
-                if ind[1] == c_final else None)
+    def _tpp_call(self, m, ins, o_blk, I, Wt, O):
+        """Listing 4's body: zero the output window on the first
+        reduction step, then one address-based BRGEMM."""
+        if m.first:
+            self.zero_tpp(o_blk)
+        a = [ins[0][x] for x in m.reads[0]]
+        self.brgemm_tpp(a, [ins[1][x] for x in m.reads[1]], o_blk, len(a))
 
     def _checksum(self, I, Wt, O):
         # the channel-sum checksum detects but cannot locate within the
@@ -196,25 +186,22 @@ class ParlooperConv(ParlooperKernel):
     def flops(self) -> int:
         return self.spec.flops
 
-    def sim_body(self, machine: MachineModel):
-        sp = self.spec
-        brcount = self.c_step * sp.R * sp.S
-
-        def body(ind):
-            in_, ic, ik, ih, iw, ir, is_ = ind
-            # input rows touched: one slice per (c-block, input row)
-            a_keys = [("I", in_, c, ih * sp.stride + r)
-                      for c in range(ic, ic + self.c_step)
-                      for r in range(sp.R)]
-            b_keys = [("Wt", ik, c, r, s)
-                      for c in range(ic, ic + self.c_step)
-                      for r in range(sp.R) for s in range(sp.S)]
-            return brgemm_event(
-                machine, self.dtype, self.w_step, self.bk, self.bc,
-                brcount, a_keys, b_keys, ("O", in_, ik, ih, iw),
-                beta=1.0, c_first_touch=(ic == 0))
-        return body
+    def _events(self, machine, keys, o_key, first, last):
+        # input rows touched: one slice per (channel block, input row)
+        rows = list(dict.fromkeys(key[:4] for key in keys[0]))
+        return brgemm_event(
+            machine, self.dtype, self.w_step, self.bk, self.bc,
+            len(keys[1]), rows, keys[1], o_key, beta=1.0,
+            c_first_touch=first)
 
     def _key_fields(self) -> tuple:
         return (self.spec, self.bc, self.bk, self.w_step, self.c_step,
                 self.dtype)
+
+
+def _windows(x: np.ndarray, width: int, stride: int) -> np.ndarray:
+    """``x[n][c][h][w][ch]`` as windows ``[n][c][h][w0]`` of *width*
+    pixels *stride* columns apart, starting at column ``w0``."""
+    return np.lib.stride_tricks.sliding_window_view(
+        x, (width - 1) * stride + 1, axis=3,
+        writeable=True)[..., ::stride].swapaxes(-1, -2)

@@ -13,18 +13,17 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.loop_spec import LoopSpecs
-from ..platform.machine import MachineModel
 from ..simulator.cost import brgemm_event, eltwise_event
 from ..tpp.dtypes import DType, Precision
 from ..tpp.gemm import BRGemmTPP
+from ..tpp.batched import batched_bias_add_col, batched_unary
+from ..tpp.binary import BiasAddColTPP
 from ..tpp.memory import Ptr
 from ..tpp.unary import GeluTPP, ReluTPP, ZeroTPP
-from ..tpp.binary import BiasAddColTPP
 from .abft import gemm_check, gemm_correct_single
-from .base import ParlooperKernel
-from .batched import gemm_batched_ok, run_gemm_batched
-from .common import (alloc_blocked_c, divisible, pack_a_blocked,
-                     pack_b_blocked, unpack_c_blocked)
+from .base import BlockMap, ParlooperKernel
+from .common import (alloc_blocked_c, as_dtype, divisible, pack_a_blocked,
+                     pack_b_blocked, tiles, unpack_c_blocked)
 
 __all__ = ["ParlooperGemm", "DEFAULT_GEMM_SPEC"]
 
@@ -59,6 +58,7 @@ class ParlooperGemm(ParlooperKernel):
     """
 
     kind = "gemm"
+    tensors = ("A", "B", "C")
 
     def __init__(self, M: int, N: int, K: int,
                  bm: int = 64, bn: int = 64, bk: int = 64,
@@ -89,12 +89,18 @@ class ParlooperGemm(ParlooperKernel):
         self.activation = activation
         self.bias = bias
         self.flat_b = flat_b
+        if flat_b:
+            self._layout_gate = "flat-B layout gathers per-iteration " \
+                                "address blocks"
 
         prec = Precision.of(dtype)
         self.zero_tpp = ZeroTPP(bm, bn, prec)
         self.brgemm_tpp = BRGemmTPP(
             bm, bn, bk, stride_a=bm * bk, stride_b=bk * bn,
             beta=1.0, precision=prec)
+        # flat B has no block stride: its blocks are gathered by address
+        self.addr_tpp = BRGemmTPP(bm, bn, bk, variant="address", beta=1.0,
+                                  precision=prec)
         self.act_tpp = (_ACTIVATIONS[activation](bm, bn, prec)
                         if _ACTIVATIONS[activation] else None)
         self.bias_tpp = BiasAddColTPP(bm, bn, prec) if bias else None
@@ -111,7 +117,6 @@ class ParlooperGemm(ParlooperKernel):
 
     def pack_b(self, b: np.ndarray) -> np.ndarray:
         if self.flat_b:
-            from .common import as_dtype
             return np.ascontiguousarray(as_dtype(b, self.dtype))
         return pack_b_blocked(b, self.bk, self.bn, self.dtype)
 
@@ -128,9 +133,9 @@ class ParlooperGemm(ParlooperKernel):
 
         With ``abft != "off"`` the fused epilogue is deferred: the nest
         computes the *linear* C, the Huang–Abraham checksums verify (and
-        in ``"correct"`` mode repair or recompute) it, and the identical
-        per-block bias/activation TPPs are applied afterwards — the
-        epilogue is not invertible, the linear part is.
+        in ``"correct"`` mode repair or recompute) it, and the same
+        bias/activation is applied afterwards — the epilogue is not
+        invertible, the linear part is.
         """
         if self.bias and bias_vec is None:
             raise ValueError("kernel was built with bias=True; pass bias_vec")
@@ -138,45 +143,60 @@ class ParlooperGemm(ParlooperKernel):
                                         or self.act_tpp is not None)
         self._compute(A, B, C, bias_vec, defer)
         if defer:
-            self._apply_epilogue(C, bias_vec)
+            stack = C.reshape(-1, self.bm, self.bn)
+            stack[:] = self._epilogue(
+                stack, np.divmod(np.arange(len(stack)), self.Mb), A, B, C,
+                bias_vec, False)
         return C
 
-    def _batched_ok(self) -> tuple:
-        return gemm_batched_ok(self)
+    # -- the block map and its executors -----------------------------------
+    def block_map(self, ind) -> BlockMap:
+        """Listing 1's addresses: call ``(ik, im, in)`` reduces
+        ``A[im][ik + i]`` x ``B[in][ik + i]``, ``i < k_step``, into
+        ``C[in][im]``, starting it at ``ik = 0`` and finishing it at the
+        last K step."""
+        ik, im, in_ = ind[0], ind[1], ind[2]
+        ks = [ik + i for i in range(self.k_step)]
+        return BlockMap(reads=([(im, k) for k in ks], [(in_, k) for k in ks]),
+                        write=(in_, im), first=ik == 0,
+                        last=ik == self.Kb - self.k_step)
 
-    def _run_batched(self, A, B, C, bias_vec, defer):
-        run_gemm_batched(self, A, B, C, bias_vec, defer_epilogue=defer)
+    def _blocks(self, A, B, C, bias_vec, defer):
+        if self.flat_b:          # the flat (K, N) B as [Nb][Kb] blocks
+            B = tiles(B, self.bk, self.bn).swapaxes(0, 1)
+        return (A, B), C
 
-    def _interp_body(self, A, B, C, bias_vec, defer):
-        last_k = self.Kb - self.k_step
+    def _tpp_call(self, m, ins, c_blk, A, B, C, bias_vec, defer):
+        """Listing 1 lines 13-16, plus the fused epilogue (§III-A1) on
+        the call that finishes its block."""
+        a, b = m.reads
+        if m.first:
+            self.zero_tpp(c_blk)
+        if self.flat_b:
+            self.addr_tpp([A[x] for x in a], [ins[1][x] for x in b], c_blk,
+                          self.k_step)
+        else:
+            self.brgemm_tpp(Ptr.of(A, *a[0]), Ptr.of(B, *b[0]), c_blk,
+                            self.k_step)
+        if m.last and not defer:
+            if self.bias_tpp is not None:
+                # per-output-feature bias: broadcast down the minibatch
+                im = a[0][0]
+                self.bias_tpp(c_blk, bias_vec[im * self.bm:
+                                              (im + 1) * self.bm])
+            if self.act_tpp is not None:
+                self.act_tpp(c_blk)
 
-        def body(ind):
-            ik, im, in_ = ind[0], ind[1], ind[2]
-            brcount = self.k_step
-            c_blk = C[in_][im]
-            if ik == 0:
-                self.zero_tpp(c_blk)
-            if self.flat_b:
-                b_blocks = [B[k * self.bk:(k + 1) * self.bk,
-                              in_ * self.bn:(in_ + 1) * self.bn]
-                            for k in range(ik, ik + brcount)]
-                a_blocks = [A[im, k] for k in range(ik, ik + brcount)]
-                self._addr_brgemm(a_blocks, b_blocks, c_blk, brcount)
-            else:
-                self.brgemm_tpp(Ptr.of(A, im, ik), Ptr.of(B, in_, ik),
-                                c_blk, brcount)
-            if ik == last_k and not defer:
-                if self.bias_tpp is not None:
-                    # per-output-feature bias: broadcast down the minibatch
-                    self.bias_tpp(c_blk, bias_vec[im * self.bm:
-                                                  (im + 1) * self.bm])
-                if self.act_tpp is not None:
-                    self.act_tpp(c_blk)
-        return body
-
-    def _final_tile(self, A, B, C, bias_vec, defer):
-        last_k = self.Kb - self.k_step
-        return lambda ind: C[ind[2]][ind[1]] if ind[0] == last_k else None
+    def _epilogue(self, stack, write, A, B, C, bias_vec, defer):
+        """Bias + activation on stacked C tiles, by the batched twins of
+        the epilogue TPPs (which round alike); deferred under ABFT."""
+        prec = Precision.of(self.dtype)
+        if self.bias_tpp is not None and not defer:
+            bias = np.asarray(bias_vec).reshape(self.Mb, self.bm)
+            stack = batched_bias_add_col(stack, bias[write[1]], prec)
+        if self.act_tpp is not None and not defer:
+            stack = batched_unary(stack, self.activation, prec)
+        return stack
 
     def _checksum(self, A, B, C, bias_vec, defer):
         return gemm_check(self, A, B, C)
@@ -188,33 +208,6 @@ class ParlooperGemm(ParlooperKernel):
             return False
         gemm_correct_single(self, A, B, C, check)
         return not gemm_check(self, A, B, C).corrupt
-
-    def _apply_epilogue(self, C, bias_vec):
-        """The deferred fused epilogue, applied over the whole stacked
-        tile set at once — elementwise identical to the fused path (the
-        batched TPP equivalents round exactly like the per-block TPPs,
-        and are far cheaper than Mb*Nb Python calls)."""
-        if self.bias_tpp is None and self.act_tpp is None:
-            return
-        from ..tpp.batched import batched_bias_add_col, batched_unary
-        prec = Precision.of(self.dtype)
-        tiles = C.reshape(-1, self.bm, self.bn)
-        stored = tiles
-        if self.bias_tpp is not None:
-            bias_blocks = np.asarray(bias_vec).reshape(self.Mb, self.bm)
-            ims = np.tile(np.arange(self.Mb), self.Nb)
-            stored = batched_bias_add_col(stored, bias_blocks[ims], prec)
-        if self.act_tpp is not None:
-            stored = batched_unary(stored, self.activation, prec)
-        tiles[:] = stored
-
-    def _addr_brgemm(self, a_blocks, b_blocks, c_blk, brcount):
-        tpp = getattr(self, "_addr_tpp", None)
-        if tpp is None:
-            tpp = BRGemmTPP(self.bm, self.bn, self.bk, variant="address",
-                            beta=1.0, precision=Precision.of(self.dtype))
-            self._addr_tpp = tpp
-        tpp(a_blocks, b_blocks, c_blk, brcount)
 
     def run_flat(self, a: np.ndarray, b: np.ndarray,
                  bias_vec: np.ndarray | None = None) -> np.ndarray:
@@ -228,32 +221,16 @@ class ParlooperGemm(ParlooperKernel):
     def flops(self) -> int:
         return 2 * self.M * self.N * self.K
 
-    def sim_body(self, machine: MachineModel, names=("A", "B", "C")):
-        """Simulator description of one body invocation.
-
-        *names* label the A, B and C tensors: an MLP layer passes its
-        weights and the activations it reads and writes, so the engine
-        sees one layer's output as the next layer's input."""
-        a_name, b_name, c_name = names
-        scale = self._conflict_scale()
-        last_k = self.Kb - self.k_step
-
-        def body(ind):
-            ik, im, in_ = ind[0], ind[1], ind[2]
-            a_keys = [(a_name, im, k) for k in range(ik, ik + self.k_step)]
-            b_keys = [(b_name, in_, k) for k in range(ik, ik + self.k_step)]
-            events = [brgemm_event(
-                machine, self.dtype, self.bm, self.bn, self.bk, self.k_step,
-                a_keys, b_keys, (c_name, in_, im), beta=1.0,
-                c_first_touch=(ik == 0),
-                b_footprint_scale=scale)]
-            if ik == last_k and (self.act_tpp or self.bias_tpp):
-                events.append(eltwise_event(
-                    machine, self.dtype, self.bm, self.bn,
-                    [(c_name, in_, im)], (c_name, in_, im),
-                    flops_per_elem=2.0 if self.bias else 1.0))
-            return events
-        return body
+    def _events(self, machine, keys, c_key, first, last):
+        events = [brgemm_event(
+            machine, self.dtype, self.bm, self.bn, self.bk, self.k_step,
+            *keys, c_key, beta=1.0, c_first_touch=first,
+            b_footprint_scale=self._conflict_scale())]
+        if last and (self.act_tpp is not None or self.bias_tpp is not None):
+            events.append(eltwise_event(
+                machine, self.dtype, self.bm, self.bn, [c_key], c_key,
+                flops_per_elem=2.0 if self.bias else 1.0))
+        return events
 
     def _conflict_scale(self) -> float:
         """Cache-footprint inflation for flat-B with a large power-of-two

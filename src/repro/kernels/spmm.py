@@ -16,12 +16,12 @@ import numpy as np
 from ..core.loop_spec import LoopSpecs
 from ..platform.machine import MachineModel
 from ..simulator.cost import spmm_event
+from ..tpp.batched import batched_spmm
 from ..tpp.dtypes import DType, Precision
 from ..tpp.sparse import BCSCMatrix, BlockSpMMTPP
 from .abft import spmm_check
-from .base import ParlooperKernel
-from .batched import run_spmm_batched, spmm_batched_ok
-from .common import as_dtype, divisible
+from .base import BlockMap, ParlooperKernel
+from .common import as_dtype, divisible, tiles
 
 __all__ = ["ParlooperSpmm", "DEFAULT_SPMM_SPEC"]
 
@@ -32,6 +32,7 @@ class ParlooperSpmm(ParlooperKernel):
     """C = A_sparse x B_dense with BCSC block sparsity."""
 
     kind = "spmm"
+    tensors = ("Asp", "B", "C")
 
     def __init__(self, a: BCSCMatrix, N: int, bn: int = 64,
                  dtype: DType = DType.F32, b_vnni: int = 1,
@@ -47,6 +48,8 @@ class ParlooperSpmm(ParlooperKernel):
         self.Nb = N // bn
         self.dtype = dtype
         self.b_vnni = b_vnni
+        if b_vnni != 1:
+            self._layout_gate = "VNNI-packed B requires per-block re-layout"
 
         prec = Precision.of(dtype)
         self.spmm_tpp = BlockSpMMTPP(a.bm, bn, a.bk, beta=0.0,
@@ -79,28 +82,36 @@ class ParlooperSpmm(ParlooperKernel):
         self._compute(B, C)
         return C
 
-    def _batched_ok(self) -> tuple:
-        return spmm_batched_ok(self)
+    # -- the block map and its executors -----------------------------------
+    def block_map(self, ind) -> BlockMap:
+        """Listing 5's addresses: call ``(i_m, i_n)`` reduces the nonzero
+        blocks of A's block row ``i_m`` (read from ``a.values`` by
+        storage slot) against ``B[kc][i_n]`` into ``C[i_m][i_n]``, which
+        it writes whole (beta = 0): every call starts and finishes it."""
+        a = self.a
+        i_m, i_n = ind[0], ind[1]
+        start = a.row_ptr[i_m]
+        count = a.row_ptr[i_m + 1] - start
+        # a run pads its shorter block rows with any nonzero block
+        q = [(start + j) % a.nnz_blocks
+             for j in range(int(np.max(count, initial=0)))]
+        return BlockMap(reads=([(a.perm[p],) for p in q],
+                               [(a.col_idx[p], i_n) for p in q]),
+                        write=(i_m, i_n), first=True, last=True, count=count)
 
-    def _run_batched(self, B, C):
-        run_spmm_batched(self, B, C)
+    def _blocks(self, B, C):
+        a = self.a          # VNNI B stays unblocked: only interpreted
+        b = tiles(B, a.bk, self.bn) if self.b_vnni == 1 else B
+        return (a.values, b), tiles(C, a.bm, self.bn)
 
-    def _interp_body(self, B, C):
-        bm = self.a.bm
+    def _tpp_call(self, m, ins, c_blk, B, C):
+        """Listing 5's body: one BCSC microkernel call per C block."""
+        i_m, i_n = m.write
+        self.spmm_tpp(self.a, B, c_blk, block_row=i_m,
+                      n_start=i_n * self.bn)
 
-        def body(ind):
-            i_m, i_n = ind[0], ind[1]
-            self.spmm_tpp(self.a, B,
-                          C[i_m * bm:(i_m + 1) * bm,
-                            i_n * self.bn:(i_n + 1) * self.bn],
-                          block_row=i_m, n_start=i_n * self.bn)
-        return body
-
-    def _final_tile(self, B, C):
-        # each spmm body call is the final write of its C block
-        bm, bn = self.a.bm, self.bn
-        return lambda ind: C[ind[0] * bm:(ind[0] + 1) * bm,
-                             ind[1] * bn:(ind[1] + 1) * bn]
+    def _tpp_batched(self, reads, old):
+        return batched_spmm(*reads, old, self.spmm_tpp.precision)
 
     def _checksum(self, B, C):
         # the column checksum sums out M, so it detects but cannot locate
@@ -128,19 +139,13 @@ class ParlooperSpmm(ParlooperKernel):
         # predictions are scored in effective flops, like Fig 8
         return self.effective_flops
 
-    def sim_body(self, machine: MachineModel):
-        a = self.a
-
-        def body(ind):
-            i_m, i_n = ind[0], ind[1]
-            # an empty block row still stores its (zero) C block: beta=0
-            cols = [kc for kc, _blk in a.row_blocks(i_m)]
-            a_keys = [("Asp", i_m, kc) for kc in cols]
-            b_keys = [("B", kc, i_n) for kc in cols]
-            return spmm_event(machine, self.dtype, a.bm, self.bn, a.bk,
-                              len(cols), a_keys, b_keys,
-                              ("C", i_m, i_n), beta=0.0)
-        return body
+    def _events(self, machine, keys, c_key, first, last):
+        # A's slots are named by (block row, block column); an empty
+        # block row still stores its (zero) C block: beta = 0
+        a_keys = [("Asp", c_key[1], kc) for _, kc, _ in keys[1]]
+        return spmm_event(machine, self.dtype, self.a.bm, self.bn,
+                          self.a.bk, len(a_keys), a_keys, keys[1], c_key,
+                          beta=0.0)
 
     def _key_fields(self) -> tuple:
         return (self._a_token, self.N, self.bn, self.dtype)

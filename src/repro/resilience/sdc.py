@@ -10,13 +10,13 @@ finds replays from a single integer.
 Two injection surfaces share one :class:`SdcPlan`:
 
 * **kernel level** — an :class:`SdcInjector` installed via
-  :func:`sdc_injection` flips a bit inside finalised output tiles.  The
-  interpreter (`repro.core.runtime`) wraps the nest body through
-  :mod:`repro.core.inject`; the batched executors
-  (`repro.kernels.batched`) offer each stored tile directly.  Both key
-  the flip on ``(call index, body index tuple)`` and the tile-local
-  flat element index, so the two backends corrupt the *same bit of the
-  same element* — the property the differential tests rely on.
+  :func:`sdc_injection` flips a bit inside finalised output tiles.  Both
+  kernel executors offer each tile a body call finalises, read off the
+  kernel's block map (`repro.kernels.batched.offer_final_tiles`), in
+  call order.  The flip is keyed on ``(call index, body index tuple)``
+  and the tile-local flat element index, so the two backends corrupt
+  the *same bit of the same element* — the property the differential
+  tests rely on.
 * **serve level** — the serving simulator prices tokens, it does not
   compute them, so :meth:`SdcPlan.step_corrupts` abstracts a corrupted
   step the way :meth:`FaultPlan.step_fails` abstracts a lost one, and
@@ -182,13 +182,10 @@ class SdcInjector:
     """Mutable carrier of one injection run: counts kernel calls,
     applies the plan's flips, and records them for audit.
 
-    Kernels announce each nest execution with :meth:`begin_call`,
-    registering a *locator* that maps a body index tuple to the output
-    tile that index finalised (or ``None`` when the index is not a
-    final write).  The interpreter then pulls a wrapped body via
-    :meth:`bind`; the batched executors skip the locator and offer
-    stored tiles straight to :meth:`maybe_flip` with the same index
-    tuples, so both backends flip identically."""
+    Kernels announce each nest execution with :meth:`begin_call`, then
+    offer every finalised output tile to :meth:`maybe_flip` with the
+    body index tuple that finalised it — the same tuples, in the same
+    order, from either backend, so both flip identically."""
 
     def __init__(self, plan: SdcPlan):
         self.plan = plan
@@ -196,33 +193,11 @@ class SdcInjector:
         self.n_flips = 0
         self.flips: list[FlipRecord] = []
         self._skipped = 0
-        self._locator = None
-        self._armed = False
 
-    def begin_call(self, locator=None) -> int:
+    def begin_call(self) -> int:
         """Announce one nest execution; returns its call index."""
         self.call_index += 1
-        self._locator = locator
-        self._armed = locator is not None
         return self.call_index
-
-    def bind(self, body_func):
-        """A body wrapper flipping finalised tiles, or ``None`` when no
-        kernel armed this injector for the upcoming nest (so unrelated
-        nests — tuner probes, verifier replays — run untouched)."""
-        if not self._armed:
-            return None
-        self._armed = False
-        locator = self._locator
-
-        def body(ind):
-            body_func(ind)
-            key = tuple(int(i) for i in ind)
-            tile = locator(key)
-            if tile is not None:
-                self.maybe_flip(tile, key)
-
-        return body
 
     def maybe_flip(self, tile: np.ndarray, ind: tuple) -> bool:
         """Offer one finalised *tile*; flips it iff the plan says so."""

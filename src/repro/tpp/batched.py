@@ -21,7 +21,8 @@ import numpy as np
 from .dtypes import Precision, from_compute
 from .unary import _SQRT_2_OVER_PI
 
-__all__ = ["batched_brgemm", "batched_bias_add_col", "batched_unary"]
+__all__ = ["batched_brgemm", "batched_spmm", "batched_bias_add_col",
+           "batched_unary"]
 
 
 def _store_values(v: np.ndarray, precision: Precision,
@@ -48,6 +49,20 @@ def batched_brgemm(a_blocks: np.ndarray, b_blocks: np.ndarray,
     if beta != 0.0:
         acc = acc + beta * np.asarray(old, dtype=comp)
     return _store_values(acc, precision, np.asarray(old).dtype)
+
+
+def batched_spmm(a_blocks: np.ndarray, b_blocks: np.ndarray,
+                 old: np.ndarray, precision: Precision) -> np.ndarray:
+    """Stacked ``BlockSpMMTPP`` (beta = 0): row ``x`` accumulates
+    ``a_blocks[x, j] @ b_blocks[x, j]`` over ``j`` in order, the
+    microkernel's ``acc + a @ b`` chain, and stores over ``old``'s
+    container."""
+    comp = precision.comp.np
+    acc = np.zeros(old.shape, dtype=comp)
+    for j in range(a_blocks.shape[1]):
+        acc = acc + np.matmul(a_blocks[:, j].astype(comp, copy=False),
+                              b_blocks[:, j].astype(comp, copy=False))
+    return _store_values(acc, precision, old.dtype)
 
 
 def batched_bias_add_col(blocks: np.ndarray, bias_cols: np.ndarray,

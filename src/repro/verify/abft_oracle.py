@@ -173,7 +173,7 @@ def run_oracle(kinds=("gemm", "conv", "spmm", "mlp"),
             if not inj.flips:
                 res.failures.append(
                     (kind, backend, case_seed,
-                     "injector offered no flip (locator never armed?)"))
+                     "the kernel offered the injector no final tile"))
                 continue
             corrupted = out is None or not np.array_equal(out, golden)
             if detected and not corrupted:

@@ -104,17 +104,6 @@ class TestInjectorContext:
         clear_injector()
         assert active_injector() is None
 
-    def test_bind_requires_an_armed_locator(self):
-        with sdc_injection(SdcPlan(seed=1, p_tile=1.0)) as inj:
-            # no begin_call with a locator: unrelated nests are untouched
-            assert inj.bind(lambda ind: None) is None
-            inj.begin_call(lambda ind: None)
-            wrapped = inj.bind(lambda ind: None)
-            assert wrapped is not None
-            # arming is consumed: a second nest in the same call is not
-            # wrapped (tuner probes under an active injector stay clean)
-            assert inj.bind(lambda ind: None) is None
-
     def test_max_flips_caps_across_calls(self):
         plan = SdcPlan(seed=2, p_tile=1.0, max_flips=2)
         with sdc_injection(plan) as inj:

@@ -11,8 +11,8 @@ collects
 
 * the executed reads: the keys logged during the call.  An element the
   call stored to first is a plain number by the time it is read, so a
-  zero-then-accumulate or an epilogue re-reading its own output is not a
-  read, as the rule requires;
+  zero-then-accumulate or an epilogue re-reading its own output does
+  not count as a read;
 * the executed writes: the keys of every element the call replaced;
 
 and asserts ``sim_body(ind)``'s write keys equal the executed writes and

@@ -107,8 +107,8 @@ def run_batched(kern, *ops) -> None:
         count = np.broadcast_to(
             len(m.reads[0]) if m.count is None else m.count, n)
         # per input, one (n, br) block index array per coordinate axis
-        axes = [list(np.array(r).transpose(1, 2, 0).copy()) if r else []
-                for r in m.reads]
+        axes = [[np.array([c[d] for c in r]).T for d in range(len(r[0]))]
+                if r else [] for r in m.reads]
         in_elems = sum(int(np.prod(x.shape[len(xa):]))
                        for x, xa in zip(ins, axes) if xa)
         stacks = [_stacker(x, xa) if xa else None

@@ -118,8 +118,7 @@ class Session:
                 num_threads: int | None = None,
                 execution: str = "serial") -> ThreadedLoop:
         """Build (or fetch from this session's nest cache) a
-        :class:`~repro.core.threaded_loop.ThreadedLoop`.  The execution
-        backend is a kernel knob (``backend=`` on the kernel ctors)."""
+        :class:`~repro.core.threaded_loop.ThreadedLoop`."""
         with self.activate():
             return ThreadedLoop(specs, spec_string,
                                 num_threads=num_threads,

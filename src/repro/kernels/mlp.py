@@ -16,7 +16,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..platform.machine import MachineModel
-from ..simulator.engine import SimResult, simulate_traces
+from ..simulator.engine import (SimResult, simulate_traces,
+                                simulate_traces_lru)
+from ..simulator.reuse import compile_trace
 from ..simulator.trace import ThreadTrace
 from ..tpp.dtypes import DType
 from .base import _session
@@ -128,7 +130,9 @@ class ParlooperMlp:
         layer l are the slices read in layer l+1 (core-to-core traffic).
 
         Each layer's per-thread traces come from the session's (or the
-        default) trace cache; the run reports into the same session's
+        default) trace cache; the merged traces are compiled for the
+        array replay, with the scalar oracle as the fallback for traces
+        it rejects.  The run reports into the same session's
         observability scope."""
         sess = _session(session)
         with sess.activate(), sess.obs.span(
@@ -147,7 +151,11 @@ class ParlooperMlp:
                     merged = [ThreadTrace(t.tid) for t in traces]
                 for t, extra in zip(merged, traces):
                     t.events.extend(extra.events)
-            return simulate_traces(merged, machine)
+            try:
+                return simulate_traces([compile_trace(t) for t in merged],
+                                       machine)
+            except ValueError:
+                return simulate_traces_lru(merged, machine)
 
     def predict(self, machine: MachineModel, session=None,
                 sample_threads: int | None = None):

@@ -90,6 +90,11 @@ class MachineModel:
             raise ValueError("machine needs at least one core cluster")
         if not self.caches:
             raise ValueError("machine needs at least one cache level")
+        for lv in self.caches[:-1]:
+            if lv.shared:
+                raise ValueError(
+                    f"shared cache level {lv.name} must be the outermost "
+                    f"level (the simulators model one shared last level)")
 
     # -- core topology ----------------------------------------------------
     @property

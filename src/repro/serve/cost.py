@@ -84,6 +84,16 @@ class ServeCostModel(OpCostModel):
             self._gemm_cache[akey] = base
         return base * N / self.PREFILL_ANCHOR_N
 
+    def prime(self) -> None:
+        """Engine-price the weight-panel anchors every prefill step uses
+        (QKV and attention out, up/gate, down) now, so the steps of a
+        run that follows are plain float arithmetic.  Anchors are
+        memoized, so priming a warm model costs three lookups."""
+        cfg, dt = self.config, self.dtype
+        h, i = cfg.hidden, cfg.intermediate
+        for m, k in ((h, h), (i, h), (h, i)):
+            self.gemm_seconds(m, self.PREFILL_ANCHOR_N, k, dt)
+
     @classmethod
     def for_stack(cls, config: LlmConfig, machine: MachineModel,
                   stack_name: str = "parlooper",

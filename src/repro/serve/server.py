@@ -198,7 +198,8 @@ class ServeSimulator:
               validate: bool = True) -> "ServeSimulator":
         """Open an incremental run.  *requests* may be empty: a fleet
         driver :meth:`push`\\ es routed arrivals as it goes and owns the
-        decision of when to :meth:`advance`."""
+        decision of when to :meth:`advance`.  The cost model's engine
+        anchors are priced here, so the step loop replays no traces."""
         if max_steps <= 0:
             raise ServeConfigError(
                 f"max_steps must be positive, got {max_steps!r}")
@@ -212,6 +213,8 @@ class ServeSimulator:
                      else str(self.replica_id)),
             track_prefix=("" if self.replica_id is None
                           else f"r{self.replica_id} "))
+        with _use_obs(obs):
+            self.cost.prime()
         self._st = _RunState(metrics, obs, obs.tracer.enabled, max_steps)
         reqs = self._validate(requests) if validate and requests \
             else requests

@@ -9,13 +9,42 @@ where each operand slice currently resides.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
+import numpy as np
+
 from ..platform.machine import MachineModel
 from ..tpp.backend.dispatch import dispatch_brgemm
 from ..tpp.dtypes import DType
-from .trace import Access, BodyEvent
+from .trace import AccessColumns, BodyEvent, _read_only
 
 __all__ = ["brgemm_event", "spmm_event", "eltwise_event",
            "bandwidth_event"]
+
+
+@lru_cache(maxsize=4096)
+def _runs(runs: tuple) -> tuple:
+    """The ``(nbytes, footprint, cost_scale, write)`` columns of *runs*,
+    each ``(count, nbytes, footprint, cost_scale, write)`` describing
+    *count* like accesses in a row.  A zero footprint means ``nbytes``,
+    as in :class:`~repro.simulator.trace.Access`.  Events of one shape
+    share these read-only arrays."""
+    counts = [r[0] for r in runs]
+
+    def col(values, dtype=None):
+        return _read_only(np.repeat(np.array(values, dtype=dtype), counts))
+
+    return (col([r[1] for r in runs]),
+            col([r[2] or r[1] for r in runs], np.int64),
+            col([r[3] for r in runs], np.float64),
+            col([r[4] for r in runs], bool))
+
+
+def _event(keys: tuple, runs: tuple, flops: float,
+           flops_per_cycle: float) -> BodyEvent:
+    return BodyEvent.from_columns(AccessColumns(keys, *_runs(runs)),
+                                  flops=flops,
+                                  flops_per_cycle=flops_per_cycle)
 
 
 def brgemm_event(machine: MachineModel, dtype: DType,
@@ -31,24 +60,19 @@ def brgemm_event(machine: MachineModel, dtype: DType,
     """
     nb = dtype.nbytes
     cfg = dispatch_brgemm(machine.isa_for(dtype), dtype, bm, bn, bk, brcount)
-    accesses = []
     a_bytes = bm * bk * nb
     b_bytes = bk * bn * nb
-    for k in a_keys:
-        accesses.append(Access(k, a_bytes))
-    for k in b_keys:
-        accesses.append(Access(k, b_bytes,
-                               footprint=int(b_bytes * b_footprint_scale),
-                               cost_scale=b_footprint_scale))
     c_bytes = bm * bn * nb
-    if beta != 0.0 and not c_first_touch:
-        accesses.append(Access(c_key, c_bytes))
-    accesses.append(Access(c_key, c_bytes, write=True))
-    return BodyEvent(
-        accesses=tuple(accesses),
+    c_read = beta != 0.0 and not c_first_touch
+    return _event(
+        (*a_keys, *b_keys, *(c_key,) * (1 + c_read)),
+        ((len(a_keys), a_bytes, 0, 1.0, False),
+         (len(b_keys), b_bytes, int(b_bytes * b_footprint_scale),
+          b_footprint_scale, False),
+         (int(c_read), c_bytes, 0, 1.0, False),
+         (1, c_bytes, 0, 1.0, True)),
         flops=2.0 * bm * bn * bk * brcount,
-        flops_per_cycle=cfg.flops_per_cycle(),
-    )
+        flops_per_cycle=cfg.flops_per_cycle())
 
 
 def spmm_event(machine: MachineModel, dtype: DType,
@@ -65,20 +89,16 @@ def spmm_event(machine: MachineModel, dtype: DType,
     nb = dtype.nbytes
     cfg = dispatch_brgemm(machine.isa_for(dtype), dtype, bm, bn, bk,
                           max(1, nnz_blocks))
-    accesses = []
-    for k in a_keys:
-        accesses.append(Access(k, bm * bk * nb))
-    for k in b_keys:
-        accesses.append(Access(k, bk * bn * nb))
     c_bytes = bm * bn * nb
-    if beta != 0.0:
-        accesses.append(Access(c_key, c_bytes))
-    accesses.append(Access(c_key, c_bytes, write=True))
-    return BodyEvent(
-        accesses=tuple(accesses),
+    c_read = beta != 0.0
+    return _event(
+        (*a_keys, *b_keys, *(c_key,) * (1 + c_read)),
+        ((len(a_keys), bm * bk * nb, 0, 1.0, False),
+         (len(b_keys), bk * bn * nb, 0, 1.0, False),
+         (int(c_read), c_bytes, 0, 1.0, False),
+         (1, c_bytes, 0, 1.0, True)),
         flops=2.0 * bm * bn * bk * nnz_blocks,
-        flops_per_cycle=cfg.flops_per_cycle(),
-    )
+        flops_per_cycle=cfg.flops_per_cycle())
 
 
 def eltwise_event(machine: MachineModel, dtype: DType, m: int, n: int,
@@ -93,22 +113,17 @@ def eltwise_event(machine: MachineModel, dtype: DType, m: int, n: int,
     nb = dtype.nbytes
     spec = ISA_SPECS[machine.isa_for(DType.F32)]
     fpc = spec.flops_per_cycle(DType.F32) / 2.0
-    accesses = [Access(k, m * n * nb) for k in in_keys]
-    if reads_output:
-        accesses.append(Access(out_key, m * n * nb))
-    accesses.append(Access(out_key, m * n * nb, write=True))
-    return BodyEvent(
-        accesses=tuple(accesses),
+    in_keys = tuple(in_keys)
+    return _event(
+        (*in_keys, *(out_key,) * (1 + bool(reads_output))),
+        ((len(in_keys) + bool(reads_output), m * n * nb, 0, 1.0, False),
+         (1, m * n * nb, 0, 1.0, True)),
         flops=flops_per_elem * m * n,
-        flops_per_cycle=fpc,
-    )
+        flops_per_cycle=fpc)
 
 
 def bandwidth_event(key: tuple, nbytes: int, write: bool = False
                     ) -> BodyEvent:
     """Pure data-movement event (weight streaming, embedding lookups)."""
-    return BodyEvent(
-        accesses=(Access(key, nbytes, write=write),),
-        flops=0.0,
-        flops_per_cycle=1.0,
-    )
+    return _event((key,), ((1, nbytes, 0, 1.0, write),), flops=0.0,
+                  flops_per_cycle=1.0)

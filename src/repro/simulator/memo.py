@@ -26,6 +26,7 @@ pass a stable ``body_key`` instead.
 
 from __future__ import annotations
 
+import hashlib
 import threading
 from collections import OrderedDict
 
@@ -51,9 +52,18 @@ def _thread_order_key(spec: str) -> str:
 
 
 class TraceCache:
-    """Bounded, thread-safe memo for per-thread and flat traces."""
+    """Bounded, thread-safe memo for per-thread and flat traces.
 
-    def __init__(self, max_entries: int = 1024):
+    At most *max_entries* entries, least recently used out first; a
+    replayed thread takes two, its raw and its compiled trace.  Compiled
+    traces also count their accesses against
+    :attr:`MAX_COMPILED_ACCESSES`: their arrays, 41 bytes per access,
+    are most of what the cache holds."""
+
+    #: accesses all cached compiled traces may hold (about 11 MB)
+    MAX_COMPILED_ACCESSES = 1 << 18
+
+    def __init__(self, max_entries: int = 2048):
         if max_entries <= 0:
             raise ValueError("max_entries must be positive")
         self.max_entries = int(max_entries)
@@ -67,6 +77,7 @@ class TraceCache:
         self._body_memos: OrderedDict = OrderedDict()
         self.hits = 0
         self.misses = 0
+        self._compiled_accesses = 0
 
     # -- key construction -------------------------------------------------
 
@@ -122,11 +133,14 @@ class TraceCache:
                 return entry
         # build outside the lock (tracing can be slow); a racing duplicate
         # build produces an identical trace and is harmless
-        with obs.span("trace_capture", kind=key[0]):
+        if obs.enabled:
+            with obs.span("trace_capture", kind=key[0]):
+                value = build()
+        else:
             value = build()
         with self._lock:
-            existing = self._entries.get(key)
-            if existing is not None:
+            existing = self._entries.setdefault(key, value)
+            if existing is not value:
                 self._entries.move_to_end(key)
                 self.hits += 1
                 if obs.enabled:
@@ -135,21 +149,31 @@ class TraceCache:
             self.misses += 1
             if obs.enabled:
                 obs.inc("cache_events", cache="trace", kind="miss")
-            self._entries[key] = value
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
+            self._compiled_accesses += _accesses(value)
+            while len(self._entries) > 1 and (
+                    len(self._entries) > self.max_entries
+                    or self._compiled_accesses > self.MAX_COMPILED_ACCESSES):
+                _key, old = self._entries.popitem(last=False)
+                self._compiled_accesses -= _accesses(old)
             return value
 
     # -- public API -------------------------------------------------------
 
+    def _thread_key(self, loop: ThreadedLoop, sim_body, tid: int,
+                    body_key) -> tuple:
+        return (self._body_key(sim_body, body_key), self._specs_key(loop),
+                _thread_order_key(loop.spec_string), loop.num_threads, tid)
+
     def thread_trace(self, loop: ThreadedLoop, sim_body, tid: int,
                      body_key=None) -> ThreadTrace:
         """The (cached) trace of thread *tid* of *loop*."""
-        key = ("thread", self._body_key(sim_body, body_key),
-               self._specs_key(loop), _thread_order_key(loop.spec_string),
-               loop.num_threads, tid)
+        return self._raw_thread_trace(
+            self._thread_key(loop, sim_body, tid, body_key), loop, sim_body,
+            tid, body_key)
+
+    def _raw_thread_trace(self, key, loop, sim_body, tid, body_key):
         return self._get(
-            key, lambda: trace_threaded_loop(
+            ("thread",) + key, lambda: trace_threaded_loop(
                 loop, self._memo_body(sim_body, body_key), tids=[tid])[0])
 
     def compiled_thread_trace(self, loop: ThreadedLoop, sim_body, tid: int,
@@ -162,13 +186,11 @@ class TraceCache:
         :attr:`~repro.simulator.reuse.CompiledTrace.reuse_memo`, so the
         reuse-distance pass runs once per *pattern*, not once per thread.
         """
-        key = ("threadc", self._body_key(sim_body, body_key),
-               self._specs_key(loop), _thread_order_key(loop.spec_string),
-               loop.num_threads, tid)
+        key = self._thread_key(loop, sim_body, tid, body_key)
         return self._get(
-            key,
+            ("threadc",) + key,
             lambda: self._share_reuse_memo(compile_trace(
-                self.thread_trace(loop, sim_body, tid, body_key=body_key))))
+                self._raw_thread_trace(key, loop, sim_body, tid, body_key))))
 
     def _share_reuse_memo(self, ct: CompiledTrace) -> CompiledTrace:
         """Point *ct* at the reuse memo of any pattern-identical trace.
@@ -178,9 +200,8 @@ class TraceCache:
         is just the bucket) makes memo sharing exact even when the actual
         slice keys differ.
         """
-        import hashlib
-
-        import numpy as np
+        if ct.n_accesses == 0:
+            return ct
         h = hashlib.sha1(ct.key_ids.tobytes())
         h.update(ct.footprint.tobytes())
         digest = h.digest()
@@ -188,8 +209,9 @@ class TraceCache:
             entry = self._patterns.get(digest)
             if entry is not None:
                 key_ids, footprint, memo = entry
-                if (np.array_equal(ct.key_ids, key_ids)
-                        and np.array_equal(ct.footprint, footprint)):
+                if (ct.key_ids.shape == key_ids.shape
+                        and (ct.key_ids == key_ids).all()
+                        and (ct.footprint == footprint).all()):
                     object.__setattr__(ct, "reuse_memo", memo)
                 return ct
             self._patterns[digest] = (ct.key_ids, ct.footprint,
@@ -219,6 +241,7 @@ class TraceCache:
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
+            self._compiled_accesses = 0
             self._patterns.clear()
             self._body_memos.clear()
             self.hits = 0
@@ -226,6 +249,10 @@ class TraceCache:
 
     def __len__(self) -> int:
         return len(self._entries)
+
+
+def _accesses(entry) -> int:
+    return entry.n_accesses if isinstance(entry, CompiledTrace) else 0
 
 
 _GLOBAL = TraceCache()

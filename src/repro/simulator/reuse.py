@@ -39,6 +39,7 @@ constancy and :func:`compile_trace` verifies it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -98,60 +99,83 @@ class CompiledTrace:
         return float(np.cumsum(self.flops)[-1])
 
 
-def compile_trace(trace: ThreadTrace) -> CompiledTrace:
-    """Intern and flatten *trace*.
+#: the arrays of an event-free trace, in :class:`CompiledTrace` field order
+_EMPTY = tuple(np.empty(0, dtype=dt) for dt in (
+    np.int64, np.float64, np.float64, np.int64, bool, np.int64, np.float64,
+    np.float64))
 
-    Raises ``ValueError`` when the trace violates the assumptions of the
+
+def compile_trace(trace: ThreadTrace) -> CompiledTrace:
+    """Intern and flatten *trace* by concatenating its events' columns.
+
+    Keys are numbered by first occurrence with dict operations over the
+    chained key tuples, so no Python code runs once per access.  Raises
+    ``ValueError`` when the trace violates the assumptions of the
     reuse-distance equivalence (non-positive footprints, or a key whose
     footprint changes mid-trace) — callers should fall back to the
     ``LRUCache`` replay for such traces.
     """
     events = trace.events
-    accs = [acc for ev in events for acc in ev.accesses]
-    intern: dict = {}
-    setd = intern.setdefault
-    key_ids = np.fromiter((setd(a.key, len(intern)) for a in accs),
-                          dtype=np.int64, count=len(accs))
-    footprint = np.fromiter((a.footprint for a in accs), dtype=np.int64,
-                            count=len(accs))
-    if footprint.size and int(footprint.min()) <= 0:
-        bad = accs[int(np.argmin(footprint))]
+    if not events:
+        return CompiledTrace(trace.tid, *_EMPTY, 0, ())
+    cols = [ev.columns for ev in events]
+    key_lists = [c.keys for c in cols]
+    index = dict.fromkeys(chain.from_iterable(key_lists))
+    keys = tuple(index)
+    index = dict(zip(keys, range(len(keys))))
+    counts = np.fromiter(map(len, key_lists), dtype=np.int64,
+                         count=len(events))
+    n = int(counts.sum())
+    key_ids = np.fromiter(map(index.__getitem__,
+                              chain.from_iterable(key_lists)),
+                          dtype=np.int64, count=n)
+
+    def cat(field, dtype):
+        return np.concatenate([getattr(c, field) for c in cols],
+                              dtype=dtype)
+
+    footprint = cat("footprint", np.int64)
+    if n and footprint.min() <= 0:
+        at = int(np.argmin(footprint))
         raise ValueError(
             f"reuse-distance replay needs positive footprints, got "
-            f"{bad.footprint} for key {bad.key!r}")
-    # per-key-constant footprints: within one key's (sorted-adjacent)
-    # accesses, every footprint must repeat
-    order = np.argsort(key_ids, kind="stable")
-    same_key = key_ids[order][1:] == key_ids[order][:-1]
-    fp_sorted = footprint[order]
-    changed = same_key & (fp_sorted[1:] != fp_sorted[:-1])
-    if changed.any():
-        at = order[1:][changed][0]
-        raise ValueError(
-            f"footprint of key {accs[at].key!r} changed mid-trace "
-            f"({fp_sorted[:-1][changed][0]} -> {accs[at].footprint}); "
-            f"per-key-constant footprints are required for the LRU "
-            f"equivalence")
-    counts = np.fromiter((len(ev.accesses) for ev in events),
-                         dtype=np.int64, count=len(events))
+            f"{footprint[at]} for key {keys[key_ids[at]]!r}")
+    check_constant_footprints(key_ids, footprint, keys, "mid-trace")
     return CompiledTrace(
         tid=trace.tid,
         key_ids=key_ids,
-        nbytes=np.fromiter((a.nbytes for a in accs), dtype=np.float64,
-                           count=len(accs)),
-        cost_scale=np.fromiter((a.cost_scale for a in accs),
-                               dtype=np.float64, count=len(accs)),
+        nbytes=cat("nbytes", np.float64),
+        cost_scale=cat("cost_scale", np.float64),
         footprint=footprint,
-        write=np.fromiter((a.write for a in accs), dtype=bool,
-                          count=len(accs)),
+        write=cat("write", bool),
         event_of=np.repeat(np.arange(len(events), dtype=np.int64), counts),
-        compute_cycles=np.fromiter((ev.compute_cycles() for ev in events),
-                                   dtype=np.float64, count=len(events)),
-        flops=np.fromiter((ev.flops for ev in events), dtype=np.float64,
-                          count=len(events)),
+        compute_cycles=np.array([ev.compute_cycles() for ev in events],
+                                dtype=np.float64),
+        flops=np.array([ev.flops for ev in events], dtype=np.float64),
         n_events=len(events),
-        keys=tuple(intern),
+        keys=keys,
     )
+
+
+def check_constant_footprints(key_ids: np.ndarray, footprint: np.ndarray,
+                              keys, where: str) -> None:
+    """Raise ``ValueError`` unless every key of the stream *key_ids*
+    (ids into *keys*) keeps one footprint, as the LRU equivalence needs.
+
+    One scatter files some footprint per key; whichever access won, a
+    key with two footprints then mismatches at one of its accesses."""
+    if key_ids.size == 0 or footprint.min() == footprint.max():
+        return
+    filed = np.zeros(int(key_ids.max()) + 1, dtype=np.int64)
+    filed[key_ids] = footprint
+    bad = np.flatnonzero(filed[key_ids] != footprint)
+    if bad.size:
+        at = int(bad[0])
+        k = int(key_ids[at])
+        raise ValueError(
+            f"footprint of key {keys[k]!r} changed {where} "
+            f"({footprint[at]} vs {filed[k]}); per-key-constant "
+            f"footprints are required for the LRU equivalence")
 
 
 def hit_levels(key_ids, footprints, capacities, memo=None) -> tuple:
@@ -177,7 +201,16 @@ def hit_levels(key_ids, footprints, capacities, memo=None) -> tuple:
       prefix unchanged — for streams that blow out the upper levels this
       reduces the whole hierarchy, on every machine, to one distance
       pass.
+
+    A level whose capacity holds every distinct key of its stream at
+    once (a large LLC) needs no distance pass at all: each re-access
+    hits.  The whole result is memoized per capacity tuple too, so
+    pattern-identical threads replayed on one hierarchy share it; the
+    returned levels are then read-only.
     """
+    done_key = ("levels", tuple(int(c) for c in capacities))
+    if memo is not None and done_key in memo:
+        return memo[done_key]
     key_ids = np.ascontiguousarray(key_ids, dtype=np.int64)
     fp = np.ascontiguousarray(footprints, dtype=np.int64)
     n = key_ids.size
@@ -212,11 +245,15 @@ def hit_levels(key_ids, footprints, capacities, memo=None) -> tuple:
             w, w_sig = np.minimum(sf, cap), cap
         else:
             w, w_sig = sf, -1               # unclamped: cap-independent
-        dist = dists.get(w_sig)
-        if dist is None:
-            dist = _intervening_bytes(prev, nxt, w)
-            dists[w_sig] = dist
-        hit = (prev >= 0) & (dist + w <= cap)
+        if int(w[prev < 0].sum()) <= cap:
+            # every distinct key fits at once, so D + w <= cap for every
+            # re-access: no distance pass needed
+            hit = prev >= 0
+        else:
+            dist = dists.get(w_sig)
+            if dist is None:
+                dist = dists[w_sig] = _intervening_bytes(prev, nxt, w)
+            hit = (prev >= 0) & (dist + w <= cap)
         n_hit = int(np.count_nonzero(hit))
         hits.append(n_hit)
         prefix = prefix + (cap,)
@@ -230,7 +267,11 @@ def hit_levels(key_ids, footprints, capacities, memo=None) -> tuple:
         clamps.append(int(np.count_nonzero(sf[miss] > cap)))
         stream = stream[miss]
         entry = None
-    return levels, ReuseStats(tuple(accesses), tuple(hits), tuple(clamps))
+    done = levels, ReuseStats(tuple(accesses), tuple(hits), tuple(clamps))
+    if memo is not None:
+        levels.flags.writeable = False
+        memo[done_key] = done
+    return done
 
 
 def stack_distances(key_ids, footprints) -> np.ndarray:
@@ -341,47 +382,65 @@ def _intervening_bytes(prev: np.ndarray, nxt: np.ndarray,
     if (q_idx.size <= _DENSE_PAIR_MAX
             and int(w.max()) <= _EXACT_I64 // q_idx.size):
         return _intervening_bytes_dense(prev, nxt, w, q_idx, out)
-    d_sel = np.nonzero(nxt < n)[0]
-    arange = np.arange(n, dtype=np.int64)
-    p_time = np.concatenate([arange, nxt[d_sel]])
-    p_pos = np.concatenate([arange, d_sel])
-    p_wt = np.concatenate([w, -w[d_sel]])
     nq = q_idx.size
-    # single timeline; at equal times queries rank before points, which is
-    # exactly right: a deactivation at time t belongs to s = prev[t]
-    # (outside the open window) and an activation at time t is t itself
-    times = np.concatenate([q_idx, p_time])
-    kind = np.concatenate([np.zeros(nq, np.int8),
-                           np.ones(p_time.size, np.int8)])
-    order = np.lexsort((kind, times))
-    rank = np.empty(times.size, dtype=np.int64)
-    rank[order] = np.arange(times.size, dtype=np.int64)
+    d_sel = np.flatnonzero(nxt < n)
+    m = nq + n + d_sel.size
+    # positions and ranks are int32 whenever they fit (m <= 3n); the
+    # weights and their sums stay int64, so distances stay exact
+    it = np.int32 if 3 * n < 2 ** 31 else np.int64
+    # one timeline of queries (at q_idx), activations (s at time s) and
+    # deactivations (s at time nxt[s]), keyed 2*time + kind so that at
+    # equal times queries rank before points — exactly right: a
+    # deactivation at time t belongs to s = prev[t] (outside the open
+    # window) and an activation at time t is t itself
+    sort_key = np.empty(m, dtype=it)
+    sort_key[:nq] = q_idx * 2
+    sort_key[nq:nq + n] = np.arange(1, 2 * n, 2, dtype=it)
+    sort_key[nq + n:] = nxt[d_sel] * 2 + 1
+    order = np.argsort(sort_key, kind="stable")
+    del sort_key
+    rank = np.empty(m, dtype=it)
+    rank[order] = np.arange(m, dtype=it)
+    del order
     q_rank = rank[:nq]
     p_rank = rank[nq:]
+    p_pos = np.concatenate([np.arange(n, dtype=it), d_sel.astype(it)])
+    p_wt = np.concatenate([w, -w[d_sel]])
+    del d_sel
+    q_prev = prev[q_idx].astype(it)
+    q_pos = q_idx.astype(it)
     dist = np.zeros(nq, dtype=np.int64)
     big = np.int64(n + 2)
-    q_prev = prev[q_idx]
-    q_pos = q_idx
-    h = np.int64(1)
-    m = np.int64(times.size)
-    while h < m:
-        # points in even (left) half-blocks contribute to queries in the
-        # odd (right) sibling: every rank-ordered (point, query) pair is
-        # counted at exactly one h
-        p_blk = p_rank // h
-        q_blk = q_rank // h
-        psel = (p_blk & 1) == 0
-        qsel = (q_blk & 1) == 1
-        if psel.any() and qsel.any():
-            pk = (p_blk[psel] >> 1) * big + p_pos[psel]
-            o = np.argsort(pk, kind="stable")
-            pk = pk[o]
-            cw = np.zeros(pk.size + 1, dtype=np.int64)
-            np.cumsum(p_wt[psel][o], out=cw[1:])
-            qbase = (q_blk[qsel] >> 1) * big
-            lo = np.searchsorted(pk, qbase + q_prev[qsel], side="right")
-            hi = np.searchsorted(pk, qbase + q_pos[qsel], side="left")
-            dist[qsel] += cw[hi] - cw[lo]
-        h <<= 1
+    for shift in range((m - 1).bit_length()):
+        _add_block_pairs(dist, shift, p_rank, p_pos, p_wt, q_rank, q_prev,
+                         q_pos, big)
     out[q_idx] = dist
     return out
+
+
+def _add_block_pairs(dist, shift, p_rank, p_pos, p_wt, q_rank, q_prev,
+                     q_pos, big) -> None:
+    """One level of :func:`_intervening_bytes`' divide-and-conquer, at
+    block size ``2**shift`` in rank order: points in even (left)
+    half-blocks contribute to queries in the odd (right) sibling, so
+    every rank-ordered (point, query) pair is counted at exactly one
+    level.  Its temporaries die with the call."""
+    p_blk = p_rank >> shift
+    q_blk = q_rank >> shift
+    psel = (p_blk & 1) == 0
+    qsel = (q_blk & 1) == 1
+    if not (psel.any() and qsel.any()):
+        return
+    pk = (p_blk[psel] >> 1).astype(np.int64) * big + p_pos[psel]
+    del p_blk
+    o = np.argsort(pk, kind="stable")
+    pk = pk[o]
+    cw = np.zeros(pk.size + 1, dtype=np.int64)
+    np.cumsum(p_wt[psel][o], out=cw[1:])
+    del o, psel
+    qbase = (q_blk[qsel] >> 1).astype(np.int64) * big
+    del q_blk
+    lo = np.searchsorted(pk, qbase + q_prev[qsel], side="right")
+    hi = np.searchsorted(pk, qbase + q_pos[qsel], side="left")
+    del pk, qbase
+    dist[qsel] += cw[hi] - cw[lo]

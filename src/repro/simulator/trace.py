@@ -15,12 +15,16 @@ executed order for any ``loop_spec_string``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
+
+import numpy as np
 
 from ..core.runtime import NestContext
 from ..core.threaded_loop import ThreadedLoop
 
-__all__ = ["Access", "BodyEvent", "BarrierMarker", "ChunkMarker",
-           "ThreadTrace", "trace_threaded_loop", "trace_flat"]
+__all__ = ["Access", "AccessColumns", "BodyEvent", "BarrierMarker",
+           "ChunkMarker", "ThreadTrace", "trace_threaded_loop",
+           "trace_flat"]
 
 
 @dataclass(frozen=True)
@@ -47,20 +51,89 @@ class Access:
             object.__setattr__(self, "footprint", self.nbytes)
 
 
-@dataclass
-class BodyEvent:
-    """Work of one body invocation: slice accesses + compute."""
+class AccessColumns(NamedTuple):
+    """The accesses of one event as columns, one entry per access in
+    access order: the slice keys as one tuple, and ``nbytes``,
+    ``footprint``, ``cost_scale`` and ``write`` as read-only arrays (the
+    trace cache shares events across traces)."""
 
-    accesses: tuple
-    flops: float = 0.0
-    #: effective FLOP/cycle of the compute (microkernel efficiency folded in)
-    flops_per_cycle: float = 1.0
-    #: extra fixed cycles (e.g. kernel call overhead)
-    extra_cycles: float = 0.0
-    #: logical indices of the invocation that produced this event; only
-    #: populated by ``trace_threaded_loop(..., record_inds=True)`` (the
-    #: verification path) — perf replay never reads it
-    ind: tuple = ()
+    keys: tuple
+    nbytes: np.ndarray
+    footprint: np.ndarray
+    cost_scale: np.ndarray
+    write: np.ndarray
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+class BodyEvent:
+    """Work of one body invocation: slice accesses + compute.
+
+    The accesses live in :attr:`columns`.  The event builders
+    (:mod:`repro.simulator.cost`) fill them directly through
+    :meth:`from_columns`; ``BodyEvent(accesses=...)`` takes
+    :class:`Access` objects (hand-written bodies) and derives the columns
+    on first use.  :attr:`accesses` is the per-access view the scalar
+    replays and the race detector read, likewise built on first use —
+    the array paths never build it.
+    """
+
+    __slots__ = ("flops", "flops_per_cycle", "extra_cycles", "ind",
+                 "_accesses", "_columns")
+
+    def __init__(self, accesses, flops: float = 0.0,
+                 flops_per_cycle: float = 1.0, extra_cycles: float = 0.0,
+                 ind: tuple = ()):
+        self._accesses = tuple(accesses)
+        self._columns = None
+        self.flops = flops
+        #: effective FLOP/cycle of the compute (microkernel efficiency
+        #: folded in)
+        self.flops_per_cycle = flops_per_cycle
+        #: extra fixed cycles (e.g. kernel call overhead)
+        self.extra_cycles = extra_cycles
+        #: logical indices of the invocation that produced this event;
+        #: only populated by ``trace_threaded_loop(..., record_inds=True)``
+        #: (the verification path) — perf replay never reads it
+        self.ind = ind
+
+    @classmethod
+    def from_columns(cls, columns: AccessColumns, flops: float = 0.0,
+                     flops_per_cycle: float = 1.0) -> "BodyEvent":
+        """An event over *columns*, whose arrays must be read-only."""
+        ev = cls((), flops, flops_per_cycle)
+        ev._accesses, ev._columns = None, columns
+        return ev
+
+    @property
+    def columns(self) -> AccessColumns:
+        cols = self._columns
+        if cols is None:
+            accs = self._accesses
+            n = len(accs)
+            cols = self._columns = AccessColumns(
+                tuple(a.key for a in accs),
+                _read_only(np.fromiter((a.nbytes for a in accs),
+                                       np.float64, n)),
+                _read_only(np.fromiter((a.footprint for a in accs),
+                                       np.int64, n)),
+                _read_only(np.fromiter((a.cost_scale for a in accs),
+                                       np.float64, n)),
+                _read_only(np.fromiter((a.write for a in accs), bool, n)))
+        return cols
+
+    @property
+    def accesses(self) -> tuple:
+        accs = self._accesses
+        if accs is None:
+            c = self._columns
+            accs = self._accesses = tuple(map(
+                Access, c.keys, c.nbytes.tolist(), c.write.tolist(),
+                c.footprint.tolist(), c.cost_scale.tolist()))
+        return accs
 
     def compute_cycles(self) -> float:
         if self.flops <= 0:

@@ -1,5 +1,7 @@
 """Tests for machine models and presets."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.platform import (ADL, ALL_PLATFORMS, CLUSTER_PRESETS, GVT3,
@@ -99,6 +101,15 @@ class TestValidation:
     def test_invalid_cache_level(self):
         with pytest.raises(ValueError):
             CacheLevel("L1", 0, 1.0)
+
+    def test_inner_shared_level_rejected(self):
+        """The simulators model one shared level, the outermost."""
+        l1, l2, llc = SPR.caches
+        with pytest.raises(ValueError, match="shared cache level L2"):
+            replace(SPR, caches=(l1, replace(l2, shared=True),
+                                 replace(llc, shared=False)))
+        with pytest.raises(ValueError, match="shared cache level L1"):
+            replace(SPR, caches=(replace(l1, shared=True), l2, llc))
 
     def test_missing_isa_raises(self):
         cl = CoreCluster("c", 1, 1.0, {DType.F32: ISA.AVX2})

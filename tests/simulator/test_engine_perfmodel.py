@@ -78,8 +78,9 @@ class TestEngineMechanisms:
         Mb = 16
         loop1 = ThreadedLoop([LoopSpecs(0, Mb, 1)], "A", num_threads=4)
         loop2 = ThreadedLoop([LoopSpecs(0, Mb, 1)], "A", num_threads=4)
-        from repro.simulator import Access, BodyEvent
-        from repro.simulator.engine import simulate_traces
+        from repro.simulator import Access, BodyEvent, compile_trace
+        from repro.simulator.engine import (simulate_traces,
+                                            simulate_traces_lru)
         from repro.simulator.trace import trace_threaded_loop
 
         def writer(ind):
@@ -95,8 +96,9 @@ class TestEngineMechanisms:
         tr2 = trace_threaded_loop(loop2, reader)
         for t, t2 in zip(tr, tr2):
             t.events.extend(t2.events)
-        r = simulate_traces(tr, SPR)
+        r = simulate_traces_lru(tr, SPR)
         assert r.remote_hits > 0
+        assert simulate_traces([compile_trace(t) for t in tr], SPR) == r
 
     def test_memory_bound_kernel_hits_dram_floor(self):
         # streaming 8 GiB through a 96 GB/s DRAM cannot beat ~87 ms

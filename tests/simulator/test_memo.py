@@ -5,7 +5,8 @@ import pytest
 from repro.core import LoopSpecs, ThreadedLoop
 from repro.platform import SPR
 from repro.simulator import (Access, BodyEvent, TraceCache, predict, simulate,
-                             simulate_traces, trace_threaded_loop)
+                             trace_threaded_loop)
+from repro.simulator.engine import simulate_traces_lru
 
 SPECS = [LoopSpecs(0, 4, 1), LoopSpecs(0, 4, 1)]
 
@@ -55,6 +56,22 @@ class TestCounters:
         cache.thread_trace(ThreadedLoop(SPECS, "ab", num_threads=1),
                            _body, 0)
         assert cache.misses == misses + 1
+
+    def test_compiled_accesses_bounded(self):
+        """Compiled traces count their accesses against the cache's
+        budget; going over it evicts the oldest entries."""
+        cache = TraceCache()
+        cache.MAX_COMPILED_ACCESSES = 20
+        loop = ThreadedLoop(SPECS, "aB", num_threads=2)
+        assert cache.compiled_thread_trace(loop, _body, 0).n_accesses == 16
+        cache.compiled_thread_trace(loop, _body, 1)
+        # tid 0's raw and compiled entries went; tid 1's stay
+        assert len(cache) == 2
+        misses = cache.misses
+        cache.compiled_thread_trace(loop, _body, 1)
+        assert cache.misses == misses
+        cache.compiled_thread_trace(loop, _body, 0)
+        assert cache.misses == misses + 2
 
     def test_max_entries_validated(self):
         with pytest.raises(ValueError):
@@ -176,7 +193,7 @@ class TestConsumers:
     def test_engine_and_perfmodel_share_raw_traces(self):
         loop = ThreadedLoop(SPECS, "aB", num_threads=2)
         cache = TraceCache()
-        oracle = simulate_traces(trace_threaded_loop(loop, _body), SPR)
+        oracle = simulate_traces_lru(trace_threaded_loop(loop, _body), SPR)
         assert simulate(loop, _body, SPR) == oracle
         assert simulate(loop, _body, SPR, trace_cache=cache) == oracle
         # perfmodel replays the same cached raw traces

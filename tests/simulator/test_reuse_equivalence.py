@@ -5,7 +5,7 @@ serve as the oracle here: :func:`repro.simulator.reuse.hit_levels` must
 agree with it hit-level-for-hit-level on randomized traces, and
 ``predict`` / ``simulate`` — which always capture through a
 ``TraceCache`` — must reproduce the uncached oracle (``trace_threaded_loop``
-/ ``trace_flat`` capture, ``predict_traces`` / ``simulate_traces`` /
+/ ``trace_flat`` capture, ``predict_traces`` / ``simulate_traces_lru`` /
 ``simulate_flat`` replay) bit for bit.
 """
 
@@ -20,7 +20,8 @@ from repro.simulator import (Access, BodyEvent, CacheHierarchy, CompiledTrace,
                              PerfPrediction, ThreadTrace, TraceCache,
                              brgemm_event, compile_trace, hit_levels, predict,
                              predict_traces, simulate, simulate_flat,
-                             simulate_traces, trace_flat, trace_threaded_loop)
+                             trace_flat, trace_threaded_loop)
+from repro.simulator.engine import simulate_traces_lru
 from repro.simulator.reuse import (_DENSE_PAIR_MAX, _intervening_bytes,
                                    _prev_next)
 from repro.tpp.dtypes import DType
@@ -265,8 +266,8 @@ class TestEngineWithCache:
                     want = simulate_flat(trace_flat(loop, body), machine,
                                          loop.num_threads)
                 else:
-                    want = simulate_traces(trace_threaded_loop(loop, body),
-                                           machine)
+                    want = simulate_traces_lru(
+                        trace_threaded_loop(loop, body), machine)
                 for cache in (None, TraceCache(), shared):
                     assert simulate(loop, body, machine,
                                     trace_cache=cache) == want

@@ -28,7 +28,10 @@ from __future__ import annotations
 
 import hashlib
 import threading
+import weakref
 from collections import OrderedDict
+
+import numpy as np
 
 from ..core.threaded_loop import ThreadedLoop
 from ..obs.context import current as _obs
@@ -57,10 +60,14 @@ class TraceCache:
     At most *max_entries* entries, least recently used out first; a
     replayed thread takes two, its raw and its compiled trace.  Compiled
     traces also count their accesses against
-    :attr:`MAX_COMPILED_ACCESSES`: their arrays, 41 bytes per access,
-    are most of what the cache holds."""
+    :attr:`MAX_COMPILED_ACCESSES`, which bounds their arrays (41 bytes
+    per access) and the reuse memos they carry.  The cache holds a
+    reuse memo only through the compiled traces that share it, so an
+    evicted pattern's memo goes with its last trace; a memo grows by a
+    few arrays over the pattern's accesses for each cache hierarchy the
+    pattern is replayed on."""
 
-    #: accesses all cached compiled traces may hold (about 11 MB)
+    #: accesses all cached compiled traces may hold (about 11 MB of arrays)
     MAX_COMPILED_ACCESSES = 1 << 18
 
     def __init__(self, max_entries: int = 2048):
@@ -69,9 +76,10 @@ class TraceCache:
         self.max_entries = int(max_entries)
         self._lock = threading.Lock()
         self._entries: OrderedDict = OrderedDict()
-        #: sha1(key_ids, footprint) -> (key_ids, footprint, reuse_memo);
-        #: lets pattern-identical compiled traces share reuse distances
-        self._patterns: OrderedDict = OrderedDict()
+        #: sha1(key_ids, footprint) -> a live compiled trace of that
+        #: pattern, whose reuse memo pattern-identical traces then share;
+        #: weak, so an entry goes with its trace
+        self._patterns = weakref.WeakValueDictionary()
         #: body key -> {tuple(ind): sim_body result}; candidates sweep the
         #: same iteration space, so body events are shared across traces
         self._body_memos: OrderedDict = OrderedDict()
@@ -133,14 +141,11 @@ class TraceCache:
                 return entry
         # build outside the lock (tracing can be slow); a racing duplicate
         # build produces an identical trace and is harmless
-        if obs.enabled:
-            with obs.span("trace_capture", kind=key[0]):
-                value = build()
-        else:
+        with obs.span("trace_capture", kind=key[0]):
             value = build()
         with self._lock:
-            existing = self._entries.setdefault(key, value)
-            if existing is not value:
+            existing = self._entries.get(key)
+            if existing is not None:
                 self._entries.move_to_end(key)
                 self.hits += 1
                 if obs.enabled:
@@ -149,6 +154,7 @@ class TraceCache:
             self.misses += 1
             if obs.enabled:
                 obs.inc("cache_events", cache="trace", kind="miss")
+            self._entries[key] = value
             self._compiled_accesses += _accesses(value)
             while len(self._entries) > 1 and (
                     len(self._entries) > self.max_entries
@@ -201,23 +207,17 @@ class TraceCache:
         slice keys differ.
         """
         if ct.n_accesses == 0:
-            return ct
+            return ct       # an idle thread: no reuse to share
         h = hashlib.sha1(ct.key_ids.tobytes())
         h.update(ct.footprint.tobytes())
         digest = h.digest()
         with self._lock:
-            entry = self._patterns.get(digest)
-            if entry is not None:
-                key_ids, footprint, memo = entry
-                if (ct.key_ids.shape == key_ids.shape
-                        and (ct.key_ids == key_ids).all()
-                        and (ct.footprint == footprint).all()):
-                    object.__setattr__(ct, "reuse_memo", memo)
-                return ct
-            self._patterns[digest] = (ct.key_ids, ct.footprint,
-                                      ct.reuse_memo)
-            while len(self._patterns) > self.max_entries:
-                self._patterns.popitem(last=False)
+            first = self._patterns.get(digest)
+            if first is None:
+                self._patterns[digest] = ct
+            elif (np.array_equal(ct.key_ids, first.key_ids)
+                    and np.array_equal(ct.footprint, first.footprint)):
+                object.__setattr__(ct, "reuse_memo", first.reuse_memo)
             return ct
 
     def flat_trace(self, loop: ThreadedLoop, sim_body,

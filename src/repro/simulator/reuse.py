@@ -205,8 +205,9 @@ def hit_levels(key_ids, footprints, capacities, memo=None) -> tuple:
     A level whose capacity holds every distinct key of its stream at
     once (a large LLC) needs no distance pass at all: each re-access
     hits.  The whole result is memoized per capacity tuple too, so
-    pattern-identical threads replayed on one hierarchy share it; the
-    returned levels are then read-only.
+    pattern-identical threads replayed on one hierarchy (the sampled
+    threads of a tuning candidate, the threads of a data-parallel
+    replay) share it; the returned levels are then read-only.
     """
     done_key = ("levels", tuple(int(c) for c in capacities))
     if memo is not None and done_key in memo:
@@ -252,7 +253,8 @@ def hit_levels(key_ids, footprints, capacities, memo=None) -> tuple:
         else:
             dist = dists.get(w_sig)
             if dist is None:
-                dist = dists[w_sig] = _intervening_bytes(prev, nxt, w)
+                dist = _intervening_bytes(prev, nxt, w)
+                dists[w_sig] = dist
             hit = (prev >= 0) & (dist + w <= cap)
         n_hit = int(np.count_nonzero(hit))
         hits.append(n_hit)

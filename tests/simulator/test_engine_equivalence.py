@@ -17,11 +17,13 @@ import pytest
 
 from repro.core import LoopSpecs, ThreadedLoop
 from repro.core.errors import SpecError
+from repro.kernels import mlp as mlp_module
 from repro.kernels.mlp import ParlooperMlp
 from repro.platform import ADL, GVT3, SPR, ZEN4
 from repro.simulator import (Access, BodyEvent, ThreadTrace, bandwidth_event,
                              compile_trace, simulate, simulate_flat,
                              trace_flat, trace_threaded_loop)
+from repro.simulator import engine
 from repro.simulator.engine import simulate_traces, simulate_traces_lru
 from repro.simulator.trace import _serialize_spec
 from repro.verify import default_families
@@ -31,6 +33,18 @@ from repro.verify.fuzz import _valid_case, default_case_count
 def _array(traces, machine, dispatch_overhead=True):
     return simulate_traces([compile_trace(t) for t in traces], machine,
                            dispatch_overhead)
+
+
+@pytest.fixture
+def no_fallback(monkeypatch):
+    """Make the oracle fallback of ``simulate`` and ``ParlooperMlp.simulate``
+    fail, so a result they return came from the array replay.  The
+    module-level ``simulate_traces_lru`` above stays the real oracle."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the array replay fell back to the oracle")
+
+    monkeypatch.setattr(engine, "simulate_traces_lru", refuse)
+    monkeypatch.setattr(mlp_module, "simulate_traces_lru", refuse)
 
 
 def _shrunk(machine, sizes):
@@ -125,19 +139,26 @@ FUZZ_MACHINES = (SPR, ADL, _shrunk(SPR, (2048, 8192, 32768)),
 
 @pytest.mark.fuzz
 @pytest.mark.parametrize("family", default_families(), ids=lambda f: f.name)
-def test_fuzz_cases(family):
+def test_fuzz_cases(family, no_fallback):
+    """Builder-made traces of static specs replay on arrays, never
+    rejected, and equal the oracle; ``simulate`` returns the same."""
     rng = random.Random(f"engine-equivalence:{family.name}")
     for _ in range(default_case_count()):
         spec, blocks, num_threads = _valid_case(rng, family)
         kern = _fuzz_kernel(family, spec, blocks, num_threads)
+        loop = kern.loop
         for machine in FUZZ_MACHINES:
             body = kern.sim_body(machine)
-            assert simulate(kern.loop, body, machine) == \
-                _oracle(kern.loop, body, machine), (spec, machine.name)
+            want = _oracle(loop, body, machine)
+            if loop.plan.parsed.schedule != "dynamic":
+                assert _array(trace_threaded_loop(loop, body), machine) \
+                    == want, (spec, machine.name)
+            assert simulate(loop, body, machine) == want, \
+                (spec, machine.name)
 
 
 class TestFixedCases:
-    def test_mlp_cascade_hands_activations_across_cores(self):
+    def test_mlp_cascade_hands_activations_across_cores(self, no_fallback):
         mlp = ParlooperMlp([256, 256, 256], 128, num_threads=8)
         merged = [ThreadTrace(tid) for tid in range(8)]
         for l, layer in enumerate(mlp.layers):
@@ -187,7 +208,8 @@ class TestCacheHierarchies:
 
     @pytest.mark.parametrize("machine", [ALL_PRIVATE, L1_ONLY],
                              ids=["all-private", "l1-only"])
-    def test_machines_without_a_shared_level_simulate(self, machine):
+    def test_machines_without_a_shared_level_simulate(self, machine,
+                                                      no_fallback):
         loop = ThreadedLoop([LoopSpecs(0, 8, 1), LoopSpecs(0, 8, 1)], "Ab",
                             num_threads=4)
 

@@ -177,6 +177,20 @@ class TestPatternSharing:
         c1 = cache.compiled_thread_trace(loop, skewed, 1)
         assert c1.reuse_memo is not c0.reuse_memo
 
+    def test_reuse_memo_goes_with_its_traces(self):
+        """The cache holds a reuse memo only through the compiled traces
+        sharing it: once they are evicted, a pattern-identical trace
+        starts a fresh memo."""
+        cache = TraceCache(max_entries=1)
+        loop = ThreadedLoop(SPECS, "Ba", num_threads=2)
+        cache.compiled_thread_trace(loop, _body, 0).reuse_memo["probe"] = 1
+        cache.thread_trace(loop, _body, 1)      # evicts the compiled trace
+        c1 = cache.compiled_thread_trace(loop, _body, 1)
+        assert "probe" not in c1.reuse_memo
+        # while a trace of the pattern lives, the memo is shared
+        c0 = cache.compiled_thread_trace(loop, _body, 0)
+        assert c0.reuse_memo is c1.reuse_memo
+
 
 class TestConsumers:
     def test_predict_populates_and_reuses(self):

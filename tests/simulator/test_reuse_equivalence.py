@@ -65,6 +65,14 @@ class TestHitLevelsDifferential:
             lv2, stats2 = hit_levels(np.array(keys), np.array(fp), caps,
                                      memo=memo)
             assert list(lv2) == ref and stats2 == stats, f"trial {trial}"
+            # a hierarchy sharing all but its last level reuses the
+            # memoized streams and distances of that prefix
+            caps2 = caps[:-1] + [caps[-1] * 3]
+            ref2, ref2_clamps = _oracle_levels(keys, fp, caps2)
+            lv4, stats4 = hit_levels(np.array(keys), np.array(fp), caps2,
+                                     memo=memo)
+            assert list(lv4) == ref2, f"trial {trial}: caps={caps2}"
+            assert stats4.capacity_clamps == ref2_clamps, f"trial {trial}"
             # and no memo at all must agree too
             lv3, stats3 = hit_levels(np.array(keys), np.array(fp), caps)
             assert list(lv3) == ref and stats3 == stats, f"trial {trial}"

@@ -37,8 +37,9 @@ def replays(monkeypatch):
     original = engine.simulate_traces
 
     def counting(traces, machine, dispatch_overhead=True):
-        calls.append(traces)
-        return original(traces, machine, dispatch_overhead)
+        result = original(traces, machine, dispatch_overhead)
+        calls.append(traces)       # only replays that returned
+        return result
 
     for mod in list(sys.modules.values()):
         name = getattr(mod, "__name__", "") or ""

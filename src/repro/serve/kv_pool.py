@@ -37,18 +37,28 @@ class KvPoolStats:
     @property
     def occupancy(self) -> float:
         """Fraction of pool blocks allocated."""
-        if self.total_blocks == 0:
-            return 0.0
-        return self.used_blocks / self.total_blocks
+        return _occupancy(self.used_blocks, self.total_blocks)
 
     @property
     def fragmentation(self) -> float:
         """Fraction of *allocated* token slots holding no KV entry —
         the paged design's bounded internal fragmentation."""
-        slots = self.used_blocks * self.block_tokens
-        if slots == 0:
-            return 0.0
-        return 1.0 - self.cached_tokens / slots
+        return _fragmentation(self.used_blocks, self.cached_tokens,
+                              self.block_tokens)
+
+
+def _occupancy(used_blocks: int, total_blocks: int) -> float:
+    if total_blocks == 0:
+        return 0.0
+    return used_blocks / total_blocks
+
+
+def _fragmentation(used_blocks: int, cached_tokens: int,
+                   block_tokens: int) -> float:
+    slots = used_blocks * block_tokens
+    if slots == 0:
+        return 0.0
+    return 1.0 - cached_tokens / slots
 
 
 class PagedKvPool:
@@ -85,19 +95,22 @@ class PagedKvPool:
         self._blocks: dict = {}
         #: rid -> cached token positions (≤ blocks * block_tokens)
         self._tokens: dict = {}
+        #: running totals of ``_blocks`` and ``_tokens``: the server
+        #: reads occupancy every step, so they are never re-summed
+        self._used = 0
+        self._cached = 0
 
     # -- capacity -------------------------------------------------------
     @property
     def used_blocks(self) -> int:
         """Blocks currently allocated (the load a KV-aware router sees)."""
-        return sum(self._blocks.values())
+        return self._used
 
     @property
     def free_blocks(self) -> int:
         """May go negative while fault-injected capacity loss overlaps
         existing allocations: nothing new fits until releases catch up."""
-        return self.total_blocks - self.lost_blocks \
-            - sum(self._blocks.values())
+        return self.total_blocks - self.lost_blocks - self._used
 
     def set_lost_fraction(self, fraction: float) -> None:
         """Mark a fraction of the pool unavailable (memory pressure).
@@ -131,8 +144,10 @@ class PagedKvPool:
                 f"{self.free_blocks} free")
         if need > 0:
             self._blocks[rid] = held + need
+            self._used += need
         elif rid not in self._blocks:
             self._blocks[rid] = 0
+        self._cached += new_total_tokens - self._tokens.get(rid, 0)
         self._tokens[rid] = new_total_tokens
 
     def can_reserve(self, rid: int, tokens: int) -> bool:
@@ -150,6 +165,7 @@ class PagedKvPool:
                 f"kv pool exhausted: request {rid} reserves {need} "
                 f"blocks, {self.free_blocks} free")
         self._blocks[rid] = self._blocks.get(rid, 0) + max(0, need)
+        self._used += max(0, need)
         self._tokens.setdefault(rid, 0)
 
     def roll_back_tokens(self, rid: int, tokens: int) -> None:
@@ -160,13 +176,18 @@ class PagedKvPool:
         which drives fragmentation metrics and the redo's grow targets —
         moves back."""
         if rid in self._blocks:
-            self._tokens[rid] = min(tokens, self._tokens.get(rid, 0))
+            held = self._tokens.get(rid, 0)
+            kept = min(tokens, held)
+            self._cached += kept - held
+            self._tokens[rid] = kept
 
     def release(self, rid: int) -> int:
         """Free all of *rid*'s blocks; returns the evicted token count
         (what a preempted request must re-prefill)."""
-        self._blocks.pop(rid, None)
-        return self._tokens.pop(rid, 0)
+        self._used -= self._blocks.pop(rid, 0)
+        tokens = self._tokens.pop(rid, 0)
+        self._cached -= tokens
+        return tokens
 
     def cached_tokens(self, rid: int) -> int:
         return self._tokens.get(rid, 0)
@@ -179,14 +200,14 @@ class PagedKvPool:
     def stats(self) -> KvPoolStats:
         return KvPoolStats(
             total_blocks=self.total_blocks,
-            used_blocks=sum(self._blocks.values()),
-            cached_tokens=sum(self._tokens.values()),
+            used_blocks=self._used,
+            cached_tokens=self._cached,
             block_tokens=self.block_tokens)
 
     @property
     def occupancy(self) -> float:
-        return self.stats().occupancy
+        return _occupancy(self._used, self.total_blocks)
 
     @property
     def fragmentation(self) -> float:
-        return self.stats().fragmentation
+        return _fragmentation(self._used, self._cached, self.block_tokens)

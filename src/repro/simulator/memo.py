@@ -16,7 +16,9 @@ on which machine model replays it, and many candidates share an order:
 raw :class:`ThreadTrace` objects (for the engine) and their
 :class:`~repro.simulator.reuse.CompiledTrace` forms (for the vectorized
 perfmodel).  Tuning sweeps across several machine models — the paper
-tunes on four testbeds — then trace each candidate exactly once.
+tunes on four testbeds — then trace each candidate exactly once, and
+compile each distinct per-thread event sequence once: most candidates
+hand a sampled thread the same tiles in the same order.
 
 Cached traces are shared: consumers must treat them as immutable.  The
 body function itself is the default cache-key component, so ``sim_body``
@@ -65,7 +67,12 @@ class TraceCache:
     reuse memo only through the compiled traces that share it, so an
     evicted pattern's memo goes with its last trace; a memo grows by a
     few arrays over the pattern's accesses for each cache hierarchy the
-    pattern is replayed on."""
+    pattern is replayed on.
+
+    Compiled traces are shared by event sequence: every thread key whose
+    raw trace holds the same events gets the same compiled trace, with
+    its reuse memo.  A trace held by several entries counts against the
+    access budget once per entry."""
 
     #: accesses all cached compiled traces may hold (about 11 MB of arrays)
     MAX_COMPILED_ACCESSES = 1 << 18
@@ -80,6 +87,10 @@ class TraceCache:
         #: pattern, whose reuse memo pattern-identical traces then share;
         #: weak, so an entry goes with its trace
         self._patterns = weakref.WeakValueDictionary()
+        #: tuple(raw.events) -> the compiled trace of those events; weak
+        #: like ``_patterns``, so an entry goes with the last cache entry
+        #: holding its trace
+        self._sequences = weakref.WeakValueDictionary()
         #: body key -> {tuple(ind): sim_body result}; candidates sweep the
         #: same iteration space, so body events are shared across traces
         self._body_memos: OrderedDict = OrderedDict()
@@ -186,17 +197,39 @@ class TraceCache:
                               body_key=None) -> CompiledTrace:
         """Array-compiled form of :meth:`thread_trace` (also cached).
 
-        Compiled traces with identical ``(key_ids, footprint)`` patterns —
-        e.g. the tids of a data-parallel nest, which walk isomorphic tile
-        sequences whose interned ids coincide — additionally share one
+        Thread keys whose raw traces hold the same event sequence — the
+        idle tids of any nest, or one tid under candidates that hand it
+        the same tiles — get one compiled trace, so each distinct
+        sequence is compiled and replayed once.  Compiled traces with
+        identical ``(key_ids, footprint)`` patterns — e.g. the tids of a
+        data-parallel nest, which walk isomorphic tile sequences whose
+        interned ids coincide — additionally share one
         :attr:`~repro.simulator.reuse.CompiledTrace.reuse_memo`, so the
         reuse-distance pass runs once per *pattern*, not once per thread.
         """
         key = self._thread_key(loop, sim_body, tid, body_key)
         return self._get(
             ("threadc",) + key,
-            lambda: self._share_reuse_memo(compile_trace(
-                self._raw_thread_trace(key, loop, sim_body, tid, body_key))))
+            lambda: self._compile_once(
+                self._raw_thread_trace(key, loop, sim_body, tid, body_key)))
+
+    def _compile_once(self, raw: ThreadTrace) -> CompiledTrace:
+        """The compiled trace of *raw*'s event sequence, compiled on the
+        sequence's first request.
+
+        The body memo makes events one object per ``ind``, and events
+        are immutable, so sequences equal by identity hold equal events:
+        the lookup hashes object ids, never arrays.  A trace that
+        ``compile_trace`` rejects is never registered, so every request
+        for it raises and its caller falls back."""
+        seq = tuple(raw.events)
+        with self._lock:
+            ct = self._sequences.get(seq)
+        if ct is None:
+            ct = self._share_reuse_memo(compile_trace(raw))
+            with self._lock:
+                ct = self._sequences.setdefault(seq, ct)
+        return ct
 
     def _share_reuse_memo(self, ct: CompiledTrace) -> CompiledTrace:
         """Point *ct* at the reuse memo of any pattern-identical trace.
@@ -243,6 +276,7 @@ class TraceCache:
             self._entries.clear()
             self._compiled_accesses = 0
             self._patterns.clear()
+            self._sequences.clear()
             self._body_memos.clear()
             self.hits = 0
             self.misses = 0

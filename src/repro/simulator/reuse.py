@@ -69,9 +69,13 @@ class CompiledTrace:
     ``flops`` are per *event* and precomputed with exactly the float
     operations of :meth:`BodyEvent.compute_cycles`, so a vectorized replay
     reproduces the scalar replay bit for bit.
+
+    A compiled trace depends only on its events, so a
+    :class:`~repro.simulator.memo.TraceCache` hands one to every thread
+    whose trace holds those events; :attr:`ThreadTrace.tid` names the
+    thread.
     """
 
-    tid: int
     key_ids: np.ndarray        # int64 [A] interned slice keys
     nbytes: np.ndarray         # float64 [A]
     cost_scale: np.ndarray     # float64 [A]
@@ -117,7 +121,7 @@ def compile_trace(trace: ThreadTrace) -> CompiledTrace:
     """
     events = trace.events
     if not events:
-        return CompiledTrace(trace.tid, *_EMPTY, 0, ())
+        return CompiledTrace(*_EMPTY, 0, ())
     cols = [ev.columns for ev in events]
     key_lists = [c.keys for c in cols]
     index = dict.fromkeys(chain.from_iterable(key_lists))
@@ -142,7 +146,6 @@ def compile_trace(trace: ThreadTrace) -> CompiledTrace:
             f"{footprint[at]} for key {keys[key_ids[at]]!r}")
     check_constant_footprints(key_ids, footprint, keys, "mid-trace")
     return CompiledTrace(
-        tid=trace.tid,
         key_ids=key_ids,
         nbytes=cat("nbytes", np.float64),
         cost_scale=cat("cost_scale", np.float64),

@@ -1,5 +1,6 @@
 """Tests for the paged KV-cache pool."""
 
+import random
 from dataclasses import replace
 
 import pytest
@@ -109,3 +110,38 @@ class TestAccounting:
         assert st.used_blocks == 2
         assert st.cached_tokens == 24
         assert pool.holders() == [1, 2]
+
+    def test_running_totals_match_the_holders(self):
+        """Every accounting property equals its value recomputed from
+        the per-request dicts, after every operation of a random mix."""
+        rng = random.Random(20261018)
+        pool = small_pool(n_blocks=24, block_tokens=16)
+        for _ in range(2000):
+            rid = rng.randrange(5)
+            op = rng.choice(["grow", "grow", "reserve", "roll_back",
+                             "release", "lose"])
+            tokens = rng.randrange(0, 200)
+            try:
+                if op == "grow":
+                    pool.grow(rid, tokens)
+                elif op == "reserve":
+                    pool.reserve(rid, tokens)
+                elif op == "roll_back":
+                    pool.roll_back_tokens(rid, tokens)
+                elif op == "release":
+                    pool.release(rid)
+                else:
+                    pool.set_lost_fraction(rng.choice([0.0, 0.0, 0.3, 0.9]))
+            except MemoryError:
+                pass
+            used = sum(pool._blocks.values())
+            cached = sum(pool._tokens.values())
+            slots = used * pool.block_tokens
+            assert pool.used_blocks == used
+            assert pool.free_blocks == \
+                pool.total_blocks - pool.lost_blocks - used
+            st = pool.stats()
+            assert (st.used_blocks, st.cached_tokens) == (used, cached)
+            assert pool.occupancy == used / pool.total_blocks
+            assert pool.fragmentation == \
+                (1.0 - cached / slots if slots else 0.0)

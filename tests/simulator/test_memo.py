@@ -3,10 +3,13 @@
 import pytest
 
 from repro.core import LoopSpecs, ThreadedLoop
-from repro.platform import SPR
-from repro.simulator import (Access, BodyEvent, TraceCache, predict, simulate,
-                             trace_threaded_loop)
+from repro.platform import ADL, SPR
+from repro.simulator import (Access, BodyEvent, TraceCache, brgemm_event,
+                             predict, simulate, trace_threaded_loop)
+from repro.simulator import memo as memo_module
 from repro.simulator.engine import simulate_traces_lru
+from repro.tpp.dtypes import DType
+from repro.tuner import TuningConstraints, tune
 
 SPECS = [LoopSpecs(0, 4, 1), LoopSpecs(0, 4, 1)]
 
@@ -190,6 +193,121 @@ class TestPatternSharing:
         # while a trace of the pattern lives, the memo is shared
         c0 = cache.compiled_thread_trace(loop, _body, 0)
         assert c0.reuse_memo is c1.reuse_memo
+
+
+@pytest.fixture
+def compiles(monkeypatch):
+    """Count the traces the cache compiles."""
+    seen = []
+    compile_trace = memo_module.compile_trace
+
+    def counting(trace):
+        seen.append(trace)
+        return compile_trace(trace)
+
+    monkeypatch.setattr(memo_module, "compile_trace", counting)
+    return seen
+
+
+class TestSequenceSharing:
+    # four tids of work on eight threads; "Ab" and "bA" hand each tid the
+    # same tiles in the same order, and so do "aB" and "Ba"
+    SPECS_SWEPT = ("Ab", "bA", "aB", "Ba")
+
+    def _loops(self):
+        return [ThreadedLoop(SPECS, spec, num_threads=8)
+                for spec in self.SPECS_SWEPT]
+
+    def test_each_distinct_sequence_compiles_once(self, compiles):
+        cache = TraceCache()
+        for loop in self._loops():
+            for tid in range(8):
+                cache.compiled_thread_trace(loop, _body, tid)
+        distinct = {tuple(cache.thread_trace(loop, _body, tid).events)
+                    for loop in self._loops() for tid in range(8)}
+        assert len(distinct) == 9      # 4 + 4 tile sequences, 1 empty
+        assert len(compiles) == len(distinct)
+
+    def test_equal_sequences_get_one_compiled_trace(self):
+        cache = TraceCache()
+        ab, ba = self._loops()[:2]
+        assert cache.compiled_thread_trace(ab, _body, 6) is \
+            cache.compiled_thread_trace(ab, _body, 7)   # idle tids
+        assert cache.compiled_thread_trace(ab, _body, 1) is \
+            cache.compiled_thread_trace(ba, _body, 1)
+        assert cache.compiled_thread_trace(ab, _body, 1) is not \
+            cache.compiled_thread_trace(ab, _body, 2)
+        assert cache.misses == 10       # 5 thread keys, raw + compiled
+
+    def test_compiled_trace_goes_with_its_entries(self, compiles):
+        """The cache holds a shared compiled trace only through its
+        entries: once they are all evicted, the sequence compiles
+        again."""
+        cache = TraceCache(max_entries=2)
+        ab, ba, a_b, b_a = self._loops()
+        cache.compiled_thread_trace(ab, _body, 0).reuse_memo["probe"] = 1
+        # evicts "Ab"'s entries; "bA"'s compiled entry holds the trace
+        assert "probe" in cache.compiled_thread_trace(ba, _body, 0) \
+            .reuse_memo
+        assert len(compiles) == 1
+        cache.thread_trace(a_b, _body, 0)
+        cache.thread_trace(b_a, _body, 0)       # evicts "bA"'s entries
+        assert "probe" not in cache.compiled_thread_trace(ab, _body, 0) \
+            .reuse_memo
+        assert len(compiles) == 2
+
+    def test_rejected_trace_falls_back_on_every_request(self, compiles):
+        loop = ThreadedLoop([LoopSpecs(0, 4, 1)], "A", num_threads=2)
+
+        def zero_footprint(ind):
+            return BodyEvent((Access(("m", ind[0]), 0),), flops=1.0)
+
+        cache = TraceCache()
+        want = simulate_traces_lru(trace_threaded_loop(loop, zero_footprint),
+                                   SPR)
+        for n in (1, 2):
+            with pytest.raises(ValueError, match="positive"):
+                cache.compiled_thread_trace(loop, zero_footprint, 0)
+            assert len(compiles) == n
+        for _ in range(2):
+            assert simulate(loop, zero_footprint, SPR,
+                            trace_cache=cache) == want
+
+    @pytest.mark.parametrize("machine", [SPR, ADL], ids=["SPR", "ADL"])
+    def test_shared_cache_predicts_as_a_fresh_one(self, machine):
+        """Every candidate of an exhaustive tune predicts the same through
+        the sweep's shared cache as through a cache of its own, and a few
+        simulate the same too."""
+        blocks = 4
+        specs = [LoopSpecs(0, blocks, blocks), LoopSpecs(0, blocks, 1),
+                 LoopSpecs(0, blocks, 1)]
+
+        def body(ind):
+            _ik, im, inn = ind
+            return brgemm_event(machine, DType.F32, 32, 32, 32, blocks,
+                                [("A", im, k) for k in range(blocks)],
+                                [("B", inn, k) for k in range(blocks)],
+                                ("C", inn, im), beta=1.0,
+                                c_first_touch=True)
+
+        cons = TuningConstraints(max_occurrences={"a": 1, "b": 2, "c": 2},
+                                 parallelizable=frozenset({"b", "c"}))
+        shared = TraceCache()
+        report = tune(specs, machine=machine, sim_body=body,
+                      constraints=cons, num_threads=8, sample_threads=None,
+                      trace_cache=shared)
+        assert len(report.outcomes) > 20
+        for i, outcome in enumerate(report.outcomes):
+            loop = outcome.candidate.build_loop(specs, num_threads=8)
+            assert predict(loop, body, machine, trace_cache=shared) == \
+                predict(loop, body, machine, trace_cache=TraceCache()), \
+                outcome.candidate.label()
+            if i % 8 == 0:
+                assert simulate(loop, body, machine,
+                                trace_cache=shared) == \
+                    simulate(loop, body, machine,
+                             trace_cache=TraceCache()), \
+                    outcome.candidate.label()
 
 
 class TestConsumers:

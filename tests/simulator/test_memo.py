@@ -1,5 +1,9 @@
 """TraceCache: memoized trace capture for tuning sweeps."""
 
+import random
+import sys
+import threading
+
 import pytest
 
 from repro.core import LoopSpecs, ThreadedLoop
@@ -255,6 +259,42 @@ class TestSequenceSharing:
         assert "probe" not in cache.compiled_thread_trace(ab, _body, 0) \
             .reuse_memo
         assert len(compiles) == 2
+
+    @pytest.mark.parametrize("round_", range(5))
+    def test_threads_racing_on_one_cache_share_one_trace(self, round_):
+        """Threads sweeping one cache in different orders still get one
+        compiled trace per distinct event sequence."""
+        cache = TraceCache()
+        keys = [(loop, tid) for loop in self._loops() for tid in range(8)]
+        got = []
+
+        def sweep(seed):
+            order = keys[:]
+            random.Random(seed).shuffle(order)
+            got.extend((loop, tid, cache.compiled_thread_trace(loop, _body,
+                                                               tid))
+                       for loop, tid in order)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=sweep, args=(8 * round_ + i,))
+                       for i in range(8)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        assert len(got) == 8 * len(keys)
+        by_sequence = {}
+        for loop, tid, ct in got:
+            seq = tuple(cache.thread_trace(loop, _body, tid).events)
+            by_sequence.setdefault(seq, set()).add(id(ct))
+        # racing body-memo misses may build one event twice, so there can
+        # be more than the 9 sequences of a serial sweep
+        assert all(len(ids) == 1 for ids in by_sequence.values())
 
     def test_rejected_trace_falls_back_on_every_request(self, compiles):
         loop = ThreadedLoop([LoopSpecs(0, 4, 1)], "A", num_threads=2)

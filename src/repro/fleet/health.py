@@ -182,8 +182,5 @@ class HealthMonitor:
                                        self.phi(r.id, now_s), r))
         return out
 
-    def last_heard(self, rid: int) -> float | None:
-        return self._last_ok.get(rid)
-
     def n_probes(self, rid: int) -> int:
         return self._probe_i.get(rid, 0)

@@ -16,8 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..platform.machine import MachineModel
-from ..simulator.engine import (SimResult, simulate_traces,
-                                simulate_traces_lru)
+from ..simulator.engine import SimResult, simulate_traces
 from ..simulator.reuse import compile_trace
 from ..simulator.trace import ThreadTrace
 from ..tpp.dtypes import DType
@@ -60,7 +59,9 @@ class ParlooperMlp:
     """A stack of fully-connected layers with fused bias + activation.
 
     ``sizes = [f0, f1, ..., fL]`` declares L layers; layer l maps
-    ``f_l -> f_{l+1}`` features over a fixed minibatch.
+    ``f_l -> f_{l+1}`` features over a fixed minibatch.  Layer l's
+    output blocks are layer l+1's input blocks, so ``bm`` must equal
+    ``bk``.
     """
 
     def __init__(self, sizes, minibatch: int,
@@ -72,6 +73,10 @@ class ParlooperMlp:
                  backend: str = "interp", abft: str = "off"):
         if len(sizes) < 2:
             raise ValueError("an MLP needs at least one layer (two sizes)")
+        if bm != bk:
+            raise ValueError(
+                f"an MLP needs bm == bk, so that a layer's output blocks "
+                f"are the next layer's input blocks; got bm={bm}, bk={bk}")
         self.sizes = list(sizes)
         self.minibatch = minibatch
         self.dtype = dtype
@@ -103,8 +108,8 @@ class ParlooperMlp:
         act = self.layers[0].gemm.pack_b(x)
         for layer, w, b in zip(self.layers, self.weights, self.biases):
             out = layer(w, act, b)
-            # O[Nb][Mb][bm][bn] happens to be the B layout (K=M rows) of
-            # the next layer when bk == bm: the cascading property
+            # O[Nb][Mb][bm][bn] is the B layout (K=M rows) of the next
+            # layer, as bk == bm: the cascading property
             act = out
         return unpack_c_blocked(act)
 
@@ -131,8 +136,7 @@ class ParlooperMlp:
 
         Each layer's per-thread traces come from the session's (or the
         default) trace cache; the merged traces are compiled for the
-        array replay, with the scalar oracle as the fallback for traces
-        it rejects.  The run reports into the same session's
+        array replay.  The run reports into the same session's
         observability scope."""
         sess = _session(session)
         with sess.activate(), sess.obs.span(
@@ -151,11 +155,8 @@ class ParlooperMlp:
                     merged = [ThreadTrace(t.tid) for t in traces]
                 for t, extra in zip(merged, traces):
                     t.events.extend(extra.events)
-            try:
-                return simulate_traces([compile_trace(t) for t in merged],
-                                       machine)
-            except ValueError:
-                return simulate_traces_lru(merged, machine)
+            return simulate_traces([compile_trace(t) for t in merged],
+                                   machine)
 
     def predict(self, machine: MachineModel, session=None,
                 sample_threads: int | None = None):

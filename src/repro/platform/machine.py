@@ -146,12 +146,6 @@ class MachineModel:
         """DRAM bandwidth normalised to leading-cluster cycles."""
         return self.dram_bw_gbytes * GIGA / (self.freq_ghz * GIGA)
 
-    def cache_level(self, name: str) -> CacheLevel:
-        for lv in self.caches:
-            if lv.name == name:
-                return lv
-        raise KeyError(name)
-
     @property
     def llc(self) -> CacheLevel:
         return self.caches[-1]

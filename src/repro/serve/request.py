@@ -85,11 +85,6 @@ class Request:
     tainted: bool = False
 
     @property
-    def context_tokens(self) -> int:
-        """Cached positions a decode step attends over."""
-        return self.cached
-
-    @property
     def total_tokens(self) -> int:
         """KV footprint of this request when fully generated."""
         return self.prompt_tokens + self.max_new_tokens

@@ -23,9 +23,11 @@ Static and grid schedules replay compiled traces on arrays
 (:func:`simulate_traces`): one reuse-distance pass per thread for the
 private levels, one over the lock-step stream of their misses for the
 shared LLC, and a last-writer lookup for the remote-hit penalty.  The
-scalar loop over per-core ``OrderedDict`` LRUs (:func:`simulate_traces_lru`)
-stays as its oracle — every :class:`SimResult` field equals it bit for
-bit — and as the fallback for traces the array replay rejects.  Dynamic
+§II-E model (:func:`~repro.simulator.perfmodel.predict`) is the same
+replay (:func:`_replay`) on a different view: shared levels split 1/n
+per thread and no shared state.  The scalar loop over per-core
+``OrderedDict`` LRUs (:func:`simulate_traces_lru`) stays as the test
+oracle — every :class:`SimResult` field equals it bit for bit.  Dynamic
 schedules (:func:`simulate_flat`) stay scalar: their order depends on
 simulated time.
 """
@@ -34,7 +36,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from itertools import chain
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -68,10 +70,6 @@ class SimResult:
             return 0.0
         return self.total_flops / self.seconds / GIGA
 
-    def level_fraction(self, i: int) -> float:
-        tot = sum(self.level_bytes) or 1.0
-        return self.level_bytes[i] / tot
-
 
 class _Core:
     """Per-core simulation state."""
@@ -95,9 +93,7 @@ class _SharedState:
     (``total shared bytes / total bandwidth``) — a two-level roofline.
     """
 
-    def __init__(self, machine: MachineModel, num_threads: int):
-        self.machine = machine
-        self.num_threads = max(1, num_threads)
+    def __init__(self, machine: MachineModel):
         llc = machine.llc
         self.llc = LRUCache(llc.size_bytes) if llc.shared else None
         freq = machine.freq_ghz * GIGA
@@ -117,16 +113,13 @@ class _SharedState:
                    self.dram_bytes / self.dram_bw_total)
 
 
-def _cluster_scale(cluster: CoreCluster, lead: CoreCluster,
-                   dtype: DType | None) -> float:
-    """Compute-throughput ratio of a core vs the leading cluster."""
+def _cluster_scale(cluster: CoreCluster, lead: CoreCluster) -> float:
+    """F32 compute-throughput ratio of a core vs the leading cluster."""
     if cluster is lead:
         return 1.0
-    dt = dtype if dtype is not None else DType.F32
     try:
-        num = cluster.flops_per_cycle(dt) * cluster.freq_ghz
-        den = lead.flops_per_cycle(dt) * lead.freq_ghz
-        return num / den
+        return (cluster.flops_per_cycle(DType.F32) * cluster.freq_ghz
+                / (lead.flops_per_cycle(DType.F32) * lead.freq_ghz))
     except ValueError:
         return cluster.ipc_scale * cluster.freq_ghz / lead.freq_ghz
 
@@ -189,7 +182,7 @@ def _event_seconds(ev: BodyEvent, core: _Core, shared: _SharedState,
         if acc.write and shared.llc is not None:
             shared.llc.set_owner(acc.key, core.core_id)
 
-    scale = _cluster_scale(core.cluster, lead, None)
+    scale = _cluster_scale(core.cluster, lead)
     lead_freq = lead.freq_ghz * GIGA
     comp_s = ev.compute_cycles() / (lead_freq * scale)
     return max(comp_s, mem_s)
@@ -217,115 +210,139 @@ def _build_cores(machine: MachineModel, num_threads: int):
 
 def simulate_traces(traces, machine: MachineModel,
                     dispatch_overhead: bool = True) -> SimResult:
-    """Lock-step replay of compiled per-thread traces (static schedules).
+    """Lock-step replay of compiled per-thread traces (static schedules):
+    the engine's view of :func:`_replay`, bit for bit equal to the
+    scalar oracle :func:`simulate_traces_lru`.
 
-    Threads advance round-robin one event at a time, so the shared LLC
-    sees an interleaving close to concurrent execution: event *i* of
-    thread *t* runs before event *i* of thread *t* + 1, and a thread that
-    has run out of events is skipped.  That order is fixed, so the replay
-    runs on arrays and equals :func:`simulate_traces_lru` bit for bit:
-
-    * private levels: one :func:`~repro.simulator.reuse.hit_levels` pass
-      per thread (on the trace's shared reuse memo);
-    * shared LLC: one pass over the *LLC stream* — every thread's
-      private-level misses in lock-step order, keys numbered across
-      threads;
-    * remote hits: an LLC hit by core *c* on key *k* pays
-      ``remote_hit_penalty`` exactly when the last write to *k* strictly
-      before it came from another core at or after *k*'s last LLC miss
-      (a miss inserts *k* ownerless, a write sets the owner only while
-      *k* is resident, and a hit means *k* stayed resident since its
-      last miss);
-    * sums keep the oracle's orders: each event's memory seconds in
-      access order, each core's time event by event, and the byte
-      totals in lock-step order.
-
-    *traces* are :class:`~repro.simulator.reuse.CompiledTrace`\\ s.
-    Raises ``ValueError`` when a key on the LLC stream has different
-    footprints in different threads; :func:`simulate` then replays the
-    raw traces through the oracle.
+    Every core gets its private levels at its cluster's frequency, the
+    single-core LLC and DRAM streaming limits and its cluster's compute
+    rate; the view adds the shared LLC (when the machine has one) with
+    ``remote_hit_penalty``, the chip-wide bandwidth floors and the
+    dispatch overhead.  *traces* are
+    :class:`~repro.simulator.reuse.CompiledTrace`\\ s.  Raises
+    ``ValueError`` when a key on the LLC stream has different footprints
+    in different threads.
     """
-    n_threads = len(traces)
-    clusters = _core_clusters(machine, n_threads)
-    shared = _SharedState(machine, n_threads)
+    shared = _SharedState(machine)
     lead = machine.clusters[0]
-    n_levels = len(machine.caches)
-    n_priv = n_levels - (shared.llc is not None)
-    private = machine.caches[:n_priv]
-    caps = [lv.size_bytes for lv in private]
-    # bytes/second of every slot (private levels, LLC, memory) per core
-    bw = np.array([[lv.bw_bytes_per_cycle * (cl.freq_ghz * GIGA)
-                    for lv in private]
-                   + [shared.llc_bw] * (shared.llc is not None)
-                   + [shared.dram_bw] for cl in clusters],
-                  dtype=np.float64).reshape(n_threads, n_levels + 1)
+    llc = machine.llc.size_bytes if machine.llc.shared else None
+    private = machine.caches[:len(machine.caches) - (llc is not None)]
+    # per cluster: bytes/second at every slot, compute cycles/second
+    bw, hz = {}, {}
+    for cl in machine.clusters:
+        bw[id(cl)] = np.array([lv.bw_bytes_per_cycle * (cl.freq_ghz * GIGA)
+                               for lv in private]
+                              + [shared.llc_bw] * (llc is not None)
+                              + [shared.dram_bw])
+        hz[id(cl)] = lead.freq_ghz * GIGA * _cluster_scale(cl, lead)
+    cores = [id(cl) for cl in _core_clusters(machine, len(traces))]
+    return _replay(
+        traces, [lv.size_bytes for lv in private], [bw[c] for c in cores],
+        [hz[c] for c in cores], llc=llc, penalty=machine.remote_hit_penalty,
+        floor_bw=(shared.llc_bw_total, shared.dram_bw_total),
+        overhead_s=machine.dispatch_overhead_us * 1e-6
+        if dispatch_overhead else 0.0)
 
-    # lock-step order: events sorted by (event index, thread); ``perm``
-    # maps each lock-step position to its thread-major access index.
-    # Threads without events take no part.
+
+def _replay(traces, caps, bw, hz, *, llc=None, penalty=1.0, floor_bw=None,
+            overhead_s=0.0) -> SimResult:
+    """Price compiled per-thread traces on one view of the hierarchy.
+
+    The view is numbers: the private capacities *caps* (innermost
+    first) of every thread; thread *t*'s bytes/second *bw[t]* at each
+    private level, the LLC (if any) and memory; and its compute
+    cycles/second *hz[t]*.  The engine's shared state is optional: an
+    LLC of capacity *llc* that threads share in lock-step, where a hit
+    on a line another core wrote costs *penalty* times more; the
+    chip-wide ``(LLC, memory)`` bytes/second *floor_bw* that bound the
+    makespan; and *overhead_s* added to it.  The lock-step order (event
+    *i* of thread *t* before event *i* of thread *t* + 1, exhausted
+    threads skipped) is built only when there is shared state.
+
+    An event costs ``max(compute, memory)`` seconds.  Sums keep the
+    scalar oracles' orders: an event's memory seconds in access order,
+    a thread's time event by event, and the byte totals in lock-step
+    order (thread by thread without shared state).
+    """
     live = [t for t, ct in enumerate(traces) if ct.n_events]
-    traces_live = [traces[t] for t in live]
-    n_ev = [ct.n_events for ct in traces_live]
-    ev_thread = np.repeat(np.array(live, dtype=np.int64), n_ev)
-    ev_index = _cat([np.arange(n, dtype=np.int64) for n in n_ev], np.int64)
-    ev_size = _cat([np.bincount(ct.event_of, minlength=ct.n_events)
-                    for ct in traces_live], np.int64)
-    ls = np.lexsort((ev_thread, ev_index))
-    sizes = ev_size[ls]
-    tm_first = np.cumsum(ev_size) - ev_size
-    perm = (np.repeat(tm_first[ls] - (np.cumsum(sizes) - sizes), sizes)
-            + np.arange(int(ev_size.sum()), dtype=np.int64))
-    g_thread = np.repeat(ev_thread[ls], sizes)
-    g_event = np.repeat(ls, sizes)     # thread-major event id
+    cts = [traces[t] for t in live]
+    with _obs().span("reuse_sim", threads=len(cts)):
+        level = _cat([hit_levels(ct.key_ids, ct.footprint, caps,
+                                 memo=ct.reuse_memo)[0] for ct in cts],
+                     np.int64)
+    n_ev = [ct.n_events for ct in cts]
+    ev_first = list(accumulate(n_ev, initial=0))
+    acc_first = list(accumulate((ct.n_accesses for ct in cts), initial=0))
+    event = _cat([ct.event_of + a if a else ct.event_of
+                  for ct, a in zip(cts, ev_first)], np.int64)
+    order = slice(None)
+    remote = ()
+    if llc is not None or floor_bw is not None:
+        # events sorted by (index in their thread, thread); ``order``
+        # maps each lock-step position to its thread-major access
+        ls = np.argsort(np.arange(ev_first[-1], dtype=np.int64)
+                        - np.repeat(ev_first[:-1], n_ev), kind="stable")
+        ev_size = np.bincount(event, minlength=ev_first[-1])
+        sizes = ev_size[ls]
+        order = (np.repeat((np.cumsum(ev_size) - ev_size)[ls]
+                           - (np.cumsum(sizes) - sizes), sizes)
+                 + np.arange(event.size, dtype=np.int64))
+        if llc is not None:
+            level, remote = _replay_llc(cts, llc, order, level, len(caps),
+                                        acc_first)
 
-    g_level = _cat([hit_levels(ct.key_ids, ct.footprint, caps,
-                               memo=ct.reuse_memo)[0] for ct in traces_live],
-                   np.int64)[perm]
-    remote = np.empty(0, dtype=np.int64)
-    if shared.llc is not None:
-        remote = _replay_llc(traces_live, machine, perm, g_thread, g_level,
-                             n_priv)
-    g_nbytes = _cat([ct.nbytes for ct in traces_live], np.float64)[perm]
-    g_eff = g_nbytes * _cat([ct.cost_scale for ct in traces_live],
-                            np.float64)[perm]
-    g_mem = g_eff / bw[g_thread, g_level]
-    g_mem[remote] *= machine.remote_hit_penalty
+    nbytes = _cat([ct.nbytes for ct in cts], np.float64)
+    eff = nbytes * _cat([ct.cost_scale for ct in cts], np.float64)
+    mem = eff / _cat([bw[t][level[a:b]] for t, a, b
+                      in zip(live, acc_first, acc_first[1:])], np.float64)
+    if len(remote):
+        mem[remote] *= penalty
+    ev_s = np.maximum(
+        _cat([ct.compute_cycles / hz[t] for t, ct in zip(live, cts)],
+             np.float64),
+        np.bincount(event, weights=mem, minlength=ev_first[-1]))
+    per_thread = [0.0] * len(traces)
+    for t, a, b in zip(live, ev_first, ev_first[1:]):
+        per_thread[t] = float(ev_s[a:b].cumsum()[-1])
 
-    level_bytes = np.bincount(g_level, weights=g_nbytes,
-                              minlength=n_levels + 1)
-    eff_bytes = np.bincount(g_level, weights=g_eff, minlength=n_levels + 1)
-    if shared.llc is not None:
-        shared.llc_bytes = float(eff_bytes[n_priv])
-    shared.dram_bytes = float(eff_bytes[n_levels])
-    shared.remote_hits = int(remote.size)
-
-    mem_ev = np.bincount(g_event, weights=g_mem, minlength=len(ev_size))
-    lead_freq = lead.freq_ghz * GIGA
-    comp_ev = _cat([traces[t].compute_cycles
-                    / (lead_freq * _cluster_scale(clusters[t], lead, None))
-                    for t in live], np.float64)
-    ev_s = np.maximum(comp_ev, mem_ev)
-    per_thread = [0.0] * n_threads
-    end = 0
-    for t, n in zip(live, n_ev):
-        end += n
-        per_thread[t] = float(np.cumsum(ev_s[end - n:end])[-1])
-
-    return _result(machine, dispatch_overhead, shared, tuple(per_thread),
-                   sum(ct.total_flops for ct in traces), level_bytes.tolist())
+    n_slots = len(caps) + (llc is not None) + 1
+    level = level[order]
+    level_bytes = np.bincount(level, weights=nbytes[order],
+                              minlength=n_slots)
+    floor = 0.0
+    if floor_bw is not None:
+        eff_bytes = np.bincount(level, weights=eff[order],
+                                minlength=n_slots)
+        floor = float(eff_bytes[-1]) / floor_bw[1]
+        if llc is not None:
+            floor = max(float(eff_bytes[-2]) / floor_bw[0], floor)
+    local = max(per_thread) if per_thread else 0.0
+    return SimResult(max(local, floor) + overhead_s,
+                     sum(ct.total_flops for ct in traces), tuple(per_thread),
+                     tuple(level_bytes.tolist()), len(remote))
 
 
 def _cat(arrays, dtype) -> np.ndarray:
+    """*arrays* concatenated; the array itself when there is one."""
+    if len(arrays) == 1:
+        return arrays[0]
     return (np.concatenate(arrays, dtype=dtype) if arrays
             else np.empty(0, dtype=dtype))
 
 
-def _replay_llc(traces, machine: MachineModel, perm, g_thread, g_level,
-                n_priv: int) -> np.ndarray:
-    """Replay the shared LLC over the lock-step stream of private misses
-    (``g_level == n_priv``), moving its misses to memory's slot in
-    *g_level*; returns the lock-step positions of the hits that pay the
-    remote-hit penalty."""
+def _replay_llc(traces, cap, perm, level, slot: int, acc_first) -> tuple:
+    """Replay a shared LLC of capacity *cap* over the lock-step stream
+    (*perm*) of private misses (``level == slot``), keys numbered across
+    threads.  Returns the thread-major levels with the LLC's misses
+    moved to memory's slot, and the thread-major indices of the hits
+    that pay the remote-hit penalty; thread *t*'s accesses start at
+    ``acc_first[t]``.
+
+    A hit by core *c* on key *k* pays exactly when the last write to *k*
+    strictly before it came from another core at or after *k*'s last
+    LLC miss: a miss inserts *k* ownerless, a write sets the owner only
+    while *k* is resident, and a hit means *k* stayed resident since its
+    last miss."""
     keys = tuple(dict.fromkeys(chain.from_iterable(ct.keys
                                                    for ct in traces)))
     index = dict(zip(keys, range(len(keys))))
@@ -333,17 +350,20 @@ def _replay_llc(traces, machine: MachineModel, perm, g_thread, g_level,
                                dtype=np.int64, count=len(ct.keys))[ct.key_ids]
                    for ct in traces], np.int64)
 
-    s_pos = np.flatnonzero(g_level == n_priv)
-    s_key = tm_key[perm[s_pos]]
-    s_fp = _cat([ct.footprint for ct in traces], np.int64)[perm[s_pos]]
+    s_pos = np.flatnonzero(level[perm] == slot)
+    s_tm = perm[s_pos]
+    s_key = tm_key[s_tm]
+    s_fp = _cat([ct.footprint for ct in traces], np.int64)[s_tm]
     check_constant_footprints(s_key, s_fp, keys, "between threads")
-    s_hit = hit_levels(s_key, s_fp, [machine.llc.size_bytes])[0] == 0
-    g_level[s_pos[~s_hit]] = n_priv + 1
+    s_hit = hit_levels(s_key, s_fp, [cap])[0] == 0
+    if not level.flags.writeable:       # one thread's memoized levels
+        level = level.copy()
+    level[s_tm[~s_hit]] = slot + 1
 
     w_pos = np.flatnonzero(_cat([ct.write for ct in traces], bool)[perm])
     hits = s_pos[s_hit]
     if w_pos.size == 0 or hits.size == 0:
-        return np.empty(0, dtype=np.int64)
+        return level, ()
     # each hit's key's last LLC miss: the running maximum of miss ranks
     # within key groups (a key's first stream access is always a miss)
     o = np.argsort(s_key, kind="stable")
@@ -354,25 +374,27 @@ def _replay_llc(traces, machine: MachineModel, perm, g_thread, g_level,
     # writes sorted by (key, position)
     big = np.int64(perm.size + 1)
     hit_key = s_key[s_hit]
-    w_comb = tm_key[perm[w_pos]] * big + w_pos
+    w_tm = perm[w_pos]
+    w_comb = tm_key[w_tm] * big + w_pos
     wo = np.argsort(w_comb)
     w_comb = w_comb[wo]
-    w_thread = g_thread[w_pos[wo]]
+    thread = np.repeat(np.arange(len(traces)), np.diff(acc_first))
+    w_thread = thread[w_tm[wo]]
     j = np.searchsorted(w_comb, hit_key * big + hits) - 1
     jj = np.maximum(j, 0)
+    hit_tm = s_tm[s_hit]
     remote = ((j >= 0) & (w_comb[jj] >= hit_key * big + last_miss[s_hit])
-              & (w_thread[jj] != g_thread[hits]))
-    return hits[remote]
+              & (w_thread[jj] != thread[hit_tm]))
+    return level, hit_tm[remote]
 
 
 def simulate_traces_lru(traces, machine: MachineModel,
                         dispatch_overhead: bool = True) -> SimResult:
     """Scalar lock-step replay of raw per-thread traces through per-core
-    ``OrderedDict`` LRUs: the oracle of :func:`simulate_traces`, and
-    :func:`simulate`'s fallback for traces the array replay rejects."""
+    ``OrderedDict`` LRUs: the test oracle of :func:`simulate_traces`."""
     num_threads = len(traces)
     cores, private_bws = _build_cores(machine, num_threads)
-    shared = _SharedState(machine, num_threads)
+    shared = _SharedState(machine)
     lead = machine.clusters[0]
     n_levels = len(machine.caches)
     level_bytes = [0.0] * (n_levels + 1)
@@ -406,7 +428,7 @@ def simulate_flat(trace: ThreadTrace, machine: MachineModel,
     E-cores (the ADL mechanism of Fig 7).
     """
     cores, private_bws = _build_cores(machine, num_threads)
-    shared = _SharedState(machine, num_threads)
+    shared = _SharedState(machine)
     lead = machine.clusters[0]
     n_levels = len(machine.caches)
     level_bytes = [0.0] * (n_levels + 1)
@@ -431,10 +453,9 @@ def simulate(loop: ThreadedLoop, sim_body, machine: MachineModel,
 
     Static/grid schedules replay per-thread traces in lock-step, on the
     compiled traces the cache serves (so an engine pass after a model
-    pass reuses the model's),
-    falling back to :func:`simulate_traces_lru` on the raw traces when
-    compilation or the array replay raises ``ValueError``; dynamic
-    schedules are re-assigned greedily (self-scheduling).
+    pass reuses the model's); traces that break the reuse-distance
+    preconditions raise ``ValueError``.  Dynamic schedules are
+    re-assigned greedily (self-scheduling).
 
     Traces are captured through *trace_cache* (a
     :class:`~repro.simulator.memo.TraceCache`; a private one when None).
@@ -452,13 +473,7 @@ def simulate(loop: ThreadedLoop, sim_body, machine: MachineModel,
             flat = trace_cache.flat_trace(loop, sim_body, body_key=body_key)
             return simulate_flat(flat, machine, loop.num_threads,
                                  dispatch_overhead)
-        try:
-            compiled = [trace_cache.compiled_thread_trace(
-                loop, sim_body, tid, body_key=body_key)
-                for tid in range(loop.num_threads)]
-            return simulate_traces(compiled, machine, dispatch_overhead)
-        except ValueError:
-            traces = [trace_cache.thread_trace(loop, sim_body, tid,
-                                               body_key=body_key)
-                      for tid in range(loop.num_threads)]
-            return simulate_traces_lru(traces, machine, dispatch_overhead)
+        compiled = [trace_cache.compiled_thread_trace(
+            loop, sim_body, tid, body_key=body_key)
+            for tid in range(loop.num_threads)]
+        return simulate_traces(compiled, machine, dispatch_overhead)

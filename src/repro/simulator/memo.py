@@ -72,7 +72,7 @@ class TraceCache:
     Compiled traces are shared by event sequence: every thread key whose
     raw trace holds the same events gets the same compiled trace, with
     its reuse memo.  A trace held by several entries counts against the
-    access budget once per entry."""
+    access budget once, while any entry holds it."""
 
     #: accesses all cached compiled traces may hold (about 11 MB of arrays)
     MAX_COMPILED_ACCESSES = 1 << 18
@@ -97,6 +97,8 @@ class TraceCache:
         self.hits = 0
         self.misses = 0
         self._compiled_accesses = 0
+        #: id(compiled trace) -> how many entries hold it
+        self._holders: dict = {}
 
     # -- key construction -------------------------------------------------
 
@@ -166,13 +168,25 @@ class TraceCache:
             if obs.enabled:
                 obs.inc("cache_events", cache="trace", kind="miss")
             self._entries[key] = value
-            self._compiled_accesses += _accesses(value)
+            self._hold(value, 1)
             while len(self._entries) > 1 and (
                     len(self._entries) > self.max_entries
                     or self._compiled_accesses > self.MAX_COMPILED_ACCESSES):
                 _key, old = self._entries.popitem(last=False)
-                self._compiled_accesses -= _accesses(old)
+                self._hold(old, -1)
             return value
+
+    def _hold(self, entry, step: int) -> None:
+        """Count one more (*step* 1) or one fewer (-1) entry holding
+        *entry*; a compiled trace's accesses count against the budget
+        from its first holder until its last goes."""
+        if not isinstance(entry, CompiledTrace):
+            return
+        held = self._holders.pop(id(entry), 0) + step
+        if held:
+            self._holders[id(entry)] = held
+        if held == 0 or (held == 1 and step == 1):
+            self._compiled_accesses += step * entry.n_accesses
 
     # -- public API -------------------------------------------------------
 
@@ -221,7 +235,7 @@ class TraceCache:
         are immutable, so sequences equal by identity hold equal events:
         the lookup hashes object ids, never arrays.  A trace that
         ``compile_trace`` rejects is never registered, so every request
-        for it raises and its caller falls back."""
+        for it raises."""
         seq = tuple(raw.events)
         with self._lock:
             ct = self._sequences.get(seq)
@@ -275,6 +289,7 @@ class TraceCache:
         with self._lock:
             self._entries.clear()
             self._compiled_accesses = 0
+            self._holders.clear()
             self._patterns.clear()
             self._sequences.clear()
             self._body_memos.clear()
@@ -283,10 +298,6 @@ class TraceCache:
 
     def __len__(self) -> int:
         return len(self._entries)
-
-
-def _accesses(entry) -> int:
-    return entry.n_accesses if isinstance(entry, CompiledTrace) else 0
 
 
 _GLOBAL = TraceCache()

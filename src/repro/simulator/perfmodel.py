@@ -3,9 +3,11 @@
 Per-thread slice traces are replayed against a private <=3-level LRU
 hierarchy; each event costs ``max(compute cycles, memory cycles)`` with
 memory cycles from the residency level's bandwidth.  Data sharing between
-threads is ignored ("For simplicity we ignore data-sharing"), which is
-precisely what distinguishes this *model* from the measurement *engine*
-(:mod:`repro.simulator.engine`) — the Fig 6 experiment compares the two.
+threads is ignored ("For simplicity we ignore data-sharing"): the model
+is the measurement *engine*'s array replay (:mod:`repro.simulator.engine`)
+on a view with shared levels split 1/n per thread and no shared state,
+so the two the Fig 6 experiment compares differ only in the hierarchy
+they are given.
 
 The tool's purpose is ranking loop_spec_strings: "loops with poor locality
 and low-concurrency get a low score".
@@ -20,9 +22,9 @@ import numpy as np
 from ..core.threaded_loop import ThreadedLoop
 from ..obs.context import current as _obs
 from ..platform.machine import MachineModel
+from .engine import _replay
 from .lru import CacheHierarchy
 from .memo import TraceCache
-from .reuse import hit_levels
 
 __all__ = ["PerfPrediction", "predict", "predict_traces"]
 
@@ -68,14 +70,13 @@ def predict(loop: ThreadedLoop, sim_body, machine: MachineModel,
 
     Traces are captured through *trace_cache* (a
     :class:`~repro.simulator.memo.TraceCache`; a private one when None),
-    once per iteration order, and replayed through the vectorized
-    reuse-distance simulator (:mod:`repro.simulator.reuse`).
-    ``seconds``/``total_flops``/``score`` are bit-identical to the
-    scalar LRU replay :func:`predict_traces` (``hit_fractions`` can
-    differ in the last ulps); traces whose footprints violate the
-    reuse-distance preconditions fall back to it.  ``sim_body`` must be
-    a pure function of ``ind``; pass a stable *body_key* when the
-    closure is rebuilt per call.
+    once per iteration order, and replayed on arrays by the engine's
+    replay on the model's view (:func:`_predict_compiled`).  Every field
+    is bit-identical to the scalar LRU replay :func:`predict_traces`;
+    traces whose footprints violate the reuse-distance preconditions
+    raise ``ValueError``.  ``sim_body`` must be a pure function of
+    ``ind``; pass a stable *body_key* when the closure is rebuilt per
+    call.
     """
     if sample_threads is not None and sample_threads < 1:
         raise ValueError(
@@ -95,16 +96,10 @@ def predict(loop: ThreadedLoop, sim_body, machine: MachineModel,
         tids = range(num_threads)
     with _obs().span("predict", spec=loop.spec_string,
                      machine=machine.name):
-        try:
-            pred = _predict_compiled(
-                [trace_cache.compiled_thread_trace(loop, sim_body, tid,
-                                                   body_key=body_key)
-                 for tid in tids], machine, num_threads)
-        except ValueError:
-            pred = predict_traces(
-                [trace_cache.thread_trace(loop, sim_body, tid,
-                                          body_key=body_key)
-                 for tid in tids], machine, num_threads)
+        pred = _predict_compiled(
+            [trace_cache.compiled_thread_trace(loop, sim_body, tid,
+                                               body_key=body_key)
+             for tid in tids], machine, num_threads)
     if sampled and total_flops is None:
         total_flops = pred.total_flops * num_threads / len(tids)
     if total_flops is None:
@@ -135,9 +130,7 @@ def _thread_view(machine: MachineModel, num_threads: int) -> tuple:
 def predict_traces(traces, machine: MachineModel,
                    num_threads: int) -> PerfPrediction:
     """Scalar LRU replay of *traces*, one private hierarchy per thread:
-    the oracle of :func:`_predict_compiled`, and :func:`predict`'s
-    fallback for traces :func:`~repro.simulator.reuse.compile_trace`
-    rejects."""
+    the test oracle of :func:`_predict_compiled`."""
     num_threads = max(1, num_threads)
     capacities, bandwidths, freq = _thread_view(machine, num_threads)
     n_levels = len(machine.caches)
@@ -171,41 +164,18 @@ def predict_traces(traces, machine: MachineModel,
 
 def _predict_compiled(compiled, machine: MachineModel,
                       num_threads: int) -> PerfPrediction:
-    """Vectorized replay of :class:`CompiledTrace`\\ s.
-
-    ``seconds``/``total_flops`` are bit-identical to the scalar replay:
-    per-event memory seconds accumulate via ``np.bincount`` (in-order
-    element adds, like the scalar ``+=`` loop) and totals via
-    ``np.cumsum(..)[-1]`` (sequential, unlike pairwise ``np.sum``).
-    """
-    num_threads = max(1, num_threads)
-    capacities, bandwidths, freq = _thread_view(machine, num_threads)
-    bw = np.asarray(bandwidths, dtype=np.float64)
-    n_levels = len(machine.caches)
-    level_bytes = np.zeros(n_levels + 1, dtype=np.float64)
-    per_thread_s = []
-    total_flops = 0.0
-    obs = _obs()
-    for ct in compiled:
-        with obs.span("reuse_sim", events=ct.n_events):
-            levels, _stats = hit_levels(ct.key_ids, ct.footprint,
-                                        capacities, memo=ct.reuse_memo)
-        if ct.n_events == 0:
-            per_thread_s.append(0.0)
-            continue
-        mem_acc = ct.nbytes * ct.cost_scale / bw[levels]
-        mem_ev = np.bincount(ct.event_of, weights=mem_acc,
-                             minlength=ct.n_events)
-        comp_ev = ct.compute_cycles / freq
-        per_thread_s.append(float(np.cumsum(np.maximum(comp_ev, mem_ev))[-1]))
-        total_flops += ct.total_flops
-        level_bytes += np.bincount(levels, weights=ct.nbytes,
-                                   minlength=n_levels + 1)
-    makespan = max(per_thread_s) if per_thread_s else 0.0
-    tot_bytes = float(level_bytes.sum()) or 1.0
+    """The model's view of the engine's array replay
+    (:func:`~repro.simulator.engine._replay`): :func:`_thread_view`'s
+    private hierarchy, bandwidths and frequency for every thread, and no
+    shared state.  Every field equals :func:`predict_traces`."""
+    capacities, bandwidths, freq = _thread_view(machine, max(1, num_threads))
+    n = len(compiled)
+    res = _replay(compiled, capacities, [np.array(bandwidths)] * n,
+                  [freq] * n)
+    tot_bytes = sum(res.level_bytes) or 1.0
     return PerfPrediction(
-        seconds=makespan,
-        total_flops=total_flops,
-        per_thread_seconds=tuple(per_thread_s),
-        hit_fractions=tuple(float(b) / tot_bytes for b in level_bytes),
+        seconds=res.seconds,
+        total_flops=res.total_flops,
+        per_thread_seconds=res.per_thread_seconds,
+        hit_fractions=tuple(b / tot_bytes for b in res.level_bytes),
     )

@@ -39,6 +39,7 @@ constancy and :func:`compile_trace` verifies it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -95,7 +96,7 @@ class CompiledTrace:
     def n_accesses(self) -> int:
         return int(self.key_ids.size)
 
-    @property
+    @cached_property
     def total_flops(self) -> float:
         """Bit-identical to ``ThreadTrace.flops`` (sequential Python sum)."""
         if self.n_events == 0:
@@ -116,8 +117,7 @@ def compile_trace(trace: ThreadTrace) -> CompiledTrace:
     chained key tuples, so no Python code runs once per access.  Raises
     ``ValueError`` when the trace violates the assumptions of the
     reuse-distance equivalence (non-positive footprints, or a key whose
-    footprint changes mid-trace) — callers should fall back to the
-    ``LRUCache`` replay for such traces.
+    footprint changes mid-trace); no replay accepts such a trace.
     """
     events = trace.events
     if not events:
@@ -212,7 +212,7 @@ def hit_levels(key_ids, footprints, capacities, memo=None) -> tuple:
     threads of a tuning candidate, the threads of a data-parallel
     replay) share it; the returned levels are then read-only.
     """
-    done_key = ("levels", tuple(int(c) for c in capacities))
+    done_key = ("levels", tuple(map(int, capacities)))
     if memo is not None and done_key in memo:
         return memo[done_key]
     key_ids = np.ascontiguousarray(key_ids, dtype=np.int64)

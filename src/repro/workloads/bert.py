@@ -57,10 +57,6 @@ class BertConfig:
         per_layer = 2.0 * tokens * h * (3 * h + h + 2 * i)
         return self.layers * per_layer
 
-    def attention_flops(self, batch: int, seq: int) -> float:
-        return self.layers * 2.0 * 2.0 * batch * self.heads \
-            * seq * seq * self.head_dim
-
 
 BERT_BASE = BertConfig("BERT-Base", 12, 768, 12, 3072)
 BERT_LARGE = BertConfig("BERT-Large", 24, 1024, 16, 4096)

@@ -137,6 +137,11 @@ class TestMlp:
         with pytest.raises(ValueError):
             ParlooperMlp([128], 64)
 
+    def test_needs_bm_equal_to_bk(self):
+        # layer l's bm-row output blocks are layer l+1's bk-row inputs
+        with pytest.raises(ValueError, match="bm=64, bk=32"):
+            ParlooperMlp([128, 128, 128], 64, bm=64, bk=32)
+
     def test_flops_sum_layers(self):
         mlp = ParlooperMlp([128, 256, 128], 64, bm=32, bn=32, bk=32,
                            num_threads=1)

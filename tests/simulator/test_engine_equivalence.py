@@ -17,13 +17,12 @@ import pytest
 
 from repro.core import LoopSpecs, ThreadedLoop
 from repro.core.errors import SpecError
-from repro.kernels import mlp as mlp_module
 from repro.kernels.mlp import ParlooperMlp
 from repro.platform import ADL, GVT3, SPR, ZEN4
 from repro.simulator import (Access, BodyEvent, ThreadTrace, bandwidth_event,
-                             compile_trace, simulate, simulate_flat,
-                             trace_flat, trace_threaded_loop)
-from repro.simulator import engine
+                             compile_trace, predict, predict_traces,
+                             simulate, simulate_flat, trace_flat,
+                             trace_threaded_loop)
 from repro.simulator.engine import simulate_traces, simulate_traces_lru
 from repro.simulator.trace import _serialize_spec
 from repro.verify import default_families
@@ -33,18 +32,6 @@ from repro.verify.fuzz import _valid_case, default_case_count
 def _array(traces, machine, dispatch_overhead=True):
     return simulate_traces([compile_trace(t) for t in traces], machine,
                            dispatch_overhead)
-
-
-@pytest.fixture
-def no_fallback(monkeypatch):
-    """Make the oracle fallback of ``simulate`` and ``ParlooperMlp.simulate``
-    fail, so a result they return came from the array replay.  The
-    module-level ``simulate_traces_lru`` above stays the real oracle."""
-    def refuse(*args, **kwargs):
-        raise AssertionError("the array replay fell back to the oracle")
-
-    monkeypatch.setattr(engine, "simulate_traces_lru", refuse)
-    monkeypatch.setattr(mlp_module, "simulate_traces_lru", refuse)
 
 
 def _shrunk(machine, sizes):
@@ -139,9 +126,10 @@ FUZZ_MACHINES = (SPR, ADL, _shrunk(SPR, (2048, 8192, 32768)),
 
 @pytest.mark.fuzz
 @pytest.mark.parametrize("family", default_families(), ids=lambda f: f.name)
-def test_fuzz_cases(family, no_fallback):
+def test_fuzz_cases(family):
     """Builder-made traces of static specs replay on arrays, never
-    rejected, and equal the oracle; ``simulate`` returns the same."""
+    rejected, and equal the oracle; ``simulate`` returns the same, and
+    ``predict`` equals the model's scalar oracle in every field."""
     rng = random.Random(f"engine-equivalence:{family.name}")
     for _ in range(default_case_count()):
         spec, blocks, num_threads = _valid_case(rng, family)
@@ -155,10 +143,13 @@ def test_fuzz_cases(family, no_fallback):
                     == want, (spec, machine.name)
             assert simulate(loop, body, machine) == want, \
                 (spec, machine.name)
+            assert predict(loop, body, machine) == predict_traces(
+                trace_threaded_loop(loop, body), machine,
+                loop.num_threads), (spec, machine.name)
 
 
 class TestFixedCases:
-    def test_mlp_cascade_hands_activations_across_cores(self, no_fallback):
+    def test_mlp_cascade_hands_activations_across_cores(self):
         mlp = ParlooperMlp([256, 256, 256], 128, num_threads=8)
         merged = [ThreadTrace(tid) for tid in range(8)]
         for l, layer in enumerate(mlp.layers):
@@ -173,18 +164,19 @@ class TestFixedCases:
     def test_no_threads(self):
         assert _array([], SPR) == simulate_traces_lru([], SPR)
 
-    def test_zero_footprint_falls_back(self):
+    def test_zero_footprint_raises(self):
         loop = ThreadedLoop([LoopSpecs(0, 4, 1)], "A", num_threads=2)
 
         def body(ind):
             return BodyEvent((Access(("m", ind[0]), 0),
                               Access(("x", 0), 64, write=True)), flops=1.0)
 
-        with pytest.raises(ValueError, match="positive"):
-            compile_trace(trace_threaded_loop(loop, body)[0])
-        assert simulate(loop, body, SPR) == _oracle(loop, body, SPR)
+        for replay in (simulate, predict):
+            with pytest.raises(ValueError,
+                               match=r"positive footprints.*\('m', 0\)"):
+                replay(loop, body, SPR)
 
-    def test_footprint_differing_across_threads_falls_back(self):
+    def test_footprint_differing_across_threads_raises(self):
         loop = ThreadedLoop([LoopSpecs(0, 4, 1)], "A", num_threads=2)
 
         def body(ind):
@@ -193,10 +185,12 @@ class TestFixedCases:
             fp = 64 if ind[0] < 2 else 128
             return BodyEvent((Access(("x",), 64, footprint=fp),), flops=1.0)
 
-        traces = trace_threaded_loop(loop, body)
-        with pytest.raises(ValueError, match="between threads"):
-            _array(traces, SPR)
-        assert simulate(loop, body, SPR) == simulate_traces_lru(traces, SPR)
+        with pytest.raises(ValueError,
+                           match=r"\('x',\) changed between threads"):
+            simulate(loop, body, SPR)
+        # the model ignores sharing, so each thread alone is consistent
+        assert predict(loop, body, SPR) == predict_traces(
+            trace_threaded_loop(loop, body), SPR, loop.num_threads)
 
 
 class TestCacheHierarchies:
@@ -208,8 +202,7 @@ class TestCacheHierarchies:
 
     @pytest.mark.parametrize("machine", [ALL_PRIVATE, L1_ONLY],
                              ids=["all-private", "l1-only"])
-    def test_machines_without_a_shared_level_simulate(self, machine,
-                                                      no_fallback):
+    def test_machines_without_a_shared_level_simulate(self, machine):
         loop = ThreadedLoop([LoopSpecs(0, 8, 1), LoopSpecs(0, 8, 1)], "Ab",
                             num_threads=4)
 

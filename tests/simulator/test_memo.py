@@ -260,6 +260,24 @@ class TestSequenceSharing:
             .reuse_memo
         assert len(compiles) == 2
 
+    def test_shared_trace_counts_once_against_the_budget(self, compiles,
+                                                         monkeypatch):
+        """Five thread keys hold tid 1's sequence and five tid 2's: with
+        room for three traces' accesses, both stay cached, so two sweeps
+        compile each sequence once and evict nothing."""
+        loops = [ThreadedLoop(SPECS, "Ab", num_threads=n)
+                 for n in range(4, 9)]      # tid t runs block t of "A"
+        one = 4 * 2                         # 4 events of 2 accesses
+        monkeypatch.setattr(TraceCache, "MAX_COMPILED_ACCESSES", 3 * one)
+        cache = TraceCache()
+        for _ in range(2):
+            for tid in (1, 2):
+                for loop in loops:
+                    assert cache.compiled_thread_trace(
+                        loop, _body, tid).n_accesses == one
+        assert len(compiles) == 2
+        assert len(cache) == 20             # 10 thread keys, raw + compiled
+
     @pytest.mark.parametrize("round_", range(5))
     def test_threads_racing_on_one_cache_share_one_trace(self, round_):
         """Threads sweeping one cache in different orders still get one
@@ -296,22 +314,20 @@ class TestSequenceSharing:
         # be more than the 9 sequences of a serial sweep
         assert all(len(ids) == 1 for ids in by_sequence.values())
 
-    def test_rejected_trace_falls_back_on_every_request(self, compiles):
+    def test_rejected_trace_raises_on_every_request(self, compiles):
         loop = ThreadedLoop([LoopSpecs(0, 4, 1)], "A", num_threads=2)
 
         def zero_footprint(ind):
             return BodyEvent((Access(("m", ind[0]), 0),), flops=1.0)
 
         cache = TraceCache()
-        want = simulate_traces_lru(trace_threaded_loop(loop, zero_footprint),
-                                   SPR)
         for n in (1, 2):
             with pytest.raises(ValueError, match="positive"):
                 cache.compiled_thread_trace(loop, zero_footprint, 0)
             assert len(compiles) == n
-        for _ in range(2):
-            assert simulate(loop, zero_footprint, SPR,
-                            trace_cache=cache) == want
+        for replay in (simulate, simulate, predict):
+            with pytest.raises(ValueError, match=r"\('m', 0\)"):
+                replay(loop, zero_footprint, SPR, trace_cache=cache)
 
     @pytest.mark.parametrize("machine", [SPR, ADL], ids=["SPR", "ADL"])
     def test_shared_cache_predicts_as_a_fresh_one(self, machine):

@@ -219,23 +219,21 @@ class TestFastPredictBitIdentity:
                 predict(loop, body, SPR, sample_threads=2,
                         total_flops=flops, trace_cache=cache), want)
 
-    def test_falls_back_to_lru_on_zero_footprint(self):
-        """Traces violating reuse preconditions use the oracle replay."""
+    def test_zero_footprint_raises(self):
+        """Traces violating reuse preconditions raise, naming the key."""
         specs = [LoopSpecs(0, 2, 1), LoopSpecs(0, 2, 1)]
 
         def weird(ind):
             # a zero-cost marker access: footprint stays 0 only if nbytes
-            # is 0, which the reuse path must refuse and LRU must accept
+            # is 0, which the reuse path must refuse
             return BodyEvent(accesses=(Access(("m", tuple(ind)), 0),),
                              flops=1.0)
 
         loop = ThreadedLoop(specs, "ab", num_threads=1)
-        with pytest.raises(ValueError, match="positive"):
-            compile_trace(trace_threaded_loop(loop, weird)[0])
-        want = _oracle_predict(loop, weird, SPR)
         for cache in (None, TraceCache()):
-            _same_prediction(predict(loop, weird, SPR, trace_cache=cache),
-                             want)
+            with pytest.raises(ValueError,
+                               match=r"positive.*\('m', \(0, 0\)\)"):
+                predict(loop, weird, SPR, trace_cache=cache)
 
 
 class TestCompiledTrace:

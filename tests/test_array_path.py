@@ -1,6 +1,6 @@
-"""The engine's static replays run on arrays, end to end.
+"""The model's and the engine's static replays run on arrays, end to end.
 
-Two guards for the array path:
+Guards for the array path:
 
 * ``simulate`` and ``ParlooperMlp.simulate`` reach the function bound to
   ``repro.simulator.engine.simulate_traces`` once per replay, with
@@ -10,19 +10,33 @@ Two guards for the array path:
 * Pricing a kernel builds no :class:`~repro.simulator.trace.Access`
   object: the event builders fill columns, compilation concatenates
   them, and only the scalar oracles read the per-access view.
+* No static-schedule replay reaches an ``OrderedDict`` LRU, and no
+  library function calls the scalar oracles ``predict_traces`` and
+  ``simulate_traces_lru``: they are the tests' references.
 """
 
+import ast
 import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro import Session
+from repro.kernels.conv import ConvSpec, ParlooperConv
 from repro.kernels.gemm import ParlooperGemm
 from repro.kernels.mlp import ParlooperMlp
+from repro.kernels.spmm import ParlooperSpmm
 from repro.platform import SPR
 from repro.simulator import engine
+from repro.simulator.lru import LRUCache
 from repro.simulator.reuse import CompiledTrace
 from repro.simulator.trace import Access
+from repro.tpp.dtypes import DType
+from repro.tpp.sparse import BCSCMatrix
+from repro.workloads.opsim import OpCostModel
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
 
 def _gemm():
@@ -72,3 +86,38 @@ def test_pricing_builds_no_access_objects(monkeypatch):
     gemm = _gemm()
     assert gemm.simulate(SPR, session=sess).seconds > 0
     assert gemm.predict(SPR, session=sess).seconds > 0
+
+
+def test_static_replays_reach_no_scalar_lru(monkeypatch):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a static replay reached the scalar LRU")
+
+    monkeypatch.setattr(LRUCache, "access", refuse)
+    dense = np.ones((64, 64), dtype=np.float32)
+    dense[:16, 16:32] = 0.0
+    kernels = [_gemm(),
+               ParlooperConv(ConvSpec(N=2, C=32, K=32, H=6, W=6), bc=16,
+                             bk=16, w_step=2, num_threads=4),
+               ParlooperSpmm(BCSCMatrix.from_dense(dense, 16, 16), 64,
+                             bn=16, num_threads=4),
+               ParlooperMlp([128, 128, 128], 64, num_threads=4)]
+    for kern in kernels:
+        sess = Session()
+        assert kern.simulate(SPR, session=sess).seconds > 0
+        assert kern.predict(SPR, session=sess).seconds > 0
+    assert OpCostModel(SPR, num_threads=8).gemm_seconds(
+        256, 256, 256, DType.F32) > 0
+
+
+def test_no_library_function_calls_the_scalar_oracles():
+    oracles = {"predict_traces", "simulate_traces_lru"}
+    calls = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                fn = node.func
+                name = fn.id if isinstance(fn, ast.Name) else \
+                    getattr(fn, "attr", None)
+                if name in oracles:
+                    calls.append(f"{path.relative_to(SRC)}:{node.lineno}")
+    assert not calls, f"library calls to a scalar oracle: {calls}"

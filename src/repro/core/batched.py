@@ -5,7 +5,9 @@ invokes a Python-level ``body_func(ind)`` once per innermost iteration.
 The batched backend instead *enumerates* every ``ind`` a thread would
 visit — in exactly the interpreter's emission order — as one flat
 ``(n, num_loops)`` int64 array, so kernels can replace the per-iteration
-Python loop with tile-level NumPy calls over whole blocking levels.
+Python loop with tile-level NumPy calls over whole blocking levels, and
+the trace cache can compile their thread traces without running the nest
+(:mod:`repro.simulator.columns`), every requested thread in one pass.
 
 The enumeration replays the code generator's partitioning formulas
 symbolically:
@@ -129,45 +131,55 @@ def _ragged_arange(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
     return base + offs
 
 
-def _unit_flat(unit, plan: LoopNestPlan, num_threads: int,
-               tid: int) -> np.ndarray:
-    """The flat local-index selection this thread executes for one unit,
-    ascending — exactly the order the generated nest emits."""
+def _unit_flats(unit, plan: LoopNestPlan, num_threads: int,
+                tids: np.ndarray) -> tuple:
+    """The flat local-index selections that threads *tids* execute for
+    one unit, each ascending — exactly the order the generated nest
+    emits — concatenated in *tids* order, and each thread's count.
+
+    Every selection is a union of aranges whose bounds are arithmetic in
+    the tid: one run per thread, or the round-robin chunks of a chunked
+    static schedule."""
     kind = unit[0]
+    zero = np.zeros_like(tids)
     if kind == "serial":
-        return np.arange(_trips(unit[1], plan), dtype=np.int64)
-    if kind == "grid":
+        lo, hi = zero, zero + _trips(unit[1], plan)
+    elif kind == "grid":
         lv = unit[1]
         trips = _trips(lv, plan)
         R, C, D = plan.grid_shape
-        coord = {"R": tid // (C * D), "C": (tid // D) % C,
-                 "D": tid % D}[lv.grid_axis]
+        coord = {"R": tids // (C * D), "C": (tids // D) % C,
+                 "D": tids % D}[lv.grid_axis]
         chunk = -(-trips // lv.grid_ways)
-        s = min(coord * chunk, trips)
-        e = min((coord + 1) * chunk, trips)
-        return np.arange(s, e, dtype=np.int64)
-    # collapse group
-    group = unit[1]
-    total = 1
-    for lv in group:
-        total *= _trips(lv, plan)
-    sched = plan.parsed.schedule
-    chunk = plan.parsed.chunk
-    if sched == "dynamic":
-        # serial FCFS: thread 0 runs first against the shared context and
-        # claims every chunk (batchable() proved the epochs thread-
-        # invariant), so later threads find the counters exhausted
-        if tid == 0:
-            return np.arange(total, dtype=np.int64)
-        return np.empty(0, dtype=np.int64)
-    if chunk:
-        starts = np.arange(tid * chunk, total,
-                           num_threads * chunk, dtype=np.int64)
-        return _ragged_arange(starts, np.minimum(starts + chunk, total))
-    base, rem = divmod(total, num_threads)
-    lo = tid * base + min(tid, rem)
-    hi = lo + base + (1 if tid < rem else 0)
-    return np.arange(lo, hi, dtype=np.int64)
+        lo = np.minimum(coord * chunk, trips)
+        hi = np.minimum((coord + 1) * chunk, trips)
+    else:                                   # collapse group
+        total = 1
+        for lv in unit[1]:
+            total *= _trips(lv, plan)
+        sched = plan.parsed.schedule
+        chunk = plan.parsed.chunk
+        if sched == "dynamic":
+            # serial FCFS: thread 0 runs first against the shared context
+            # and claims every chunk (batchable() proved the epochs
+            # thread-invariant), so later threads find the counters
+            # exhausted
+            lo, hi = zero, np.where(tids == 0, total, 0)
+        elif chunk:
+            stride = num_threads * chunk
+            runs = np.maximum(-((tids * chunk - total) // stride), 0)
+            starts = np.repeat(tids * chunk, runs) \
+                + _ragged_arange(np.zeros_like(runs), runs) * stride
+            stops = np.minimum(starts + chunk, total)
+            sizes = np.zeros(len(tids), dtype=np.int64)
+            np.add.at(sizes, np.repeat(np.arange(len(tids)), runs),
+                      stops - starts)
+            return _ragged_arange(starts, stops), sizes
+        else:
+            base, rem = divmod(total, num_threads)
+            lo = tids * base + np.minimum(tids, rem)
+            hi = lo + base + (tids < rem)
+    return _ragged_arange(lo, hi), np.maximum(hi - lo, 0)
 
 
 # -- the enumeration ------------------------------------------------------
@@ -180,57 +192,74 @@ def clear_enumeration_cache() -> None:
     _ENUM_CACHE.clear()
 
 
-def enumerate_inds(plan: LoopNestPlan, num_threads: int,
-                   tid: int) -> np.ndarray:
+def enumerate_inds(plan: LoopNestPlan, num_threads: int, tid):
     """Every logical-index vector thread *tid* visits, in emission order.
 
     Returns an ``(n, plan.num_loops)`` int64 array: row *r* is the
     ``ind`` of the interpreter's *r*-th ``body_func`` call on this
     thread.  Results are cached per (plan, num_threads, tid).
-    """
-    key = (plan.cache_key(), num_threads, tid)
-    cached = _ENUM_CACHE.get(key)
-    if cached is not None:
-        return cached
 
+    *tid* may also be a sequence of thread ids, enumerated in one
+    vectorized pass: then the rows of every listed thread come back
+    concatenated in list order, as ``(inds, counts)`` with ``counts[i]``
+    the row count of ``tid[i]``.  Those are not cached: the trace cache,
+    which asks for many threads at once, keeps what it builds from them.
+    """
+    if not np.ndim(tid):
+        key = (plan.cache_key(), num_threads, tid)
+        cached = _ENUM_CACHE.get(key)
+        if cached is None:
+            cached = _enumerate(plan, num_threads, [tid])[0]
+            if len(_ENUM_CACHE) >= _ENUM_CACHE_MAX:
+                _ENUM_CACHE.pop(next(iter(_ENUM_CACHE)))
+            _ENUM_CACHE[key] = cached
+        return cached
+    return _enumerate(plan, num_threads, tid)
+
+
+def _enumerate(plan: LoopNestPlan, num_threads: int, tids) -> tuple:
+    """``(inds, counts)`` of threads *tids*: row *r* of thread *t* picks,
+    per unit, entry ``(r // inner) % size`` of *t*'s selection, where
+    *inner* is the product of the later units' sizes (the nest's
+    mixed-radix emission order)."""
+    tids = np.asarray(tids, dtype=np.int64).reshape(-1)
     units = _units(plan)
-    flats = [_unit_flat(u, plan, num_threads, tid) for u in units]
-    n = 1
-    for f in flats:
-        n *= f.shape[0]
+    flats = [_unit_flats(u, plan, num_threads, tids) for u in units]
+    counts = np.ones(len(tids), dtype=np.int64)
+    for _flat, size in flats:
+        counts *= size
+    n = int(counts.sum())
+    owner = np.repeat(np.arange(len(tids)), counts)
+    row = np.arange(n, dtype=np.int64) \
+        - np.repeat(np.cumsum(counts) - counts, counts)
 
     # local trip index at every level, for every emitted iteration
     j_of: dict = {}      # level position -> (n,) int64
-    if n:
-        idx = np.arange(n, dtype=np.int64)
-        inner = n
-        for unit, flat in zip(units, flats):
-            inner //= flat.shape[0]
-            sel = flat[(idx // inner) % flat.shape[0]]
-            if unit[0] == "collapse":
-                group = unit[1]
-                div = 1
-                for lv in group:
-                    div *= _trips(lv, plan)
-                for lv in group:
-                    div //= _trips(lv, plan)
-                    j_of[lv.position] = (sel // div) % _trips(lv, plan)
-            else:
-                j_of[unit[1].position] = sel
+    inner = counts
+    for unit, (flat, size) in zip(units, flats):
+        start = np.cumsum(size) - size
+        size = np.maximum(size, 1)      # a thread without rows reads none
+        inner = inner // size
+        sel = flat[start[owner] + (row // inner[owner]) % size[owner]]
+        if unit[0] == "collapse":
+            group = unit[1]
+            div = 1
+            for lv in group:
+                div *= _trips(lv, plan)
+            for lv in group:
+                div //= _trips(lv, plan)
+                j_of[lv.position] = (sel // div) % _trips(lv, plan)
+        else:
+            j_of[unit[1].position] = sel
 
     inds = np.empty((n, plan.num_loops), dtype=np.int64)
     for li in range(plan.num_loops):
         spec = plan.specs[li]
         col = np.full(n, spec.start, dtype=np.int64)
-        if n:
-            char = chr(ord("a") + li)
-            for lv in plan.levels:
-                if lv.char == char:
-                    col += j_of[lv.position] * lv.step
+        char = chr(ord("a") + li)
+        for lv in plan.levels:
+            if lv.char == char:
+                col += j_of[lv.position] * lv.step
         inds[:, li] = col
-
-    if len(_ENUM_CACHE) >= _ENUM_CACHE_MAX:
-        _ENUM_CACHE.pop(next(iter(_ENUM_CACHE)))
-    _ENUM_CACHE[key] = inds
     inds.setflags(write=False)
-    return inds
+    return inds, counts

@@ -5,27 +5,32 @@ In the paper each body call is one TPP call on block addresses
 ``block_map(ind)``: plain index arithmetic that maps one body index to
 its :class:`BlockMap`, or one index column per loop to the maps of a
 whole run of calls.  The interpreter, the batched executor all families
-share (:mod:`repro.kernels.batched`), the SDC final-tile offer and
-``sim_body`` read it.  :class:`ParlooperKernel` owns the knobs, the
-executor choice, the ABFT ladder and session-routed ``simulate`` /
-``predict``.  Besides its loops, ``kind`` and ``block_map``, a family
-supplies ``_blocks(*ops)`` (its ``__call__`` operands as input and
-output arrays of blocks), ``_tpp_call`` (one call's TPPs),
-``_tpp_batched`` / ``_epilogue`` where its body is not one bare BRGEMM,
-``_layout_gate``, ``tensors`` / ``_events`` / ``_key_fields`` for the
-simulator, and ``_checksum`` / ``_correct`` for ABFT.
+share (:mod:`repro.kernels.batched`), the SDC final-tile offer,
+``sim_body`` and the column capture it hands the trace cache read it.
+:class:`ParlooperKernel` owns the knobs, the executor choice, the ABFT
+ladder and session-routed ``simulate`` / ``predict``.  Besides its
+loops, ``kind`` and ``block_map``, a family supplies ``_blocks(*ops)``
+(its ``__call__`` operands as input and output arrays of blocks),
+``_tpp_call`` (one call's TPPs), ``_tpp_batched`` / ``_epilogue`` where
+its body is not one bare BRGEMM, ``_layout_gate``, ``tensors`` /
+``_events`` / ``_key_fields`` / ``_columns_gate`` for the simulator, and
+``_checksum`` / ``_correct`` for ABFT.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import NamedTuple
 
-from ..core.batched import resolve_backend
+import numpy as np
+
+from ..core.batched import enumerate_inds, resolve_backend
 from ..core.errors import SdcDetectedError
 from ..core.inject import active_injector
 from ..core.threaded_loop import ThreadedLoop
 from ..obs.context import current as _obs
 from ..platform.machine import MachineModel
+from ..simulator.columns import CallColumns
 from ..simulator.engine import SimResult
 from ..tpp.batched import batched_brgemm
 from .abft import record_abft_outcome, resolve_abft
@@ -154,11 +159,20 @@ class ParlooperKernel:
         """The flop count :meth:`predict` scores against."""
         return self.flops
 
+    #: why the family's ``_events`` cannot serve as call templates, which
+    #: keeps its traces on the interpreter capture
+    _columns_gate = ""
+
     def sim_body(self, machine: MachineModel, names=None):
         """Simulator description of one body call, read off its block
         map.  *names* relabel the tensors: an MLP layer passes its
         weights and the activations it reads and writes, so the engine
-        sees one layer's output as the next layer's input."""
+        sees one layer's output as the next layer's input.
+
+        Unless the family's ``_columns_gate`` says why not, the body
+        also carries ``call_columns(loop, tids)``, the same calls of
+        many threads at once, which the trace cache compiles without
+        running the nest (:mod:`repro.simulator.columns`)."""
         names = names or self.tensors
 
         def body(ind):
@@ -167,7 +181,31 @@ class ParlooperKernel:
                     for t, r in zip(names, m.reads)]
             return self._events(machine, keys, (names[-1], *m.write),
                                 m.first, m.last)
+        if not self._columns_gate:
+            body.call_columns = partial(self._call_columns, machine, names)
         return body
+
+    def _call_columns(self, machine: MachineModel, names, loop,
+                      tids) -> CallColumns:
+        """The body calls of threads *tids* of *loop*: one enumeration of
+        their indices, one block map over it, and one ``_events`` call
+        per call shape ``(first, last)``, with slot numbers for keys."""
+        inds, counts = enumerate_inds(loop.plan, loop.num_threads, tids)
+        n = len(inds)
+        m = self.block_map(inds.T)
+        slots, reads = [], []
+        for t, r in zip(names, m.reads):
+            reads.append(list(range(len(slots), len(slots) + len(r))))
+            slots.extend((t, c) for c in r)
+        slots.append((names[-1], m.write))
+        shapes, shape = np.unique(2 * np.broadcast_to(m.first, n)
+                                  + np.broadcast_to(m.last, n),
+                                  return_inverse=True)
+        templates = tuple(
+            self._events(machine, reads, len(slots) - 1, bool(s >> 1),
+                         bool(s & 1))
+            for s in shapes.tolist())
+        return CallColumns(counts, shape, templates, tuple(slots))
 
     def _cached_sim_body(self, machine: MachineModel, *sim_args):
         """One closure per (machine, sim args): repeated simulate/predict

@@ -71,6 +71,7 @@ class ParlooperConv(ParlooperKernel):
 
     kind = "conv"
     tensors = ("I", "Wt", "O")
+    _columns_gate = "_events merges input slices that share a row"
 
     def __init__(self, spec: ConvSpec, bc: int = 64, bk: int = 64,
                  w_step: int | None = None, c_step: int = 1,

@@ -33,6 +33,7 @@ class ParlooperSpmm(ParlooperKernel):
 
     kind = "spmm"
     tensors = ("Asp", "B", "C")
+    _columns_gate = "_events names A's slices after B's and C's keys"
 
     def __init__(self, a: BCSCMatrix, N: int, bn: int = 64,
                  dtype: DType = DType.F32, b_vnni: int = 1,

@@ -473,7 +473,6 @@ def simulate(loop: ThreadedLoop, sim_body, machine: MachineModel,
             flat = trace_cache.flat_trace(loop, sim_body, body_key=body_key)
             return simulate_flat(flat, machine, loop.num_threads,
                                  dispatch_overhead)
-        compiled = [trace_cache.compiled_thread_trace(
-            loop, sim_body, tid, body_key=body_key)
-            for tid in range(loop.num_threads)]
+        compiled = trace_cache.compiled_thread_traces(
+            loop, sim_body, range(loop.num_threads), body_key=body_key)
         return simulate_traces(compiled, machine, dispatch_overhead)

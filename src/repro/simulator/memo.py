@@ -13,12 +13,14 @@ on which machine model replays it, and many candidates share an order:
 
 :class:`TraceCache` exploits both: a bounded, thread-safe LRU keyed by
 ``(body, loop declarations, normalized order, num_threads, tid)`` holding
-raw :class:`ThreadTrace` objects (for the engine) and their
-:class:`~repro.simulator.reuse.CompiledTrace` forms (for the vectorized
-perfmodel).  Tuning sweeps across several machine models — the paper
-tunes on four testbeds — then trace each candidate exactly once, and
-compile each distinct per-thread event sequence once: most candidates
-hand a sampled thread the same tiles in the same order.
+raw :class:`ThreadTrace` objects and their
+:class:`~repro.simulator.reuse.CompiledTrace` forms, which the engine and
+the perfmodel replay.  Tuning sweeps across several machine models — the
+paper tunes on four testbeds — then trace each candidate exactly once,
+and compile each distinct per-thread event sequence once: most
+candidates hand a sampled thread the same tiles in the same order.
+Kernel bodies skip the raw trace: the cache compiles their threads
+straight from the block map (:mod:`repro.simulator.columns`).
 
 Cached traces are shared: consumers must treat them as immutable.  The
 body function itself is the default cache-key component, so ``sim_body``
@@ -37,6 +39,7 @@ import numpy as np
 
 from ..core.threaded_loop import ThreadedLoop
 from ..obs.context import current as _obs
+from .columns import compile_columns
 from .reuse import CompiledTrace, compile_trace
 from .trace import (ThreadTrace, _serialize_spec, trace_flat,
                     trace_threaded_loop)
@@ -60,7 +63,8 @@ class TraceCache:
     """Bounded, thread-safe memo for per-thread and flat traces.
 
     At most *max_entries* entries, least recently used out first; a
-    replayed thread takes two, its raw and its compiled trace.  Compiled
+    thread replayed from an interpreter capture takes two, its raw and
+    its compiled trace, and a column-captured one takes one.  Compiled
     traces also count their accesses against
     :attr:`MAX_COMPILED_ACCESSES`, which bounds their arrays (41 bytes
     per access) and the reuse memos they carry.  The cache holds a
@@ -143,28 +147,40 @@ class TraceCache:
     # -- core get-or-build ------------------------------------------------
 
     def _get(self, key, build):
-        obs = _obs()
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                self._entries.move_to_end(key)
-                self.hits += 1
-                if obs.enabled:
-                    obs.inc("cache_events", cache="trace", kind="hit")
-                return entry
+        entry = self._lookup(key)
+        if entry is not None:
+            return entry
         # build outside the lock (tracing can be slow); a racing duplicate
         # build produces an identical trace and is harmless
-        with obs.span("trace_capture", kind=key[0]):
+        with _obs().span("trace_capture", kind=key[0]):
             value = build()
+        return self._store(key, value)
+
+    def _lookup(self, key):
+        """The entry under *key*, counted as a hit, or None."""
         with self._lock:
-            existing = self._entries.get(key)
+            return self._hit(key)
+
+    def _hit(self, key):
+        """:meth:`_lookup`, for a caller holding the lock."""
+        entry = self._entries.get(key)
+        if entry is not None:
+            self._entries.move_to_end(key)
+            self.hits += 1
+            obs = _obs()
+            if obs.enabled:
+                obs.inc("cache_events", cache="trace", kind="hit")
+        return entry
+
+    def _store(self, key, value):
+        """File *value* under *key* as a miss, evicting past the bounds;
+        an entry a racing build filed first wins, as a hit."""
+        with self._lock:
+            existing = self._hit(key)
             if existing is not None:
-                self._entries.move_to_end(key)
-                self.hits += 1
-                if obs.enabled:
-                    obs.inc("cache_events", cache="trace", kind="hit")
                 return existing
             self.misses += 1
+            obs = _obs()
             if obs.enabled:
                 obs.inc("cache_events", cache="trace", kind="miss")
             self._entries[key] = value
@@ -190,17 +206,18 @@ class TraceCache:
 
     # -- public API -------------------------------------------------------
 
-    def _thread_key(self, loop: ThreadedLoop, sim_body, tid: int,
-                    body_key) -> tuple:
-        return (self._body_key(sim_body, body_key), self._specs_key(loop),
-                _thread_order_key(loop.spec_string), loop.num_threads, tid)
+    def _thread_keys(self, loop: ThreadedLoop, sim_body, tids,
+                     body_key) -> list:
+        base = (self._body_key(sim_body, body_key), self._specs_key(loop),
+                _thread_order_key(loop.spec_string), loop.num_threads)
+        return [(*base, tid) for tid in tids]
 
     def thread_trace(self, loop: ThreadedLoop, sim_body, tid: int,
                      body_key=None) -> ThreadTrace:
         """The (cached) trace of thread *tid* of *loop*."""
         return self._raw_thread_trace(
-            self._thread_key(loop, sim_body, tid, body_key), loop, sim_body,
-            tid, body_key)
+            self._thread_keys(loop, sim_body, (tid,), body_key)[0], loop,
+            sim_body, tid, body_key)
 
     def _raw_thread_trace(self, key, loop, sim_body, tid, body_key):
         return self._get(
@@ -209,23 +226,54 @@ class TraceCache:
 
     def compiled_thread_trace(self, loop: ThreadedLoop, sim_body, tid: int,
                               body_key=None) -> CompiledTrace:
-        """Array-compiled form of :meth:`thread_trace` (also cached).
+        """Array-compiled form of :meth:`thread_trace` (also cached); see
+        :meth:`compiled_thread_traces`."""
+        return self.compiled_thread_traces(loop, sim_body, (tid,),
+                                           body_key)[0]
 
-        Thread keys whose raw traces hold the same event sequence — the
-        idle tids of any nest, or one tid under candidates that hand it
-        the same tiles — get one compiled trace, so each distinct
-        sequence is compiled and replayed once.  Compiled traces with
-        identical ``(key_ids, footprint)`` patterns — e.g. the tids of a
-        data-parallel nest, which walk isomorphic tile sequences whose
-        interned ids coincide — additionally share one
+    def compiled_thread_traces(self, loop: ThreadedLoop, sim_body, tids,
+                               body_key=None) -> list:
+        """The (cached) compiled traces of threads *tids* of *loop*.
+
+        A body that carries ``call_columns(loop, tids)`` (kernel
+        families' ``sim_body``) on a static schedule gets the traces of
+        all missing tids compiled in one pass from its block map
+        (:mod:`repro.simulator.columns`), with no raw trace; its idle
+        tids share one empty trace.  Other bodies, and dynamic
+        schedules, whose capture deals chunks round-robin, are captured
+        thread by thread and compiled from the raw trace.  Thread keys
+        whose raw traces hold the same event sequence — the idle tids of
+        any nest, or one tid under candidates that hand it the same
+        tiles — get one compiled trace, so each distinct sequence is
+        compiled and replayed once.
+
+        Compiled traces with identical ``(key_ids, footprint)`` patterns
+        — e.g. the tids of a data-parallel nest, which walk isomorphic
+        tile sequences whose interned ids coincide — share one
         :attr:`~repro.simulator.reuse.CompiledTrace.reuse_memo`, so the
         reuse-distance pass runs once per *pattern*, not once per thread.
         """
-        key = self._thread_key(loop, sim_body, tid, body_key)
-        return self._get(
-            ("threadc",) + key,
-            lambda: self._compile_once(
-                self._raw_thread_trace(key, loop, sim_body, tid, body_key)))
+        tids = list(tids)
+        keys = self._thread_keys(loop, sim_body, tids, body_key)
+        columns = getattr(sim_body, "call_columns", None)
+        if columns is None or loop.plan.parsed.schedule == "dynamic":
+            return [self._get(
+                ("threadc",) + key,
+                lambda key=key, tid=tid: self._compile_once(
+                    self._raw_thread_trace(key, loop, sim_body, tid,
+                                           body_key)))
+                for key, tid in zip(keys, tids)]
+        found = [self._lookup(("threadc",) + key) for key in keys]
+        todo = [i for i, ct in enumerate(found) if ct is None]
+        if todo:
+            with _obs().span("trace_capture", kind="columns",
+                             threads=len(todo)):
+                built = compile_columns(columns(loop, [tids[i]
+                                                       for i in todo]))
+            for i, ct in zip(todo, built):
+                found[i] = self._store(("threadc",) + keys[i],
+                                       self._share_column_trace(ct))
+        return found
 
     def _compile_once(self, raw: ThreadTrace) -> CompiledTrace:
         """The compiled trace of *raw*'s event sequence, compiled on the
@@ -244,6 +292,14 @@ class TraceCache:
             with self._lock:
                 ct = self._sequences.setdefault(seq, ct)
         return ct
+
+    def _share_column_trace(self, ct: CompiledTrace) -> CompiledTrace:
+        """*ct*, or the registered empty trace when *ct* is empty, so
+        idle tids share one trace whichever capture built it."""
+        if ct.n_events:
+            return self._share_reuse_memo(ct)
+        with self._lock:
+            return self._sequences.setdefault((), ct)
 
     def _share_reuse_memo(self, ct: CompiledTrace) -> CompiledTrace:
         """Point *ct* at the reuse memo of any pattern-identical trace.

@@ -97,9 +97,9 @@ def predict(loop: ThreadedLoop, sim_body, machine: MachineModel,
     with _obs().span("predict", spec=loop.spec_string,
                      machine=machine.name):
         pred = _predict_compiled(
-            [trace_cache.compiled_thread_trace(loop, sim_body, tid,
-                                               body_key=body_key)
-             for tid in tids], machine, num_threads)
+            trace_cache.compiled_thread_traces(loop, sim_body, tids,
+                                               body_key=body_key),
+            machine, num_threads)
     if sampled and total_flops is None:
         total_flops = pred.total_flops * num_threads / len(tids)
     if total_flops is None:

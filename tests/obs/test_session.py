@@ -74,8 +74,9 @@ class TestTraceCacheCounters:
         p1 = g.predict(SPR, session=sess)
         misses = sess.metrics.value("cache_events", cache="trace",
                                     kind="miss")
-        # cold: per tid, one raw-trace miss + one compiled-trace miss
-        assert misses == 2 * g.num_threads
+        # cold: per tid, one compiled-trace miss; the column capture
+        # files no raw trace
+        assert misses == g.num_threads
         assert sess.metrics.value("cache_events", cache="trace",
                                   kind="hit") == 0
         p2 = g.predict(SPR, session=sess)
@@ -90,7 +91,7 @@ class TestTraceCacheCounters:
         small_gemm().predict(SPR, session=sess)
         small_gemm().predict(SPR, session=sess)
         assert sess.trace_cache.hits == 4
-        assert sess.trace_cache.misses == 8
+        assert sess.trace_cache.misses == 4
 
     def test_predict_and_simulate_spans_recorded(self):
         sess = tick_session()
@@ -99,6 +100,12 @@ class TestTraceCacheCounters:
         g.simulate(SPR, session=sess)
         names = sess.tracer.span_names()
         assert {"predict", "reuse_sim", "simulate"} <= names
+        # one column capture, under predict, of every thread; simulate
+        # then finds them all cached
+        (capture,) = sess.tracer.spans("trace_capture")
+        assert capture.path == ("predict", "trace_capture")
+        assert dict(capture.args) == {"kind": "columns",
+                                      "threads": g.num_threads}
 
 
 class TestDeterministicReplay:

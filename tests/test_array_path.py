@@ -13,6 +13,11 @@ Guards for the array path:
 * No static-schedule replay reaches an ``OrderedDict`` LRU, and no
   library function calls the scalar oracles ``predict_traces`` and
   ``simulate_traces_lru``: they are the tests' references.
+* GEMM pricing runs no nest: a cold ``OpCostModel.gemm_seconds``,
+  ``ParlooperGemm.simulate`` / ``.predict`` and ``ParlooperMlp.predict``
+  compile their traces from the block map, with ``trace_threaded_loop``
+  rebound to raise.  Conv, SpMM and ``ParlooperMlp.simulate`` still
+  capture through the interpreter.
 """
 
 import ast
@@ -22,13 +27,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro import Session
+from repro import Session, default_session
 from repro.kernels.conv import ConvSpec, ParlooperConv
 from repro.kernels.gemm import ParlooperGemm
 from repro.kernels.mlp import ParlooperMlp
 from repro.kernels.spmm import ParlooperSpmm
 from repro.platform import SPR
-from repro.simulator import engine
+from repro.simulator import TraceCache, engine, trace
 from repro.simulator.lru import LRUCache
 from repro.simulator.reuse import CompiledTrace
 from repro.simulator.trace import Access
@@ -44,6 +49,17 @@ def _gemm():
                          spec_string="aBC", num_threads=8)
 
 
+def _rebind(monkeypatch, original, replacement) -> None:
+    """Rebind *original*, and every alias of it in a ``repro`` module, to
+    *replacement* — as a name-based span recorder would."""
+    for mod in list(sys.modules.values()):
+        name = getattr(mod, "__name__", "") or ""
+        if name == "repro" or name.startswith("repro."):
+            for alias, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, alias, replacement)
+
+
 @pytest.fixture
 def replays(monkeypatch):
     """A list that records the traces of every ``simulate_traces`` call."""
@@ -55,12 +71,7 @@ def replays(monkeypatch):
         calls.append(traces)       # only replays that returned
         return result
 
-    for mod in list(sys.modules.values()):
-        name = getattr(mod, "__name__", "") or ""
-        if name == "repro" or name.startswith("repro."):
-            for alias, value in list(vars(mod).items()):
-                if value is original:
-                    monkeypatch.setattr(mod, alias, counting)
+    _rebind(monkeypatch, original, counting)
     return calls
 
 
@@ -93,13 +104,7 @@ def test_static_replays_reach_no_scalar_lru(monkeypatch):
         raise AssertionError("a static replay reached the scalar LRU")
 
     monkeypatch.setattr(LRUCache, "access", refuse)
-    dense = np.ones((64, 64), dtype=np.float32)
-    dense[:16, 16:32] = 0.0
-    kernels = [_gemm(),
-               ParlooperConv(ConvSpec(N=2, C=32, K=32, H=6, W=6), bc=16,
-                             bk=16, w_step=2, num_threads=4),
-               ParlooperSpmm(BCSCMatrix.from_dense(dense, 16, 16), 64,
-                             bn=16, num_threads=4),
+    kernels = [_gemm(), *_sparse_kernels(),
                ParlooperMlp([128, 128, 128], 64, num_threads=4)]
     for kern in kernels:
         sess = Session()
@@ -121,3 +126,45 @@ def test_no_library_function_calls_the_scalar_oracles():
                 if name in oracles:
                     calls.append(f"{path.relative_to(SRC)}:{node.lineno}")
     assert not calls, f"library calls to a scalar oracle: {calls}"
+
+
+def _sparse_kernels():
+    dense = np.ones((64, 64), dtype=np.float32)
+    dense[:16, 16:32] = 0.0
+    return [ParlooperConv(ConvSpec(N=2, C=32, K=32, H=6, W=6), bc=16,
+                          bk=16, w_step=2, num_threads=4),
+            ParlooperSpmm(BCSCMatrix.from_dense(dense, 16, 16), 64,
+                          bn=16, num_threads=4)]
+
+
+def test_gemm_pricing_runs_no_nest(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a GEMM trace was captured by running a nest")
+
+    _rebind(monkeypatch, trace.trace_threaded_loop, refuse)
+    # cold: the cost model prices through the default session's cache
+    monkeypatch.setattr(default_session(), "trace_cache", TraceCache())
+    assert OpCostModel(SPR, num_threads=8).gemm_seconds(
+        256, 256, 256, DType.F32) > 0
+    for gemm in (_gemm(), ParlooperGemm(256, 256, 256, flat_b=True,
+                                        num_threads=4)):
+        assert gemm.simulate(SPR, session=Session()).seconds > 0
+        assert gemm.predict(SPR, session=Session()).seconds > 0
+    mlp = ParlooperMlp([128, 128, 128], 64, num_threads=4)
+    assert mlp.predict(SPR, session=Session()).seconds > 0
+
+
+def test_other_families_capture_through_the_interpreter(monkeypatch):
+    captured = []
+    original = trace.trace_threaded_loop
+
+    def counting(loop, sim_body, *args, **kwargs):
+        captured.append(loop)
+        return original(loop, sim_body, *args, **kwargs)
+
+    _rebind(monkeypatch, original, counting)
+    for kern in [*_sparse_kernels(),
+                 ParlooperMlp([128, 128, 128], 64, num_threads=4)]:
+        n = len(captured)
+        assert kern.simulate(SPR, session=Session()).seconds > 0
+        assert len(captured) > n, type(kern).__name__

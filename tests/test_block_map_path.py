@@ -5,8 +5,9 @@ the interpreter's TPP arguments, the shared batched executor, the SDC
 final-tile offer and ``sim_body``'s slice keys all read that one
 declaration.  These :mod:`ast` checks pin the shape:
 
-* only the shared executor in ``kernels/batched.py`` enumerates a
-  nest's body calls, so no family grows its own batched executor;
+* only the shared executor in ``kernels/batched.py`` and the shared
+  column capture in ``kernels/base.py`` enumerate a nest's body calls,
+  so no family grows its own batched executor or trace builder;
 * no family defines a second interpreter body (``_interp_body``) or
   final-tile locator (``_final_tile``);
 * the nest runtime never sees fault injection: kernels offer finalised
@@ -45,7 +46,8 @@ def test_only_the_shared_executor_enumerates_body_calls():
                for path in sorted(KERNELS.glob("*.py"))
                for fn in _functions(_tree(path))
                if _calls(fn, "enumerate_inds")}
-    assert callers == {("batched.py", "run_batched")}
+    assert callers == {("batched.py", "run_batched"),
+                       ("base.py", "_call_columns")}
 
 
 def test_no_family_writes_a_second_body():

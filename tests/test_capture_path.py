@@ -5,7 +5,10 @@ Every performance trace the library replays is captured through a
 ``trace_flat``, which the cache calls for flat traces) runs
 ``trace_threaded_loop``.  The verification subsystem captures its own
 traces with barrier, chunk and index markers that performance replay
-never sees.  This :mod:`ast` check pins that: a new direct call
+never sees.  Kernel bodies that describe their calls as columns are
+compiled without running the nest, by
+:func:`~repro.simulator.columns.compile_columns`, which only the cache
+calls too.  These :mod:`ast` checks pin that: a new direct call
 elsewhere in ``src/repro`` is a second capture path.
 """
 
@@ -40,3 +43,11 @@ def test_only_the_trace_cache_captures_performance_traces():
     assert not stray, f"trace_threaded_loop called outside the capture " \
                       f"path: {stray}"
     assert set(callers) == CAPTURE_CALLERS
+
+
+def test_only_the_trace_cache_compiles_columns():
+    callers = {path.relative_to(SRC).as_posix()
+               for path in sorted(SRC.rglob("*.py"))
+               if any(_calls(ast.parse(path.read_text(), filename=str(path)),
+                             "compile_columns"))}
+    assert callers == {"simulator/memo.py"}

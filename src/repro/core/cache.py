@@ -6,6 +6,14 @@ return the function pointer of the already compiled and cached loop-nest"
 (§II-B).  The key also includes the loop declarations, since the same
 string over different bounds/steps yields different baked-in constants.
 
+The cache also keeps the :class:`~repro.core.plan.LoopNestPlan` of each
+(declarations, spec string) pair it is asked to plan
+(:meth:`NestCache.plan`), so a repeated string costs one dict lookup
+instead of a parse and a plan.  Only successful plans are kept: an
+invalid string raises its :class:`~repro.core.errors.SpecError` again on
+every call.  Plan lookups are not nest lookups and move no hit or miss
+counter; :meth:`NestCache.clear` drops plans and nests together.
+
 Opt-in persistence: construct with ``persist_path=`` (or call
 :meth:`NestCache.save`) to keep the *generated source* of every compiled
 nest in a JSON file — ``{repr(cache_key): source}`` — and skip the
@@ -26,7 +34,8 @@ import warnings
 
 from ..obs.context import current as _obs
 from .codegen import GeneratedNest, compile_nest, compile_source
-from .plan import LoopNestPlan
+from .loop_spec import LoopSpecs
+from .plan import LoopNestPlan, build_plan, plan_key
 
 __all__ = ["NestCache", "global_nest_cache", "quarantine_corrupt"]
 
@@ -50,10 +59,11 @@ def quarantine_corrupt(path: str) -> str:
 
 
 class NestCache:
-    """Thread-safe (spec-string, specs) -> compiled-nest cache."""
+    """Thread-safe (spec-string, specs) -> plan and compiled-nest cache."""
 
     def __init__(self, persist_path: str | None = None):
         self._lock = threading.Lock()
+        self._plans: dict[tuple, LoopNestPlan] = {}
         self._cache: dict[tuple, GeneratedNest] = {}
         self._sources: dict[str, str] = {}   # repr(key) -> generated source
         self.persist_path = persist_path
@@ -63,6 +73,26 @@ class NestCache:
         self.total_compile_seconds = 0.0
         if persist_path is not None and os.path.exists(persist_path):
             self.load(persist_path)
+
+    def plan(self, specs, spec_string: str) -> LoopNestPlan:
+        """The plan of *spec_string* over *specs*, built on the first
+        request and returned from memory after that.  Raises
+        :class:`~repro.core.errors.SpecError` like
+        :func:`~repro.core.plan.build_plan` for a string that is invalid
+        for these declarations."""
+        specs = tuple(specs)
+        if not (isinstance(spec_string, str)
+                and all(isinstance(s, LoopSpecs) for s in specs)):
+            return build_plan(specs, spec_string)   # raises its SpecError
+        key = plan_key(specs, spec_string)
+        with self._lock:
+            plan = self._plans.get(key)
+        if plan is None:
+            # plan outside the lock; a racing duplicate keeps the first
+            plan = build_plan(specs, spec_string)
+            with self._lock:
+                plan = self._plans.setdefault(key, plan)
+        return plan
 
     def get(self, plan: LoopNestPlan) -> GeneratedNest:
         obs = _obs()
@@ -153,6 +183,7 @@ class NestCache:
 
     def clear(self) -> None:
         with self._lock:
+            self._plans.clear()
             self._cache.clear()
             self._sources.clear()
             self.hits = 0

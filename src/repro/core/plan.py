@@ -9,14 +9,14 @@ plan; the performance model walks the same plan symbolically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from ..obs.context import current as _obs
 from .errors import SpecError
 from .loop_spec import LoopSpecs
 from .parser import ParsedSpec, parse_spec_string
 
-__all__ = ["LoopLevel", "LoopNestPlan", "build_plan"]
+__all__ = ["LoopLevel", "LoopNestPlan", "build_plan", "plan_key"]
 
 
 @dataclass(frozen=True)
@@ -49,6 +49,11 @@ class LoopNestPlan:
     parsed: ParsedSpec
     levels: tuple                # tuple[LoopLevel]
     spec_string: str
+    #: read-only spec-feature rows of this plan by ``num_threads``,
+    #: filled by :func:`repro.tuner.features.spec_features`; a plan the
+    #: nest cache memoizes keeps them as long as the cache keeps it
+    feature_rows: dict = field(default_factory=dict, init=False,
+                               repr=False, compare=False)
 
     @property
     def num_loops(self) -> int:
@@ -78,9 +83,13 @@ class LoopNestPlan:
         return total
 
     def cache_key(self) -> tuple:
-        return (self.spec_string,
-                tuple((s.start, s.bound, s.step, s.block_steps)
-                      for s in self.specs))
+        return plan_key(self.specs, self.spec_string)
+
+
+def plan_key(specs, spec_string: str) -> tuple:
+    """The JIT cache's key of one (declarations, spec string) pair."""
+    return (spec_string,
+            tuple((s.start, s.bound, s.step, s.block_steps) for s in specs))
 
 
 def build_plan(specs, spec_string: str) -> LoopNestPlan:

@@ -10,10 +10,11 @@ Usage mirrors the paper's C++ POC::
 
     gemm_loop(lambda ind: ..., init_func, term_func)
 
-The constructor parses the spec string, builds the nest plan, and JITs (or
-cache-hits) the loop nest; ``__call__`` runs it.  With zero lines of
-user-code change, a different ``loop_spec_str`` instantiates a different
-loop order / blocking / parallelization.
+The constructor parses the spec string, builds the nest plan, and JITs
+the loop nest, or cache-hits the plan and the nest of a string it has
+seen; ``__call__`` runs it.  With zero lines of user-code change, a
+different ``loop_spec_str`` instantiates a different loop order /
+blocking / parallelization.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .cache import NestCache, global_nest_cache
 from .codegen import GeneratedNest
 from .errors import ExecutionError, SpecError
 from .loop_spec import LoopSpecs
-from .plan import LoopNestPlan, build_plan
+from .plan import LoopNestPlan
 from .runtime import run_nest
 
 __all__ = ["ThreadedLoop", "default_num_threads"]
@@ -71,10 +72,11 @@ class ThreadedLoop:
         self.specs = tuple(specs)
         self.spec_string = spec_string
         with _obs().span("compile", spec=spec_string):
-            self.plan: LoopNestPlan = build_plan(self.specs, spec_string)
             self.execution = execution
             self._cache = cache if cache is not None \
                 else global_nest_cache()
+            self.plan: LoopNestPlan = self._cache.plan(self.specs,
+                                                       spec_string)
             self._nest: GeneratedNest = self._cache.get(self.plan)
 
         grid = self.plan.grid_shape

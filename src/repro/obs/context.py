@@ -24,7 +24,8 @@ from .clock import TickClock, wall_clock
 from .metrics import MetricRegistry, NULL_METRICS
 from .trace import Tracer, NULL_TRACER
 
-__all__ = ["ObsConfig", "ObsContext", "OBS_OFF", "current", "use"]
+__all__ = ["ObsConfig", "ObsContext", "OBS_OFF", "current", "install",
+           "use"]
 
 
 @dataclass(frozen=True)
@@ -105,13 +106,21 @@ def current() -> ObsContext:
     return _active
 
 
-@contextmanager
-def use(ctx: ObsContext):
-    """Install *ctx* as ambient for the dynamic extent of the block."""
+def install(ctx: ObsContext) -> ObsContext:
+    """Make *ctx* ambient and return the context it replaces.  The
+    caller restores that one in a ``finally``: :func:`use` without a
+    generator frame, for loops that swap contexts once per step."""
     global _active
     prev = _active
     _active = ctx
+    return prev
+
+
+@contextmanager
+def use(ctx: ObsContext):
+    """Install *ctx* as ambient for the dynamic extent of the block."""
+    prev = install(ctx)
     try:
         yield ctx
     finally:
-        _active = prev
+        install(prev)

@@ -39,6 +39,7 @@ from dataclasses import asdict, dataclass
 
 from ..core.errors import DeadlockError, ServeConfigError, StepBudgetError
 from ..obs.context import current as _obs
+from ..obs.context import install as _install_obs
 from ..obs.context import use as _use_obs
 from ..platform.machine import MachineModel
 from ..tpp.dtypes import DType
@@ -320,8 +321,15 @@ class ServeSimulator:
         st = self._st
         if st is None:
             raise ServeConfigError("advance() called before begin()")
-        with _use_obs(st.obs):
+        if _obs() is st.obs:
+            # a simulator without obs of its own: begin() adopted the
+            # context that is still ambient, so there is nothing to swap
             return self._advance(st)
+        prev = _install_obs(st.obs)
+        try:
+            return self._advance(st)
+        finally:
+            _install_obs(prev)
 
     def _advance(self, st) -> bool:
         if st.drained:

@@ -9,7 +9,10 @@ train- and inference-time vectors line up:
   degree and placement, schedule directives — computed from the
   candidate's :class:`~repro.core.plan.LoopNestPlan` (the canonical
   resolved form, so e.g. ``k_step`` folding and occurrence steps are
-  exactly what the generated nest uses);
+  exactly what the generated nest uses).  The plan comes from the
+  process-global nest cache, and the row is kept on the plan, so each
+  (declarations, spec string, thread count) is featurized once for as
+  long as the cache keeps its plan;
 * **machine features** — cache capacities/bandwidths, core count,
   frequency (log-scaled);
 * **trace features** — per-level reuse-distance histogram summaries of a
@@ -30,8 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..core.cache import global_nest_cache
 from ..core.errors import SpecError
-from ..core.plan import build_plan
 
 __all__ = ["FEATURE_VERSION", "FeatureExtractor", "spec_features",
            "machine_features", "trace_features", "spec_feature_names",
@@ -84,8 +87,23 @@ def spec_features(spec_string: str, base_specs,
                   num_threads: int | None = None) -> np.ndarray:
     """Feature vector of one resolved spec (raises
     :class:`~repro.core.errors.SpecError` when the string is invalid for
-    these bounds, like every other consumer of the plan)."""
-    plan = build_plan(base_specs, spec_string)
+    these bounds, like every other consumer of the plan).  The caller
+    owns the returned array."""
+    return _spec_row(spec_string, base_specs, num_threads).copy()
+
+
+def _spec_row(spec_string: str, base_specs, num_threads) -> np.ndarray:
+    """The read-only spec-feature row the plan keeps for *num_threads*."""
+    plan = global_nest_cache().plan(base_specs, spec_string)
+    row = plan.feature_rows.get(num_threads)
+    if row is None:
+        row = _plan_features(plan, num_threads)
+        row.flags.writeable = False
+        row = plan.feature_rows.setdefault(num_threads, row)
+    return row
+
+
+def _plan_features(plan, num_threads) -> np.ndarray:
     levels = plan.levels
     n_levels = len(levels)
     parsed = plan.parsed
@@ -253,6 +271,8 @@ class FeatureExtractor:
             names += trace_feature_names()
         self.names = names
         self.version = FEATURE_VERSION
+        self._machine_row = (None if self.machine is None
+                             else machine_features(self.machine))
 
     def vector(self, candidate) -> np.ndarray:
         """Feature vector of *candidate* (Candidate or spec string).
@@ -265,9 +285,9 @@ class FeatureExtractor:
         else:
             spec_string = candidate.spec_string
             specs = candidate.build_specs(self.base_specs)
-        parts = [spec_features(spec_string, specs, self.num_threads)]
-        if self.machine is not None:
-            parts.append(machine_features(self.machine))
+        parts = [_spec_row(spec_string, specs, self.num_threads)]
+        if self._machine_row is not None:
+            parts.append(self._machine_row)
         if self.with_trace:
             parts.append(trace_features(self._compiled(candidate, specs)))
         return np.concatenate(parts)

@@ -29,8 +29,8 @@ import time
 
 import numpy as np
 
+from ..core.cache import global_nest_cache
 from ..core.errors import SpecError
-from ..core.plan import build_plan
 from ..obs.context import current as _obs
 from .constraints import TuningConstraints, prefix_products
 from .generator import Candidate, _capitals_adjacent
@@ -135,29 +135,27 @@ def edit_neighbors(cand: Candidate, base_specs,
 
 def _admissible(cand: Candidate, base_specs,
                 constraints: TuningConstraints) -> bool:
-    body, _ = _split_directive(cand.spec_string)
+    """Whether *cand* plans under *base_specs* and its plan's levels
+    keep the constraints' occurrence counts and parallel loops."""
+    try:
+        plan = global_nest_cache().plan(cand.build_specs(base_specs),
+                                        cand.spec_string)
+    except SpecError:
+        return False
     counts: dict = {}
-    caps: set = set()
-    for c in body:
-        if c in "{}|:0123456789RCD " and not c.isalpha():
-            continue
-        lc = c.lower()
-        if "a" <= lc <= "z":
-            counts[lc] = counts.get(lc, 0) + 1
-            if c.isupper():
-                caps.add(lc)
+    par: set = set()
+    for lv in plan.levels:
+        counts[lv.char] = counts.get(lv.char, 0) + 1
+        if lv.parallel or lv.grid_axis:
+            par.add(lv.char)
     for ch, n in counts.items():
         if n > constraints.max_occurrences.get(ch, 1):
             return False
-    if not caps.issubset(constraints.parallelizable):
+    if not par.issubset(constraints.parallelizable):
         return False
-    if len(caps) > constraints.max_parallel_loops:
+    if len(par) > constraints.max_parallel_loops:
         return False
-    if constraints.require_parallel and not caps and "{" not in body:
-        return False
-    try:
-        build_plan(cand.build_specs(base_specs), cand.spec_string)
-    except SpecError:
+    if constraints.require_parallel and not par:
         return False
     return True
 

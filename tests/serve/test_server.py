@@ -8,6 +8,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.obs import ObsConfig, current, use
 from repro.platform import SPR
 from repro.serve import (ContinuousBatcher, Request, Scheduler,
                          ServeCostModel, ServeSimulator, SloPolicy,
@@ -212,3 +213,44 @@ class TestWithdraw:
         ra, rb = a.finish(), b.finish()
         assert ra.summary.n_failed_over == 1
         assert rb.summary.n_finished == 1
+
+
+class TestAdvanceContext:
+    """Driven step by step, as the fleet drives it, each ``advance()``
+    reports into the run's context and hands the caller's back."""
+
+    def test_step_reports_into_the_run_context(self, cost):
+        run_ctx = ObsConfig(clock="tick").make_context()
+        caller = ObsConfig(clock="tick").make_context()
+        s = sim(cost, obs=run_ctx)
+        with use(caller):
+            s.begin()
+            s.push(Request(rid=0, arrival_s=0.0, prompt_tokens=32,
+                           max_new_tokens=4))
+            steps = 0
+            while s.advance():
+                steps += 1
+                assert current() is caller
+            s.finish()
+        priced = sum(run_ctx.metrics.value("serve_price_cache", kind=k)
+                     for k in ("hit", "miss"))
+        assert steps > 0 and priced >= steps
+        assert caller.metrics.value("serve_price_cache", kind="hit") == 0
+        assert caller.metrics.value("serve_price_cache", kind="miss") == 0
+
+    def test_caller_context_restored_when_the_step_raises(self, cost,
+                                                          monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("pricing failed")
+
+        run_ctx = ObsConfig(clock="tick").make_context()
+        caller = ObsConfig(clock="tick").make_context()
+        s = sim(cost, obs=run_ctx)
+        with use(caller):
+            s.begin()
+            s.push(Request(rid=0, arrival_s=0.0, prompt_tokens=32,
+                           max_new_tokens=4))
+            monkeypatch.setattr(s.cost, "step_seconds", broken)
+            with pytest.raises(RuntimeError, match="pricing failed"):
+                s.advance()
+            assert current() is caller

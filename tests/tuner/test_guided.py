@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import ParlooperGemm
+from repro import LoopSpecs, ParlooperGemm, SpecError
 from repro.core.plan import build_plan
 from repro.platform import SPR, ZEN4
 from repro.simulator.memo import TraceCache
@@ -65,6 +65,20 @@ class TestEditNeighbors:
         ns = edit_neighbors(cand, self.base, CONS)
         for n in ns:
             assert "{" in n.spec_string  # reorder/recap skip grid bodies
+
+    def test_grid_spec_keeps_its_valid_retile(self):
+        # the grid-axis letter in {R:4} names no loop: B is the parallel
+        # loop, and only the retile whose b-trips cover 4 ways plans
+        base = (LoopSpecs(0, 16, 16), LoopSpecs(0, 16, 1),
+                LoopSpecs(0, 16, 1))
+        cons = TuningConstraints({"a": 1, "b": 2, "c": 2},
+                                 frozenset({"b", "c"}))
+        cand = Candidate("aB{R:4}bc", ((), (4,), ()))
+        assert edit_neighbors(cand, base, cons) == \
+            [Candidate("aB{R:4}bc", ((), (2,), ()))]
+        wide = Candidate("aB{R:4}bc", ((), (8,), ()))
+        with pytest.raises(SpecError, match="4-ways but has only 2"):
+            build_plan(wide.build_specs(base), wide.spec_string)
 
     def test_retile_walks_the_prefix_ladder(self):
         blocked = [c for c in self.pool if any(c.block_steps)]

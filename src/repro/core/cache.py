@@ -12,7 +12,10 @@ The cache also keeps the :class:`~repro.core.plan.LoopNestPlan` of each
 instead of a parse and a plan.  Only successful plans are kept: an
 invalid string raises its :class:`~repro.core.errors.SpecError` again on
 every call.  Plan lookups are not nest lookups and move no hit or miss
-counter; :meth:`NestCache.clear` drops plans and nests together.
+counter.  Plans sit in one store, :meth:`NestCache.derived`, with other
+values that depend only on loop declarations, such as the tuner's
+candidate pools; :meth:`NestCache.clear` drops that store and the nests
+together.
 
 Opt-in persistence: construct with ``persist_path=`` (or call
 :meth:`NestCache.save`) to keep the *generated source* of every compiled
@@ -39,6 +42,8 @@ from .plan import LoopNestPlan, build_plan, plan_key
 
 __all__ = ["NestCache", "global_nest_cache", "quarantine_corrupt"]
 
+_MISSING = object()
+
 
 def quarantine_corrupt(path: str) -> str:
     """Move a corrupt persisted-cache file out of the way.
@@ -63,7 +68,7 @@ class NestCache:
 
     def __init__(self, persist_path: str | None = None):
         self._lock = threading.Lock()
-        self._plans: dict[tuple, LoopNestPlan] = {}
+        self._derived: dict = {}     # plans, candidate pools, ...
         self._cache: dict[tuple, GeneratedNest] = {}
         self._sources: dict[str, str] = {}   # repr(key) -> generated source
         self.persist_path = persist_path
@@ -84,15 +89,22 @@ class NestCache:
         if not (isinstance(spec_string, str)
                 and all(isinstance(s, LoopSpecs) for s in specs)):
             return build_plan(specs, spec_string)   # raises its SpecError
-        key = plan_key(specs, spec_string)
+        return self.derived(plan_key(specs, spec_string),
+                            lambda: build_plan(specs, spec_string))
+
+    def derived(self, key, build):
+        """The value of ``build()`` for the hashable *key*, built on the
+        first request and returned from memory until :meth:`clear`; a
+        ``build()`` that raises stores nothing.  The caller keys it on
+        every input *build* reads and must not mutate the value."""
         with self._lock:
-            plan = self._plans.get(key)
-        if plan is None:
-            # plan outside the lock; a racing duplicate keeps the first
-            plan = build_plan(specs, spec_string)
+            value = self._derived.get(key, _MISSING)
+        if value is _MISSING:
+            # build outside the lock; a racing duplicate keeps the first
+            value = build()
             with self._lock:
-                plan = self._plans.setdefault(key, plan)
-        return plan
+                value = self._derived.setdefault(key, value)
+        return value
 
     def get(self, plan: LoopNestPlan) -> GeneratedNest:
         obs = _obs()
@@ -183,7 +195,7 @@ class NestCache:
 
     def clear(self) -> None:
         with self._lock:
-            self._plans.clear()
+            self._derived.clear()
             self._cache.clear()
             self._sources.clear()
             self.hits = 0

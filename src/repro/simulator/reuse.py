@@ -34,6 +34,15 @@ The weight of a key must be constant across the trace (the stored
 footprint of an LRU entry is the footprint at its last miss); the repo's
 event builders (:mod:`repro.simulator.cost`) satisfy this per-key
 constancy and :func:`compile_trace` verifies it.
+
+The distances come from one exact int64 pass
+(:func:`_intervening_bytes`): each re-access's window weight, a
+prefix-sum difference, minus a weighted inversion count over the
+re-accesses, which a bottom-up merge sort computes in ``ceil(log2 nq)``
+rounds of O(nq) NumPy work for ``nq`` re-accesses.  It is exact for
+streams of fewer than 2**31 accesses whose footprints total below 2**62
+bytes; :func:`hit_levels` and :func:`stack_distances` raise
+``ValueError`` beyond that.
 """
 
 from __future__ import annotations
@@ -192,7 +201,7 @@ def hit_levels(key_ids, footprints, capacities, memo=None) -> tuple:
     *memo* (usually :attr:`CompiledTrace.reuse_memo`) caches the
     expensive intermediates across calls on the same trace.  Each
     *stream entry* — the filtered stream at some level plus its
-    prev/next occurrence indices and a table of reuse distances keyed by
+    previous-occurrence indices and a table of reuse distances keyed by
     *effective* weight cap ``min(cap, max footprint)`` — is memoized
     under the exact capacity prefix that produced it (level ``l``'s
     stream depends only on ``capacities[:l]``).  Two collapses fall out:
@@ -211,17 +220,19 @@ def hit_levels(key_ids, footprints, capacities, memo=None) -> tuple:
     pattern-identical threads replayed on one hierarchy (the sampled
     threads of a tuning candidate, the threads of a data-parallel
     replay) share it; the returned levels are then read-only.
+
+    Raises ``ValueError`` for a non-positive footprint or capacity, and
+    for a stream past the exactness bound of the distance pass (2**31
+    accesses, 2**62 bytes of footprints in all).
     """
     done_key = ("levels", tuple(map(int, capacities)))
     if memo is not None and done_key in memo:
         return memo[done_key]
     key_ids = np.ascontiguousarray(key_ids, dtype=np.int64)
-    fp = np.ascontiguousarray(footprints, dtype=np.int64)
+    fp = _footprints(footprints)
     n = key_ids.size
     n_levels = len(capacities)
     levels = np.full(n, n_levels, dtype=np.int64)
-    if np.any(fp <= 0):
-        raise ValueError("footprints must be positive")
     stream = np.arange(n, dtype=np.int64)   # miss stream of the level above
     accesses, hits, clamps = [], [], []
     prefix = ()                             # capacities applied so far
@@ -239,11 +250,11 @@ def hit_levels(key_ids, footprints, capacities, memo=None) -> tuple:
         if entry is None and memo is not None:
             entry = memo.get(("lvl", prefix))
         if entry is None:
-            prev, nxt = _prev_next(key_ids[stream])
-            entry = (stream, prev, nxt, int(fp[stream].max()), {})
+            entry = (stream, _prev_index(key_ids[stream]),
+                     int(fp[stream].max()), {})
             if memo is not None:
                 memo[("lvl", prefix)] = entry
-        stream, prev, nxt, max_fp, dists = entry
+        stream, prev, max_fp, dists = entry
         sf = fp[stream]
         if cap < max_fp:
             w, w_sig = np.minimum(sf, cap), cap
@@ -256,7 +267,7 @@ def hit_levels(key_ids, footprints, capacities, memo=None) -> tuple:
         else:
             dist = dists.get(w_sig)
             if dist is None:
-                dist = _intervening_bytes(prev, nxt, w)
+                dist = _intervening_bytes(prev, w)
                 dists[w_sig] = dist
             hit = (prev >= 0) & (dist + w <= cap)
         n_hit = int(np.count_nonzero(hit))
@@ -289,163 +300,129 @@ def stack_distances(key_ids, footprints) -> np.ndarray:
     committing to one machine's hierarchy.  ``distance[i] <= C - w_i``
     iff access ``i`` would hit an LRU cache of capacity ``C`` (with
     unclamped weights), so per-capacity hit fractions derive from the
-    returned array by comparison alone.
+    returned array by comparison alone.  Raises ``ValueError`` like
+    :func:`hit_levels`.
     """
     key_ids = np.ascontiguousarray(key_ids, dtype=np.int64)
-    fp = np.ascontiguousarray(footprints, dtype=np.int64)
-    if np.any(fp <= 0):
-        raise ValueError("footprints must be positive")
-    prev, nxt = _prev_next(key_ids)
-    dist = _intervening_bytes(prev, nxt, fp)
+    fp = _footprints(footprints)
+    prev = _prev_index(key_ids)
+    dist = _intervening_bytes(prev, fp)
     dist[prev < 0] = -1
     return dist
 
 
-def _prev_next(keys: np.ndarray) -> tuple:
-    """Previous/next occurrence index of each access's key (-1 / n)."""
-    n = keys.size
-    prev = np.full(n, -1, dtype=np.int64)
-    nxt = np.full(n, n, dtype=np.int64)
-    if n == 0:
-        return prev, nxt
+#: the int64 distance pass is exact for streams of fewer than 2**31
+#: accesses whose footprints total below 2**62 bytes: its merge keys stay
+#: below 2**62, and a distance plus a weight below 2**63
+_MAX_ACCESSES = 1 << 31
+_MAX_TOTAL_BYTES = 1 << 62
+
+
+def _footprints(footprints) -> np.ndarray:
+    """*footprints* as int64, checked positive and inside the bound of
+    the exact distance pass (``ValueError`` otherwise, instead of a
+    silent int64 wrap)."""
+    fp = np.asarray(footprints)
+    if fp.size >= _MAX_ACCESSES:
+        raise ValueError(f"reuse distances are exact for streams of fewer "
+                         f"than 2**31 accesses, got {fp.size}")
+    fp = np.ascontiguousarray(fp, dtype=np.int64)
+    if fp.size == 0:
+        return fp
+    if fp.min() <= 0:
+        raise ValueError("footprints must be positive")
+    if int(fp.max()) * fp.size >= _MAX_TOTAL_BYTES:
+        total = sum(map(int, fp))           # Python ints: no wrap
+        if total >= _MAX_TOTAL_BYTES:
+            raise ValueError(f"reuse distances are exact for streams whose "
+                             f"footprints total below 2**62 bytes, got "
+                             f"{total}")
+    return fp
+
+
+def _prev_index(keys: np.ndarray) -> np.ndarray:
+    """Index of the previous access to each access's key (-1 if none)."""
+    prev = np.full(keys.size, -1, dtype=np.int64)
     order = np.argsort(keys, kind="stable")   # stable: time order per key
     sk = keys[order]
-    same = np.zeros(n, dtype=bool)
-    np.equal(sk[1:], sk[:-1], out=same[1:])
-    idx = np.nonzero(same)[0]
-    prev[order[idx]] = order[idx - 1]
-    nxt[order[idx - 1]] = order[idx]
-    return prev, nxt
+    idx = np.flatnonzero(sk[1:] == sk[:-1])
+    prev[order[idx + 1]] = order[idx]
+    return prev
 
 
-# dense-path cutoffs: while the number of *repeat* accesses (the queries,
-# equally the same-key adjacent pairs) stays below _DENSE_PAIR_MAX, an
-# O(pairs^2) masked einsum beats the D&C's per-round numpy overhead; the
-# accumulation is pure int64 (exact), guarded only against overflow
-_DENSE_PAIR_MAX = 2048
-_EXACT_I64 = 1 << 62
+def _intervening_bytes(prev: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Byte-weighted stack distance of every access (0 for cold ones).
 
-
-def _intervening_bytes_dense(prev: np.ndarray, nxt: np.ndarray,
-                             w: np.ndarray, q_idx: np.ndarray,
-                             out: np.ndarray) -> np.ndarray:
-    """O(pairs^2) variant of :func:`_intervening_bytes`.
-
-    Complement form of the same latest-in-window count: the keys *not*
-    counted in the window ``(p, t)`` are those whose latest in-window
-    access ``s`` has ``nxt[s] < t`` — and for ``s > p`` the condition
-    ``nxt[s] < t`` alone already implies ``s < nxt[s] < t``.  So
-
-        D(t) = sum(w[p+1 .. t-1]) - sum(w[s] : s > p, nxt[s] < t)
-
-    (the first term counts every in-window access of a key; the second
-    removes all but the last, leaving each distinct key counted exactly
-    once).  The first term is a prefix-sum difference; the second is a
-    mask-matmul over only the accesses that have a next occurrence —
-    typically a small fraction of the stream.
-    """
-    n = prev.size
-    cw = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(w, out=cw[1:])
-    qp = prev[q_idx]
-    window = cw[q_idx] - cw[qp + 1]
-    pts = np.nonzero(nxt < n)[0]
-    if pts.size:
-        # int32 operands halve the comparison bandwidth (positions are
-        # array indices, well inside int32); uint8 view of the bool mask
-        # feeds an integer einsum — exact, no float round-trip
-        p32 = pts.astype(np.int32)
-        q32 = q_idx.astype(np.int32)
-        mask = ((p32[None, :] > qp.astype(np.int32)[:, None])
-                & (nxt[pts].astype(np.int32)[None, :] < q32[:, None]))
-        window -= np.einsum("ij,j->i", mask.view(np.uint8), w[pts])
-    out[q_idx] = window
-    return out
-
-
-def _intervening_bytes(prev: np.ndarray, nxt: np.ndarray,
-                       w: np.ndarray) -> np.ndarray:
-    """Byte-weighted stack distance of every access.
-
-    For access ``t`` with ``prev[t] >= 0``: the sum of ``w[s]`` over
-    accesses ``s`` that are the latest access of their key inside the open
-    window ``(prev[t], t)`` — i.e. ``prev[t] < s < t`` and ``nxt[s] > t``.
+    For a re-access ``t`` of a key last accessed at ``p = prev[t]``: the
+    weight of the distinct keys accessed strictly inside ``(p, t)``.
     With per-key-constant weights (guaranteed by :func:`compile_trace`)
-    this equals the byte-weighted count of distinct keys in the window.
-    Small streams take the O(pairs^2) complement-form matmul; larger ones
-    an integer divide-and-conquer over the timeline (activation of ``s``
-    at time ``s``, deactivation at time ``nxt[s]``; each query sums the
-    active weights in its position window), O(M log^2 M) and exact —
-    weights are int64, no floating-point accumulation.
+
+        D(t) = sum(w[p+1 .. t-1]) - X(t)
+
+    where ``X(t)`` sums ``w[s]`` over the accesses ``s`` inside the
+    window whose own previous access is inside it too (``prev[s] > p``,
+    which already implies ``s > p``): a key accessed ``m`` times in the
+    window is counted ``m`` times by the first term and ``m - 1`` times
+    by ``X``.  The first term is a prefix-sum difference.  Numbering the
+    re-accesses ``q_0 < q_1 < ...`` in time order with
+    ``a_i = prev[q_i]`` (distinct, since each access has at most one
+    next access), ``X`` at ``q_i`` is the weighted inversion count
+
+        X_i = sum(w[q_j] : j < i, a_j > a_i)
+
+    which :func:`_weighted_inversions` computes in ``ceil(log2 nq)``
+    rounds of O(nq) NumPy work plus one presorted-run merge each.
+    Every sum is int64 and exact inside the bound of
+    :func:`_footprints`.
     """
-    n = prev.size
-    out = np.zeros(n, dtype=np.int64)
-    q_idx = np.nonzero(prev >= 0)[0]
-    if q_idx.size == 0:
+    out = np.zeros(prev.size, dtype=np.int64)
+    q = np.flatnonzero(prev >= 0)
+    if q.size == 0:
         return out
     w = np.ascontiguousarray(w, dtype=np.int64)
-    if (q_idx.size <= _DENSE_PAIR_MAX
-            and int(w.max()) <= _EXACT_I64 // q_idx.size):
-        return _intervening_bytes_dense(prev, nxt, w, q_idx, out)
-    nq = q_idx.size
-    d_sel = np.flatnonzero(nxt < n)
-    m = nq + n + d_sel.size
-    # positions and ranks are int32 whenever they fit (m <= 3n); the
-    # weights and their sums stay int64, so distances stay exact
-    it = np.int32 if 3 * n < 2 ** 31 else np.int64
-    # one timeline of queries (at q_idx), activations (s at time s) and
-    # deactivations (s at time nxt[s]), keyed 2*time + kind so that at
-    # equal times queries rank before points — exactly right: a
-    # deactivation at time t belongs to s = prev[t] (outside the open
-    # window) and an activation at time t is t itself
-    sort_key = np.empty(m, dtype=it)
-    sort_key[:nq] = q_idx * 2
-    sort_key[nq:nq + n] = np.arange(1, 2 * n, 2, dtype=it)
-    sort_key[nq + n:] = nxt[d_sel] * 2 + 1
-    order = np.argsort(sort_key, kind="stable")
-    del sort_key
-    rank = np.empty(m, dtype=it)
-    rank[order] = np.arange(m, dtype=it)
-    del order
-    q_rank = rank[:nq]
-    p_rank = rank[nq:]
-    p_pos = np.concatenate([np.arange(n, dtype=it), d_sel.astype(it)])
-    p_wt = np.concatenate([w, -w[d_sel]])
-    del d_sel
-    q_prev = prev[q_idx].astype(it)
-    q_pos = q_idx.astype(it)
-    dist = np.zeros(nq, dtype=np.int64)
-    big = np.int64(n + 2)
-    for shift in range((m - 1).bit_length()):
-        _add_block_pairs(dist, shift, p_rank, p_pos, p_wt, q_rank, q_prev,
-                         q_pos, big)
-    out[q_idx] = dist
+    cw = np.zeros(prev.size + 1, dtype=np.int64)
+    np.cumsum(w, out=cw[1:])
+    a = prev[q]
+    out[q] = cw[q] - cw[a + 1] - _weighted_inversions(a, w[q], prev.size)
     return out
 
 
-def _add_block_pairs(dist, shift, p_rank, p_pos, p_wt, q_rank, q_prev,
-                     q_pos, big) -> None:
-    """One level of :func:`_intervening_bytes`' divide-and-conquer, at
-    block size ``2**shift`` in rank order: points in even (left)
-    half-blocks contribute to queries in the odd (right) sibling, so
-    every rank-ordered (point, query) pair is counted at exactly one
-    level.  Its temporaries die with the call."""
-    p_blk = p_rank >> shift
-    q_blk = q_rank >> shift
-    psel = (p_blk & 1) == 0
-    qsel = (q_blk & 1) == 1
-    if not (psel.any() and qsel.any()):
-        return
-    pk = (p_blk[psel] >> 1).astype(np.int64) * big + p_pos[psel]
-    del p_blk
-    o = np.argsort(pk, kind="stable")
-    pk = pk[o]
-    cw = np.zeros(pk.size + 1, dtype=np.int64)
-    np.cumsum(p_wt[psel][o], out=cw[1:])
-    del o, psel
-    qbase = (q_blk[qsel] >> 1).astype(np.int64) * big
-    del q_blk
-    lo = np.searchsorted(pk, qbase + q_prev[qsel], side="right")
-    hi = np.searchsorted(pk, qbase + q_pos[qsel], side="left")
-    del pk, qbase
-    dist[qsel] += cw[hi] - cw[lo]
+def _weighted_inversions(a: np.ndarray, v: np.ndarray, n: int
+                         ) -> np.ndarray:
+    """``x[i] = sum(v[j] : j < i, a[j] > a[i])`` for distinct ``a`` in
+    ``[0, n)``, by a bottom-up merge sort.
+
+    Before round ``r`` the elements are sorted by ``(i >> r, a)``: runs
+    of ``h = 2**r`` consecutive elements, each sorted by ``a``.  A stable
+    argsort of the merge key ``(position >> (r + 1)) * n + a`` (below
+    ``2**62`` for ``n < 2**31``) merges each pair of sibling runs; it
+    sees two presorted runs per parent, which it merges in linear time.
+    An element of a right run that moves from position ``k`` to ``m``
+    has its left sibling run at ``[s - h, s)``, ``s = k & -h``, and
+    ``m - (s - h) - (k - s)`` of that run's elements sorted below it,
+    so the run's elements above it are ``[s + m - k, s)``: the prefix
+    sums ``c`` of the weights in the old order give their weight
+    ``c[s] - c[s + m - k]``.  A left-run element has ``m >= k``, so
+    clamping ``m - k`` at 0 gives it nothing.  After the last round the
+    elements are sorted by ``a``.
+    """
+    nq = a.size
+    pos = np.arange(nq, dtype=np.int64)
+    c = np.zeros(nq + 1, dtype=np.int64)
+    x = np.zeros(nq, dtype=np.int64)
+    ar = a
+    for r in range((nq - 1).bit_length()):
+        perm = np.argsort((pos >> (r + 1)) * n + ar, kind="stable")
+        np.cumsum(v, out=c[1:])
+        s = perm & -(1 << r)
+        lo = pos - perm
+        np.minimum(lo, 0, out=lo)
+        lo += s
+        x = x[perm]
+        x += c[s]
+        x -= c[lo]
+        ar = ar[perm]
+        v = v[perm]
+    out = np.empty(nq, dtype=np.int64)
+    out[np.argsort(a, kind="stable")] = x
+    return out

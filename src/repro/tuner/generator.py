@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
+from ..core.cache import global_nest_cache
 from ..core.errors import ExecutionError, SpecError
 from ..core.loop_spec import LoopSpecs
 from ..core.threaded_loop import ThreadedLoop
@@ -95,7 +96,39 @@ def generate_candidates(base_specs, constraints: TuningConstraints,
     ``max_candidates`` budget or an evaluator slot.  Candidates the
     verifier cannot build (invalid for these bounds) are kept — the
     search reports those as ordinary skips.
+
+    Without *verify*, each (declarations, constraints) pool is enumerated
+    once and kept by the global nest cache, so
+    ``global_nest_cache().clear()`` empties it; every call returns a new
+    list.
     """
+    if verify is not None:
+        return _enumerate(base_specs, constraints, verify)
+    pool = global_nest_cache().derived(
+        _pool_key(base_specs, constraints),
+        lambda: tuple(_enumerate(base_specs, constraints, None)))
+    return list(pool)
+
+
+def _pool_key(base_specs, constraints: TuningConstraints) -> tuple:
+    """Every input of an enumeration, hashable: the declarations and
+    every :class:`TuningConstraints` field."""
+    values = []
+    for f in fields(constraints):
+        v = getattr(constraints, f.name)
+        if isinstance(v, dict):
+            v = tuple(sorted(v.items()))
+        elif isinstance(v, set):
+            v = frozenset(v)
+        elif isinstance(v, list):
+            v = tuple(v)
+        values.append(v)
+    return ("candidates",
+            tuple((s.start, s.bound, s.step, s.block_steps)
+                  for s in base_specs), tuple(values))
+
+
+def _enumerate(base_specs, constraints: TuningConstraints, verify) -> list:
     chars = [chr(ord("a") + i) for i in range(len(base_specs))]
     per_loop = []
     for ch, spec in zip(chars, base_specs):

@@ -2,7 +2,9 @@
 
 The seed ``LRUCache``/``CacheHierarchy`` stays in the tree precisely to
 serve as the oracle here: :func:`repro.simulator.reuse.hit_levels` must
-agree with it hit-level-for-hit-level on randomized traces, and
+agree with it hit-level-for-hit-level on randomized traces,
+:func:`~repro.simulator.reuse.stack_distances` must equal an O(n^2)
+brute-force count of each window's distinct keys, and
 ``predict`` / ``simulate`` — which always capture through a
 ``TraceCache`` — must reproduce the uncached oracle (``trace_threaded_loop``
 / ``trace_flat`` capture, ``predict_traces`` / ``simulate_traces_lru`` /
@@ -22,9 +24,9 @@ from repro.simulator import (Access, BodyEvent, CacheHierarchy, CompiledTrace,
                              predict_traces, simulate, simulate_flat,
                              trace_flat, trace_threaded_loop)
 from repro.simulator.engine import simulate_traces_lru
-from repro.simulator.reuse import (_DENSE_PAIR_MAX, _intervening_bytes,
-                                   _prev_next)
+from repro.simulator.reuse import stack_distances
 from repro.tpp.dtypes import DType
+from repro.verify.fuzz import default_case_count
 
 CAP_CHOICES = [4, 8, 16, 64, 128, 1024, 4096, 20000]
 FP_CHOICES = [1, 2, 3, 5, 8, 16, 64, 100, 1000, 5000]
@@ -133,32 +135,127 @@ class TestPreconditions:
             compile_trace(tr)
 
 
-class TestDenseVsDivideAndConquer:
-    def test_paths_agree_on_per_key_constant_weights(self):
-        rng = random.Random(7)
-        for _trial in range(30):
-            n_keys = rng.randint(1, 30)
-            n = rng.randint(2, 300)
-            keys = np.array([rng.randrange(n_keys) for _ in range(n)])
-            wk = np.array([rng.choice(FP_CHOICES) for _ in range(n_keys)],
-                          dtype=np.int64)
-            w = wk[keys]
-            prev, nxt = _prev_next(keys)
-            dense = _intervening_bytes(prev, nxt, w)
-            # force the D&C branch by a monkey-free trick: huge weights
-            # fail the overflow guard only at absurd sizes, so instead
-            # compare against the D&C called through a shrunken cutoff
-            import repro.simulator.reuse as reuse_mod
-            old = reuse_mod._DENSE_PAIR_MAX
-            reuse_mod._DENSE_PAIR_MAX = 0
-            try:
-                dc = _intervening_bytes(prev, nxt, w)
-            finally:
-                reuse_mod._DENSE_PAIR_MAX = old
-            assert np.array_equal(dense, dc)
+def _brute_distances(keys, fp):
+    """O(n^2) oracle: each distinct key's weight once, strictly inside
+    ``(prev[t], t)``; -1 for cold accesses."""
+    weight = dict(zip(keys, fp))
+    last, out = {}, []
+    for t, k in enumerate(keys):
+        p = last.get(k)
+        out.append(-1 if p is None
+                   else sum(weight[j] for j in set(keys[p + 1:t])))
+        last[k] = t
+    return out
 
-    def test_cutoff_is_positive(self):
-        assert _DENSE_PAIR_MAX > 0
+
+def _stream_with_reaccesses(rng, nq, n_keys, max_fp=5000):
+    """A shuffled stream of *n_keys* keys holding exactly *nq*
+    re-accesses (every access after a key's first)."""
+    keys = list(range(n_keys)) + [rng.randrange(n_keys) for _ in range(nq)]
+    rng.shuffle(keys)
+    per_key = [rng.randint(1, max_fp) for _ in range(n_keys)]
+    return keys, [per_key[k] for k in keys]
+
+
+def _assert_oracle(keys, fp):
+    got = stack_distances(np.array(keys, dtype=np.int64),
+                          np.array(fp, dtype=np.int64))
+    assert got.dtype == np.int64
+    assert got.tolist() == _brute_distances(keys, fp)
+
+
+class TestDistancesVsBruteForce:
+    """The one int64 distance pass against the O(n^2) oracle."""
+
+    def test_random_streams(self):
+        rng = random.Random(2024)
+        for _trial in range(600):
+            n_keys = rng.randint(1, 60)
+            keys = [rng.randrange(n_keys)
+                    for _ in range(rng.randint(1, 300))]
+            per_key = [rng.choice(FP_CHOICES) for _ in range(n_keys)]
+            _assert_oracle(keys, [per_key[k] for k in keys])
+
+    @pytest.mark.parametrize("keys", [
+        [],
+        list(range(40)),                       # no key is re-accessed
+        [7] * 33,                              # one key, over and over
+        [0, 1, 2, 3, 4, 5, 2, 6, 7],           # one key repeated once
+        [i % 9 for i in range(120)],           # every window all distinct
+        [i % 9 for i in range(60)][::-1] + [i % 5 for i in range(30)],
+    ], ids=["empty", "no_reaccess", "one_key", "one_repeat", "sweep",
+            "sweeps"])
+    def test_edge_streams(self, keys):
+        _assert_oracle(keys, [3 + 5 * k for k in keys])
+
+    @pytest.mark.parametrize("k", range(1, 12))
+    def test_reaccess_counts_around_powers_of_two(self, k):
+        rng = random.Random(k)
+        for nq in (2 ** k - 1, 2 ** k, 2 ** k + 1):
+            for n_keys in (1, 3, 40):
+                _assert_oracle(*_stream_with_reaccesses(rng, nq, n_keys))
+
+    def test_weights_up_to_2_40(self):
+        rng = random.Random(40)
+        for _trial in range(50):
+            keys, fp = _stream_with_reaccesses(
+                rng, rng.randint(1, 400), rng.randint(1, 80), 2 ** 40)
+            _assert_oracle(keys, fp)
+        _assert_oracle([0, 1, 0, 1], [2 ** 40] * 4)
+
+    def test_cold_accesses_report_minus_one(self):
+        got = stack_distances(np.array([4, 2, 4, 9, 2]),
+                              np.array([8, 16, 8, 1, 16]))
+        assert got.tolist() == [-1, -1, 16, -1, 9]
+
+
+class TestExactInt64:
+    def test_total_weight_at_2_62_raises(self):
+        keys, fp = np.array([0, 1, 0]), np.full(3, 2 ** 61, dtype=np.int64)
+        with pytest.raises(ValueError, match="2\\*\\*62"):
+            stack_distances(keys, fp)
+        with pytest.raises(ValueError, match="2\\*\\*62"):
+            hit_levels(keys, fp, [2 ** 62 - 1])
+
+    def test_exact_just_below_the_bound(self):
+        fp = np.full(3, 2 ** 60, dtype=np.int64)
+        assert stack_distances(np.array([0, 1, 0]), fp).tolist() == \
+            [-1, -1, 2 ** 60]
+        big = np.array([2 ** 61 - 1, 2 ** 61 - 1], dtype=np.int64)
+        assert stack_distances(np.array([0, 0]), big).tolist() == [-1, 0]
+
+    def test_stream_length_bound_raises(self, monkeypatch):
+        import repro.simulator.reuse as reuse_mod
+        # the real bound is 2**31 accesses, too many to allocate here
+        monkeypatch.setattr(reuse_mod, "_MAX_ACCESSES", 4)
+        with pytest.raises(ValueError, match="fewer than"):
+            stack_distances(np.arange(4), np.ones(4, dtype=np.int64))
+        assert stack_distances(np.arange(3),
+                               np.ones(3, dtype=np.int64)).tolist() == \
+            [-1, -1, -1]
+
+
+@pytest.mark.fuzz
+def test_fuzz_long_streams_match_lru_oracle():
+    """Streams of 2k-20k accesses over a drifting working set, on one to
+    three levels sized around it: many levels see thousands of
+    re-accesses, as the engine's shared-LLC streams do."""
+    rng = np.random.default_rng(20_000)
+    for case in range(default_case_count()):
+        n = int(rng.integers(2000, 20001))
+        n_keys = int(rng.integers(16, 4001))
+        window = int(rng.integers(4, 513))
+        start = np.floor(np.arange(n) * rng.random()).astype(np.int64)
+        keys = (start + rng.integers(0, window, n)) % n_keys
+        per_key = rng.choice(FP_CHOICES, n_keys)
+        fp = per_key[keys]
+        span = window * float(per_key.mean())
+        caps = sorted(max(1, int(span * f)) for f in
+                      rng.uniform(0.05, 1.5, int(rng.integers(1, 4))))
+        ref, ref_clamps = _oracle_levels(keys.tolist(), fp.tolist(), caps)
+        lv, stats = hit_levels(keys, fp, caps)
+        assert lv.tolist() == ref, f"case {case}: n={n} caps={caps}"
+        assert stats.capacity_clamps == ref_clamps, f"case {case}"
 
 
 def _gemm_workload(nb=4):

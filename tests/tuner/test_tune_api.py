@@ -1,10 +1,15 @@
 """The one-call ``tune()`` API and its parity with the classic path."""
 
+from collections import Counter
+from dataclasses import replace
+
 import pytest
 
 import repro
+import repro.tuner.generator as generator
 from repro import ParlooperGemm
 from repro.core import LoopSpecs
+from repro.core.cache import global_nest_cache
 from repro.platform import SPR
 from repro.simulator.memo import TraceCache
 from repro.tuner import (EvalCache, Evaluator, TuneOutcome, TuneReport,
@@ -105,6 +110,67 @@ class TestStrategies:
         report = tune(gemm(), machine=SPR, constraints=CONS, budget=8)
         text = report.summary()
         assert "exact" in text and "candidates" in text and "best" in text
+
+
+@pytest.fixture
+def enumerated(monkeypatch):
+    """How often each (declarations, constraints) pool was enumerated
+    while the test runs."""
+    counts = Counter()
+    enumerate_pool = generator._enumerate
+
+    def counting(base_specs, constraints, verify):
+        counts[generator._pool_key(base_specs, constraints)] += 1
+        return enumerate_pool(base_specs, constraints, verify)
+
+    monkeypatch.setattr(generator, "_enumerate", counting)
+    global_nest_cache().clear()
+    return counts
+
+
+class TestCandidatePoolMemo:
+    def test_one_enumeration_per_pair_across_strategies(self, enumerated):
+        g = gemm()
+        tune(g, machine=SPR, constraints=CONS, strategy="guided",
+             sample_threads=2, trace_cache=TraceCache())
+        tune(g, machine=SPR, constraints=CONS, sample_threads=2,
+             trace_cache=TraceCache())
+        assert list(enumerated.values()) == [1]
+
+    def test_every_call_gets_a_new_equal_list(self, enumerated):
+        base = tuple(gemm().loop.specs)
+        first = generate_candidates(base, CONS)
+        first.clear()
+        second = generate_candidates(base, CONS)
+        assert second == generate_candidates(base, CONS) and second
+        assert list(enumerated.values()) == [1]
+
+    def test_keyed_on_declarations_and_every_constraint(self, enumerated):
+        base = tuple(gemm().loop.specs)
+        generate_candidates(base, CONS)
+        generate_candidates(base[:2] + (LoopSpecs(0, 16, 1),), CONS)
+        for change in (dict(max_occurrences={"a": 1, "b": 2, "c": 1}),
+                       dict(parallelizable=frozenset({"b"})),
+                       dict(require_parallel=False),
+                       dict(max_parallel_loops=1),
+                       dict(schedules=("", "schedule(dynamic)")),
+                       dict(max_candidates=59), dict(seed=1)):
+            generate_candidates(base, replace(CONS, **change))
+        assert len(enumerated) == 9
+        assert set(enumerated.values()) == {1}
+        # a dict with the same items in another order is the same pool
+        generate_candidates(base, replace(
+            CONS, max_occurrences={"c": 2, "b": 2, "a": 1}))
+        assert len(enumerated) == 9
+
+    def test_verify_and_clear_bypass_the_memo(self, enumerated):
+        base = tuple(gemm().loop.specs)
+        pool = generate_candidates(base, CONS)
+        assert generate_candidates(base, CONS,
+                                   verify=lambda cand: []) == pool
+        global_nest_cache().clear()
+        assert generate_candidates(base, CONS) == pool
+        assert list(enumerated.values()) == [3]
 
 
 class TestSessionTraceCache:

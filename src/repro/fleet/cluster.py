@@ -17,8 +17,11 @@ lockstep: each loop iteration picks the globally earliest event among
    :class:`~repro.fleet.router.Router`),
 6. the earliest replica able to make local progress,
 
-with ties broken in exactly that order, then by replica id.  The loop
-is therefore a pure function of (trace seed, fault seed, policies) —
+with ties broken in exactly that order, then by replica id.  A replica
+step runs ahead: the replica keeps stepping while it would be picked
+again, i.e. until its next wake-up no longer sorts below the runner-up
+event, which leaves the dispatch order unchanged.  The loop is
+therefore a pure function of (trace seed, fault seed, policies) —
 two runs are bit-identical, including every failover and scale event.
 
 With a guard enabled the routers stop reading live replica state:
@@ -46,6 +49,7 @@ from dataclasses import asdict, dataclass
 
 from ..core.errors import ServeConfigError
 from ..obs.context import current as _obs
+from ..obs.context import install as _install_obs
 from ..serve.cost import ServeCostModel
 from ..serve.metrics import percentile
 from ..serve.request import RequestState
@@ -66,6 +70,13 @@ _EV_PROBE = 3
 _EV_SCALE = 4
 _EV_ARRIVAL = 5
 _EV_ADVANCE = 6
+
+
+def _leads(t: float, rid: int, runner_up) -> bool:
+    """Does replica *rid*'s next step at *t* still sort before
+    *runner_up*, the loop's next event in ``(time, priority, id)``
+    order?  Then the fleet loop would pick this replica again."""
+    return runner_up is None or (t, _EV_ADVANCE, rid) < runner_up
 
 
 class ReplicaState(enum.Enum):
@@ -447,7 +458,8 @@ class FleetSimulator:
                 events.append((next_probe, _EV_PROBE, -1))
             if not events:
                 break               # pending can never route again
-            t, prio, idx = min(events)
+            events.sort()
+            t, prio, idx = events[0]
             clock = max(clock, t)
             if prio not in (_EV_SCALE, _EV_PROBE):
                 stale_ticks = 0
@@ -555,18 +567,33 @@ class FleetSimulator:
                     route(nxt)
                     nxt = pull()
             else:                   # _EV_ADVANCE
+                # run ahead: step this replica while it stays earliest.
+                # Nothing else comes due before the runner-up meanwhile:
+                # other replicas change only through the events above,
+                # and a hedge withdrawal can only delay one
+                runner_up = events[1] if len(events) > 1 else None
                 r = self.replicas[idx]
-                r.sim.advance()
-                if guard is not None:
-                    # settle any hedge race this step may have decided
-                    # before any other replica moves
-                    guard.after_advance(r, clock, self.replicas)
-                if r.state is ReplicaState.DRAINING \
-                        and r.sim.next_time() is None:
-                    r.reports.append(r.sim.finish())
-                    r.sim = None
-                    r.state = ReplicaState.PARKED
-                    mark("replica_park", idx)
+                prev = _install_obs(obs)
+                try:
+                    while True:
+                        r.sim.advance()
+                        if guard is not None:
+                            # settle any hedge race this step decided
+                            # before any other replica moves
+                            guard.after_advance(r, clock, self.replicas)
+                        t = r.sim.next_time()
+                        if t is None:
+                            if r.state is ReplicaState.DRAINING:
+                                r.reports.append(r.sim.finish())
+                                r.sim = None
+                                r.state = ReplicaState.PARKED
+                                mark("replica_park", idx)
+                            break
+                        if not _leads(t, idx, runner_up):
+                            break
+                        clock = max(clock, t)
+                finally:
+                    _install_obs(prev)
 
         # -- finalize ---------------------------------------------------
         for req in pending:

@@ -56,12 +56,13 @@ class ContinuousBatcher:
         """*token_budget* overrides the configured budget for this step
         — degraded mode shrinks steps without rebuilding the batcher."""
         plan = StepPlan()
+        decode, max_batch = plan.decode, self.max_batch
         for req in running:
-            if req.decode_ready and len(plan.decode) < self.max_batch:
-                plan.decode.append(req)
+            if len(decode) < max_batch and req.decode_ready:
+                decode.append(req)
         budget = (token_budget if token_budget is not None
-                  else self.token_budget) - len(plan.decode)
-        slots = self.max_batch - len(plan.decode)
+                  else self.token_budget) - len(decode)
+        slots = max_batch - len(decode)
         for req in waiting:
             if budget <= 0 or slots <= 0:
                 break

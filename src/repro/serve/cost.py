@@ -23,7 +23,7 @@ from ..obs.context import current as _obs
 from ..platform.machine import MachineModel
 from ..tpp.dtypes import DType
 from ..workloads.llm import LlmConfig
-from ..workloads.opsim import OpCostModel
+from ..workloads.opsim import GIGA, OpCostModel
 
 __all__ = ["ServeCostModel"]
 
@@ -46,6 +46,11 @@ class ServeCostModel(OpCostModel):
         # batch-signature -> (head, eltwise, lm-head) partial sums; see
         # step_seconds
         self._step_cache: dict = {}
+        # the decode KV stream's two fixed factors, so a step prices it
+        # as bandwidth_seconds(cfg.kv_bytes(n, dt)) does: the same int
+        # product over the same float divisor
+        self._kv_token_bytes = self.config.kv_bytes_per_token(self.dtype)
+        self._dram_bytes_per_s = self.machine.dram_bw_gbytes * GIGA
 
     @staticmethod
     def _round(dim: int) -> int:
@@ -119,20 +124,20 @@ class ServeCostModel(OpCostModel):
         are cached, not the result, keeping the accumulation order — and
         hence the float result — identical to the unmemoized pass.
         """
-        cfg, dt = self.config, self.dtype
-        h, i, L = cfg.hidden, cfg.intermediate, cfg.layers
-        n_list = [t for (t, _) in prefill_chunks if t > 0] \
-            + [1] * len(decode_contexts)
-        if not n_list:
+        if not decode_contexts and all(t <= 0 for t, _ in prefill_chunks):
             return 0.0
-        sig = (tuple((int(tk), int(ctx)) for (tk, ctx) in prefill_chunks),
-               len(decode_contexts), int(n_emit))
+        sig = (tuple((int(tk), int(ctx)) for (tk, ctx) in prefill_chunks)
+               if prefill_chunks else (), len(decode_contexts), int(n_emit))
         cached = self._step_cache.get(sig)
         obs = _obs()
         if obs.enabled:
             obs.inc("serve_price_cache",
                     kind="hit" if cached is not None else "miss")
         if cached is None:
+            cfg, dt = self.config, self.dtype
+            h, i, L = cfg.hidden, cfg.intermediate, cfg.layers
+            n_list = [t for (t, _) in prefill_chunks if t > 0] \
+                + [1] * len(decode_contexts)
             head = 0.0
             # linear ops: ragged over the whole batch, weights shared
             head += L * 3 * self.ragged_gemm_seconds(h, n_list, h, dt)  # QKV
@@ -162,7 +167,7 @@ class ServeCostModel(OpCostModel):
         # ... bandwidth-shaped for decode (GEMV over the KV cache)
         if decode_contexts:
             kv_positions = sum(decode_contexts) + len(decode_contexts)
-            t += self.bandwidth_seconds(cfg.kv_bytes(kv_positions, dt))
+            t += kv_positions * self._kv_token_bytes / self._dram_bytes_per_s
         t += elt
         if n_emit > 0:
             t += lm                                           # LM head

@@ -138,11 +138,13 @@ class PagedKvPool:
         *new_total_tokens* positions."""
         held = self._blocks.get(rid, 0)
         need = self.blocks_for(new_total_tokens) - held
-        if need > self.free_blocks:
-            raise MemoryError(
-                f"kv pool exhausted: request {rid} needs {need} blocks, "
-                f"{self.free_blocks} free")
         if need > 0:
+            # held blocks always fit, even while lost capacity drives
+            # free_blocks negative (the rule can_grow applies)
+            if need > self.free_blocks:
+                raise MemoryError(
+                    f"kv pool exhausted: request {rid} needs {need} "
+                    f"blocks, {self.free_blocks} free")
             self._blocks[rid] = held + need
             self._used += need
         elif rid not in self._blocks:
@@ -160,7 +162,7 @@ class PagedKvPool:
         Cached-token accounting still moves via :meth:`grow`, so the
         fragmentation metric shows the reservation waste."""
         need = self.blocks_for(tokens) - self._blocks.get(rid, 0)
-        if need > self.free_blocks:
+        if need > 0 and need > self.free_blocks:
             raise MemoryError(
                 f"kv pool exhausted: request {rid} reserves {need} "
                 f"blocks, {self.free_blocks} free")

@@ -250,6 +250,11 @@ class ServeMetrics:
         self._event("withdrawn")
         self._recovery("withdraw")
 
+    def set_gauge(self, name: str, value: float) -> None:
+        """Mirror one more per-step gauge under this run's labels."""
+        if self.obs is not None and self.obs.enabled:
+            self.obs.set_gauge(name, value, **self._labels())
+
     def sample(self, now_s: float, queue_depth: int, batch_size: int,
                kv_occupancy: float, kv_fragmentation: float) -> None:
         self.samples.append((now_s, queue_depth, batch_size,

@@ -113,7 +113,10 @@ class Request:
 
     @property
     def decode_ready(self) -> bool:
-        return self.generated >= 1 and self.prefill_remaining == 0
+        # prefill_remaining == 0, spelled out: the batcher asks this of
+        # every running request on every step
+        return self.generated >= 1 \
+            and self.cached >= self.prompt_tokens + self.generated - 1
 
     def ttft_s(self) -> float | None:
         if self.first_token_s is None:

@@ -26,7 +26,10 @@ batch entry point: feed it a whole trace, get a report.  Underneath it
 is an *incremental* engine — :meth:`begin` / :meth:`push` /
 :meth:`advance` / :meth:`finish` — that lets an external driver own the
 clock: `repro.fleet` advances N replicas in lockstep by repeatedly
-asking each for its :meth:`next_time` and advancing the earliest one.
+asking each for its :meth:`next_time` and stepping the earliest one
+until anything else is due.  A step re-derives only what changed: the
+queue is sorted only when two or more requests wait, and the step price
+is a memo lookup plus the decode KV stream.
 :meth:`evacuate` supports replica death: it hands every non-terminal
 request back (KV gone, ready to re-prefill elsewhere) so a router can
 fail them over without losing any.
@@ -262,10 +265,12 @@ class ServeSimulator:
         that is *now*; idle, it is the next pending arrival or retry
         (the fleet clock advances the earliest replica first)."""
         st = self._st
-        if st is None or st.drained:
+        if st is None:
             return None
         if st.waiting or st.running:
             return st.now
+        if st.drained:
+            return None
         times = []
         if st.i < len(st.reqs):
             times.append(st.reqs[st.i].arrival_s)
@@ -344,7 +349,7 @@ class ServeSimulator:
             lost = fplan.lost_fraction(now)
             self.pool.set_lost_fraction(lost)
             if lost > 0.0 and obs.metrics.enabled:
-                obs.set_gauge("kv_lost_fraction", lost)
+                metrics.set_gauge("kv_lost_fraction", lost)
         # re-admit backed-off retries that have come due ...
         while retry_heap and retry_heap[0][0] <= now:
             _, _, req = heapq.heappop(retry_heap)
@@ -386,7 +391,8 @@ class ServeSimulator:
             if st.degraded:
                 self._degrade_actions(d, waiting, running, metrics)
 
-        st.waiting = waiting = self.scheduler.order_waiting(waiting)
+        if len(waiting) > 1:
+            st.waiting = waiting = self.scheduler.order_waiting(waiting)
         budget = res.degrade.token_budget \
             if st.degraded and res is not None and res.degrade is not None \
             else None
@@ -450,14 +456,15 @@ class ServeSimulator:
         # the memoized cost model re-prices only the decode KV stream)
         chunks = st.chunk_buf
         del chunks[:]
-        for req, c, _ in prefill:
+        n_emit = len(decode)
+        for req, c, completing in prefill:
             chunks.append((c, req.cached))
+            if completing and req.generated == 0:
+                n_emit += 1
         contexts = st.ctx_buf
         del contexts[:]
         for r in decode:
             contexts.append(r.cached)
-        n_emit = len(decode) + sum(1 for req, _, completing in prefill
-                                   if completing and req.generated == 0)
         dt = self.cost.step_seconds(chunks, contexts, n_emit)
         failed = False
         if fplan is not None:
@@ -535,7 +542,7 @@ class ServeSimulator:
         metrics.sample(now, len(waiting), len(decode) + len(prefill),
                        self.pool.occupancy, self.pool.fragmentation)
         if obs.metrics.enabled:
-            obs.set_gauge("kv_free_blocks", self.pool.free_blocks)
+            metrics.set_gauge("kv_free_blocks", self.pool.free_blocks)
         if timing:
             obs.tracer.complete("step", step_start, now,
                                 track=self.step_track,
@@ -747,7 +754,7 @@ class ServeSimulator:
     def _reap(self, waiting, running, metrics, now) -> None:
         """Timeout-cancellation: drop work whose client left or whose
         deadline passed, freeing its KV blocks for work still viable."""
-        for req in list(running) + list(waiting):
+        for req in running + waiting:
             if req.cancel_s is not None and now >= req.cancel_s:
                 self._terminate(req, RequestState.CANCELLED, running,
                                 waiting)

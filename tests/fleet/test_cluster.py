@@ -193,6 +193,17 @@ class TestSessionFacade:
         assert "replica 0" in tracks and "replica 1" in tracks
         assert "fleet" in tracks
 
+    def test_pool_gauges_carry_the_replica_label(self):
+        ses = Session(obs=ObsConfig(clock="tick"))
+        f = ses.fleet(TINY, machines="duo", resilience=NO_DEGRADE,
+                      mem_fraction=0.01)
+        f.run(PoissonTrace(seed=8, n_requests=60, rate_rps=60))
+        snap = ses.obs.metrics.snapshot()
+        assert "kv_free_blocks" not in snap
+        for r in f.replicas:
+            assert snap[f'kv_free_blocks{{replica="{r.id}"}}'] \
+                == r.sim.pool.free_blocks
+
     def test_session_fleet_machine_list(self):
         ses = Session(obs=ObsConfig.disabled())
         f = ses.fleet(TINY, machines=(SPR, ZEN4), resilience=NO_DEGRADE,

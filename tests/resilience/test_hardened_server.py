@@ -95,6 +95,17 @@ class TestTypedDeadlock:
         assert rep.summary.n_finished == 1
         assert rep.summary.makespan_s > 5.0
 
+    def test_loss_striking_a_full_pool_spares_held_blocks(self, cost):
+        # both prompts fill the pool in the first step; half of it is
+        # lost from the second step on, yet the remaining tokens fit in
+        # the blocks each request already holds
+        plan = FaultPlan(seed=0, capacity_windows=(
+            FaultWindow(1e-9, float("inf"), 0.5),))
+        simulator = sim(cost, n_blocks=8, faults=plan)
+        rep = simulator.run(burst(2, prompt=60, new=4))
+        assert rep.summary.n_finished == 2
+        assert simulator.pool.lost_blocks == 4
+
 
 class TestDeadlines:
     def test_hopeless_deadlines_time_out_and_release_kv(self, cost):

@@ -65,6 +65,24 @@ class TestAllocation:
         with pytest.raises(MemoryError):
             pool.grow(2, 48)
 
+    def test_held_blocks_grow_while_loss_overlaps_them(self):
+        """Growth inside held blocks needs no free block, so it goes
+        ahead, as can_grow says, while lost capacity drives free_blocks
+        negative."""
+        pool = small_pool(n_blocks=8, block_tokens=16)
+        pool.grow(1, 100)                  # 7 blocks
+        pool.set_lost_fraction(0.5)        # 4 lost: 3 over capacity
+        assert pool.free_blocks == -3
+        assert pool.can_grow(1, 112) and pool.can_reserve(1, 112)
+        pool.grow(1, 112)
+        pool.reserve(1, 112)
+        assert (pool.used_blocks, pool.cached_tokens(1)) == (7, 112)
+        assert not pool.can_grow(1, 113)
+        with pytest.raises(MemoryError):
+            pool.grow(1, 113)
+        with pytest.raises(MemoryError):
+            pool.reserve(1, 113)
+
     def test_fits_is_whole_pool(self):
         pool = small_pool(n_blocks=8, block_tokens=16)
         assert pool.fits(128)

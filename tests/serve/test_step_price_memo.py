@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 
 from repro.obs import ObsConfig
-from repro.platform import SPR
+from repro.platform import ALL_PLATFORMS, SPR
 from repro.serve import ServeCostModel, ServeSimulator, TrafficGenerator
 from repro.session import Session
-from repro.workloads import LlmConfig
+from repro.tpp.dtypes import DType
+from repro.workloads import GPTJ_6B, LlmConfig
 
 TINY = LlmConfig("tiny", layers=2, hidden=256, heads=8, intermediate=512,
                  vocab=4096)
@@ -58,6 +59,37 @@ class TestStepPriceMemo:
         snap = sess.metrics.snapshot()
         assert snap['serve_price_cache{kind="miss"}'] == 2
         assert snap['serve_price_cache{kind="hit"}'] == 1
+
+    @pytest.mark.parametrize("machine,dtype", [
+        (name, dt) for name in sorted(ALL_PLATFORMS)
+        for dt in (DType.BF16, DType.F32)
+        if ALL_PLATFORMS[name].supports(dt)])
+    def test_decode_step_price_identity(self, machine, dtype):
+        """A decode step prices as the sum of its terms, each from the
+        cost model's own primitives, on a miss and on a hit: the KV
+        stream streams cfg.kv_bytes(n, dt) through bandwidth_seconds.
+        GPT-J's KV bytes per token (458,752 in BF16) and 63 contexts'
+        258,048 positions are no powers of two, so a reassociated
+        product would show.  Machines with no contraction ISA for a
+        dtype cannot price it."""
+        cfg, dt = GPTJ_6B, dtype
+        m = ServeCostModel.for_stack(cfg, ALL_PLATFORMS[machine], dtype=dt)
+        h, i, L = cfg.hidden, cfg.intermediate, cfg.layers
+        for contexts in ([1], [7] * 3, [4095] * 64, [4095] * 63):
+            ones = [1] * len(contexts)
+            head = 0.0
+            head += L * 3 * m.ragged_gemm_seconds(h, ones, h, dt)
+            head += L * m.ragged_gemm_seconds(h, ones, h, dt)
+            head += L * (cfg.mlp_matrices - 1) \
+                * m.ragged_gemm_seconds(i, ones, h, dt)
+            head += L * m.ragged_gemm_seconds(h, ones, i, dt)
+            elt = L * m.eltwise_seconds(len(ones) * (2 * h + i), dt, 3.0,
+                                        n_ops=4)
+            lm = m.gemm_seconds(cfg.vocab, len(ones), h, dt)
+            n = sum(contexts) + len(contexts)
+            ref = head + m.bandwidth_seconds(cfg.kv_bytes(n, dt)) + elt + lm
+            for _ in range(2):
+                assert m.step_seconds((), contexts, len(contexts)) == ref
 
     def test_fifo_cap(self):
         m = _fresh()

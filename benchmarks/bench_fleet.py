@@ -25,6 +25,7 @@ from repro.obs import ObsConfig
 from repro.platform import cluster_preset
 from repro.resilience import (FleetFaultPlan, ReplicaFault,
                               ResilienceConfig, check_fleet_invariants)
+from repro.serve import ServeCostModel
 from repro.session import Session
 from repro.workloads import LlmConfig
 
@@ -41,16 +42,18 @@ FAULTS = FleetFaultPlan(seed=9, deaths=(
     ReplicaFault(replica=0, at_s=70.0, revive_s=100.0),))
 RESILIENCE = ResilienceConfig(deadline_s=2.0, degrade=None)
 
-# engine anchors + step-price memos, warmed once and shared by every
-# fleet this module builds: reruns re-price nothing (sessions stay fresh
-# per run, so metrics digests are untouched — pricing is bit-identical
-# warm or cold)
+# engine anchors + step-price memos, warmed once and shared by the
+# benchmark's repeated slices, which re-price nothing.  Compared runs
+# take fresh cost models instead: pricing is bit-identical warm or
+# cold, but a shared model counts its step-memo and nest-cache lookups
+# into whichever run's session is active, so a warm rerun's metrics
+# snapshot (and digest) would differ from a cold run's
 COSTS: dict = {}
 
 
-def _fleet(router, session=None):
+def _fleet(router, session=None, costs=COSTS):
     kw = dict(router=router, faults=FAULTS, resilience=RESILIENCE,
-              mem_fraction=0.001, costs=COSTS)
+              mem_fraction=0.001, costs=costs)
     if session is not None:
         return session.fleet(TINY, machines="hetero4", **kw)
     return FleetSimulator(TINY, cluster_preset("hetero4"), **kw)
@@ -76,7 +79,7 @@ def _traced_digest(tmp_path, tag):
                       faults=FleetFaultPlan(seed=9, deaths=(
                           ReplicaFault(replica=0, at_s=4.0),)),
                       resilience=RESILIENCE, mem_fraction=0.001,
-                      costs=COSTS)
+                      costs={})
     fleet.run(small, keep_requests=False)
     path = str(tmp_path / f"fleet_trace_{tag}.json")
     ses.obs.tracer.write_chrome(path)
@@ -90,12 +93,16 @@ def test_fleet_at_scale(benchmark, tmp_path):
         ["router", "engine req/s", "goodput tok/s", "timed out",
          "failovers", "unroutable", "p99 TTFT (s)", "digest[:12]"])
 
+    # compile the pricing nests once: every compared run below then
+    # finds the same process-wide nest cache
+    for machine in cluster_preset("hetero4"):
+        ServeCostModel.for_stack(TINY, machine).prime()
     results = {}
     for tag, router in (("A", "least_kv_loaded"),
                         ("B", "least_kv_loaded"),
                         ("rr", "round_robin")):
         ses = Session(obs=ObsConfig(tracing=False))
-        fleet = _fleet(router, session=ses)
+        fleet = _fleet(router, session=ses, costs={})
         t0 = time.perf_counter()
         report = fleet.run(TRACE, keep_requests=False)
         dt = time.perf_counter() - t0

@@ -30,6 +30,7 @@ from repro.obs import ObsConfig
 from repro.platform import cluster_preset
 from repro.resilience import (FleetFaultPlan, ReplicaFault,
                               ResilienceConfig, check_fleet_invariants)
+from repro.serve import ServeCostModel
 from repro.session import Session
 from repro.workloads import LlmConfig
 
@@ -56,16 +57,19 @@ FAULTS = FleetFaultPlan(seed=3, grays=(
 # is over identical sample sets, not survivorship
 RESILIENCE = ResilienceConfig(deadline_s=120.0, degrade=None)
 
-# warmed engine anchors + step-price memos shared by every fleet below:
-# reruns (and the benchmark's repeated slices) re-price nothing, while
-# each run keeps its own fresh Session so digests stay comparable
+# warmed engine anchors + step-price memos shared by the benchmark's
+# repeated slices, which re-price nothing.  Compared runs take fresh
+# cost models instead: pricing is bit-identical warm or cold, but a
+# shared model counts its step-memo and nest-cache lookups into
+# whichever run's session is active, so a warm rerun's metrics snapshot
+# (and digest) would differ from a cold run's
 COSTS: dict = {}
 
 
-def _fleet(session, guard):
+def _fleet(session, guard, costs=COSTS):
     return session.fleet(TINY, machines="homo6", router="round_robin",
                          faults=FAULTS, resilience=RESILIENCE,
-                         mem_fraction=0.02, guard=guard, costs=COSTS)
+                         mem_fraction=0.02, guard=guard, costs=costs)
 
 
 def _digest(session, report):
@@ -84,12 +88,16 @@ def test_hedging_under_gray_failures(benchmark):
          "retries", "opens", "budget spent", "engine req/s",
          "digest[:12]"])
 
+    # compile the pricing nests once: every compared run below then
+    # finds the same process-wide nest cache
+    for machine in cluster_preset("homo6"):
+        ServeCostModel.for_stack(TINY, machine).prime()
     results = {}
     for tag, guard in (("defended", "default"),
                        ("defended-b", "default"),
                        ("undefended", None)):
         ses = Session(obs=ObsConfig(tracing=False))
-        fleet = _fleet(ses, guard)
+        fleet = _fleet(ses, guard, costs={})
         t0 = time.perf_counter()
         report = fleet.run(TRACE, keep_requests=False)
         dt = time.perf_counter() - t0

@@ -17,12 +17,14 @@ lockstep: each loop iteration picks the globally earliest event among
    :class:`~repro.fleet.router.Router`),
 6. the earliest replica able to make local progress,
 
-with ties broken in exactly that order, then by replica id.  A replica
-step runs ahead: the replica keeps stepping while it would be picked
-again, i.e. until its next wake-up no longer sorts below the runner-up
-event, which leaves the dispatch order unchanged.  The loop is
-therefore a pure function of (trace seed, fault seed, policies) —
-two runs are bit-identical, including every failover and scale event.
+with ties broken in exactly that order, then by replica id, and hands
+it to the handler of its kind (a table indexed by that priority, over
+one per-run state object).  A replica step runs ahead: the replica
+keeps stepping while it would be picked again, i.e. until its next
+wake-up no longer sorts below the runner-up event, which leaves the
+dispatch order unchanged.  The loop is therefore a pure function of
+(trace seed, fault seed, policies) — two runs are bit-identical,
+including every failover and scale event.
 
 With a guard enabled the routers stop reading live replica state:
 candidates become :class:`~repro.fleet.health.ObservedReplica`
@@ -316,336 +318,64 @@ class FleetSimulator:
         """Route and serve every request of *trace* (any iterable of
         :class:`~repro.serve.request.Request`, streamed); returns the
         aggregated :class:`FleetReport`."""
-        obs = self.obs if self.obs is not None else _obs()
-        self._obs = obs
-        mirror = obs.metrics.enabled
-        tracing = obs.tracer.enabled
-        self.router.reset()
-        guard = (FleetGuard(self.guard_policy, faults=self.faults,
-                            obs=obs)
-                 if self.guard_policy is not None else None)
-        self._defense = guard
-        scaler = Autoscaler(self.autoscale_policy) \
-            if self.autoscale_policy is not None else None
-        self.replicas = [
-            Replica(i, m, ReplicaState.ACTIVE
-                    if i < self.initial_replicas else ReplicaState.PARKED)
-            for i, m in enumerate(self.machines)]
-        for r in self.replicas:
-            if r.state is ReplicaState.ACTIVE:
-                self._start_incarnation(r, max_steps)
-        death_events = self.faults.death_events() \
-            if self.faults is not None else []
-        death_i = 0
-        pending: deque = deque()    # arrivals with no routable replica
-        requests: list = []         # unique injected (order of arrival)
-        self._routed_counts = {r.id: 0 for r in self.replicas}
-        events_log: list = []
-        clock = 0.0
-        last_arrival = -1.0
-        seen_rids: set = set()
-        n_failovers = n_deaths = n_ups = n_downs = n_unroutable = 0
-        peak_active = self.initial_replicas
-        next_tick = (scaler.policy.interval_s
-                     if scaler is not None else None)
-        next_probe = (guard.policy.health.probe_interval_s
-                      if guard is not None else None)
-        last_goodput = 0
-        stale_ticks = 0             # consecutive no-op autoscale ticks
-
-        arrivals = iter(trace)
-
-        def pull():
-            nonlocal last_arrival
-            req = next(arrivals, None)
-            if req is None:
-                return None
-            if req.arrival_s < 0 or req.arrival_s < last_arrival:
-                raise ServeConfigError(
-                    f"request {req.rid}: arrivals must be "
-                    f"time-ordered and non-negative "
-                    f"(got {req.arrival_s!r} after {last_arrival!r})")
-            if req.prompt_tokens <= 0 or req.max_new_tokens <= 0:
-                raise ServeConfigError(
-                    f"request {req.rid} has non-positive token counts")
-            if req.rid in seen_rids:
-                raise ServeConfigError(
-                    f"duplicate request id {req.rid} in fleet trace")
-            seen_rids.add(req.rid)
-            last_arrival = req.arrival_s
-            if keep_requests:
-                requests.append(req)
-            return req
-
-        def route(req, failover=False):
-            nonlocal n_failovers
-            candidates = [r for r in self.replicas
-                          if r.state is ReplicaState.ACTIVE]
-            if not candidates:
-                pending.append(req)
-                if guard is not None:
-                    guard.on_pending(req)
-                return
-            if guard is not None:
-                # routers see observed (probe-snapshot) views only,
-                # breaker-filtered; the view maps back to its replica
-                views = guard.route_candidates(candidates, clock)
-                target = self.router.route(req, views, clock).replica
-            else:
-                target = self.router.route(req, candidates, clock)
-            target.sim.sync_clock(clock)
-            target.sim.push(req)
-            target.n_routed += 1
-            self._routed_counts[target.id] += 1
-            if guard is not None:
-                guard.on_dispatch(req, target.id, clock)
-            if failover:
-                n_failovers += 1
-            if mirror:
-                obs.inc("fleet_requests",
-                        event="failover" if failover else "routed",
-                        replica=str(target.id))
-
-        def guard_dispatch(target, req, kind):
-            """Push hook the guard uses for hedges and retry moves."""
-            target.sim.sync_clock(clock)
-            target.sim.push(req)
-            target.n_routed += 1
-            self._routed_counts[target.id] += 1
-            if mirror:
-                obs.inc("fleet_requests", event=kind,
-                        replica=str(target.id))
-
-        def drain_pending():
-            while pending and any(r.state is ReplicaState.ACTIVE
-                                  for r in self.replicas):
-                route(pending.popleft())
-
-        def mark(kind, replica_id):
-            events_log.append((clock, kind, replica_id))
-            if tracing:
-                obs.tracer.instant(kind, track="fleet", ts=clock,
-                                   replica=replica_id)
-
-        nxt = pull()
+        st = _FleetRun(self, trace, max_steps, keep_requests)
         while True:
-            events = []
-            if death_i < len(death_events):
-                t, kind, rep = death_events[death_i]
-                events.append((t, _EV_DEATH if kind == 0 else _EV_REVIVE,
-                               rep))
-            busy = False
-            for r in self.replicas:
-                if r.state is ReplicaState.WARMING:
-                    events.append((r.available_s, _EV_WARM, r.id))
-                    busy = True
-                elif r.sim is not None:
-                    t_r = r.sim.next_time()
-                    if t_r is not None:
-                        events.append((t_r, _EV_ADVANCE, r.id))
-                        busy = True
-            if nxt is not None:
-                events.append((nxt.arrival_s, _EV_ARRIVAL, -1))
-            work = busy or nxt is not None or bool(pending)
-            if not work:
-                break
-            if scaler is not None and next_tick is not None:
-                events.append((next_tick, _EV_SCALE, -1))
-            if guard is not None and (busy or nxt is not None):
-                # probe rounds only while the fleet has (or expects)
-                # work: probes observe progress, they must not
-                # manufacture it — pending-only states still terminate
-                events.append((next_probe, _EV_PROBE, -1))
+            events = st.events()
             if not events:
-                break               # pending can never route again
-            events.sort()
+                break
             t, prio, idx = events[0]
-            clock = max(clock, t)
+            st.clock = max(st.clock, t)
             if prio not in (_EV_SCALE, _EV_PROBE):
-                stale_ticks = 0
-
-            if prio == _EV_DEATH:
-                death_i += 1
-                r = self.replicas[idx]
-                if r.sim is not None:
-                    moved = r.sim.evacuate()
-                    r.reports.append(r.sim.finish())
-                    r.sim = None
-                    r.state = ReplicaState.DEAD
-                    n_deaths += 1
-                    mark("replica_death", idx)
-                    if mirror:
-                        obs.inc("fleet_faults", kind="replica_death")
-                    if guard is not None:
-                        # uncommitted hedge clones die with the
-                        # replica; everything else fails over
-                        moved = guard.on_death_evacuated(idx, moved,
-                                                         clock)
-                    for req in moved:
-                        route(req, failover=True)
-                elif r.state is not ReplicaState.DEAD:
-                    r.state = ReplicaState.DEAD
-                    n_deaths += 1
-                    mark("replica_death", idx)
-            elif prio == _EV_REVIVE:
-                death_i += 1
-                r = self.replicas[idx]
-                if r.state is ReplicaState.DEAD:
-                    self._start_incarnation(r, max_steps, now_s=clock)
-                    mark("replica_revive", idx)
-                    drain_pending()
-            elif prio == _EV_WARM:
-                r = self.replicas[idx]
-                self._start_incarnation(r, max_steps, now_s=clock)
-                mark("replica_warm", idx)
-                drain_pending()
-            elif prio == _EV_PROBE:
-                next_probe = clock + guard.policy.health.probe_interval_s
-                guard.probe_tick(clock, self.replicas, guard_dispatch)
-            elif prio == _EV_SCALE:
-                next_tick = clock + scaler.policy.interval_s
-                active = [r for r in self.replicas
-                          if r.state in (ReplicaState.ACTIVE,
-                                         ReplicaState.WARMING)]
-                queue = len(pending) + sum(
-                    r.queue_depth for r in self.replicas
-                    if r.sim is not None)
-                goodput = sum(r.goodput_tokens for r in self.replicas)
-                tps = (goodput - last_goodput) / scaler.policy.interval_s
-                last_goodput = goodput
-                gauges = FleetGauges(now_s=clock,
-                                     active_replicas=len(active),
-                                     queue_depth=queue, goodput_tps=tps)
-                if mirror:
-                    obs.set_gauge("fleet_active_replicas", len(active))
-                    obs.set_gauge("fleet_queue_depth", queue)
-                    obs.set_gauge("fleet_goodput_tps", tps)
-                decision = scaler.decide(gauges, len(self.replicas))
-                acted = False
-                if decision > 0:
-                    parked = [r for r in self.replicas
-                              if r.state is ReplicaState.PARKED]
-                    if parked:
-                        r = parked[0]
-                        r.state = ReplicaState.WARMING
-                        r.available_s = clock + scaler.policy.warmup_s
-                        n_ups += 1
-                        peak_active = max(peak_active, len(active) + 1)
-                        mark("scale_up", r.id)
-                        acted = True
-                elif decision < 0:
-                    actives = [r for r in self.replicas
-                               if r.state is ReplicaState.ACTIVE]
-                    if len(actives) > 1:
-                        r = actives[-1]
-                        r.state = ReplicaState.DRAINING
-                        n_downs += 1
-                        mark("scale_down", r.id)
-                        acted = True
-                        if r.sim.next_time() is None:
-                            # already idle: park without waiting for an
-                            # advance event that will never come
-                            r.reports.append(r.sim.finish())
-                            r.sim = None
-                            r.state = ReplicaState.PARKED
-                            mark("replica_park", r.id)
-                if not acted and not busy and nxt is None \
-                        and death_i >= len(death_events):
-                    # nothing but ticks left and this one changed
-                    # nothing; the deterministic scaler sees identical
-                    # gauges forever, so a bounded streak decides it
-                    stale_ticks += 1
-                    p = scaler.policy
-                    if stale_ticks > p.up_after + p.down_after + 2:
-                        break
-                else:
-                    stale_ticks = 0
-            elif prio == _EV_ARRIVAL:
-                route(nxt)
-                nxt = pull()
-                while nxt is not None and nxt.arrival_s <= clock:
-                    route(nxt)
-                    nxt = pull()
-            else:                   # _EV_ADVANCE
-                # run ahead: step this replica while it stays earliest.
-                # Nothing else comes due before the runner-up meanwhile:
-                # other replicas change only through the events above,
-                # and a hedge withdrawal can only delay one
-                runner_up = events[1] if len(events) > 1 else None
-                r = self.replicas[idx]
-                prev = _install_obs(obs)
-                try:
-                    while True:
-                        r.sim.advance()
-                        if guard is not None:
-                            # settle any hedge race this step decided
-                            # before any other replica moves
-                            guard.after_advance(r, clock, self.replicas)
-                        t = r.sim.next_time()
-                        if t is None:
-                            if r.state is ReplicaState.DRAINING:
-                                r.reports.append(r.sim.finish())
-                                r.sim = None
-                                r.state = ReplicaState.PARKED
-                                mark("replica_park", idx)
-                            break
-                        if not _leads(t, idx, runner_up):
-                            break
-                        clock = max(clock, t)
-                finally:
-                    _install_obs(prev)
+                st.stale_ticks = 0
+            if _HANDLERS[prio](st, idx, events):
+                break
 
         # -- finalize ---------------------------------------------------
-        for req in pending:
+        st.n_unroutable = len(st.pending)
+        for req in st.pending:
             req.state = RequestState.REJECTED
-            n_unroutable += 1
-        pending.clear()
+        st.pending.clear()
+        guard = st.guard
         if guard is not None:
             # after pending is settled so a pending clone's REJECTED
             # can be mirrored onto its withdrawn primary
-            guard.finalize(clock)
+            guard.finalize(st.clock)
         for r in self.replicas:
             if r.sim is not None:
                 r.reports.append(r.sim.finish())
                 # keep r.sim: post-run pool state feeds the chaos
                 # harness's leak check
         reports = tuple(rep for r in self.replicas for rep in r.reports)
-        makespan = max([clock] + [rep.summary.makespan_s
-                                  for rep in reports])
-        peak_active = max(peak_active,
-                          sum(1 for r in self.replicas
-                              if r.state is ReplicaState.ACTIVE))
-        summary = self._summarize(
-            reports, makespan, n_injected=len(seen_rids),
-            n_failovers=n_failovers, n_deaths=n_deaths, n_ups=n_ups,
-            n_downs=n_downs, n_unroutable=n_unroutable,
-            peak_active=peak_active, guard=guard)
-        if tracing:
-            obs.tracer.complete("fleet_run", 0.0, makespan, track="fleet",
-                                replicas=len(self.replicas),
-                                router=self.router.name,
-                                injected=summary.n_injected,
-                                failovers=n_failovers)
+        makespan = max([st.clock] + [rep.summary.makespan_s
+                                     for rep in reports])
+        st.peak_active = max(st.peak_active, len(st.active()))
+        summary = self._summarize(st, reports, makespan)
+        if st.tracing:
+            st.obs.tracer.complete("fleet_run", 0.0, makespan,
+                                   track="fleet",
+                                   replicas=len(self.replicas),
+                                   router=self.router.name,
+                                   injected=summary.n_injected,
+                                   failovers=st.n_failovers)
         return FleetReport(
             summary=summary,
             replica_reports=reports,
-            requests=tuple(requests),
-            routed_counts=dict(self._routed_counts),
-            events=tuple(events_log),
+            requests=tuple(st.requests),
+            routed_counts=dict(st.routed_counts),
+            events=tuple(st.events_log),
             config_name=self.config.name,
             router_name=self.router.name,
             hedges=(tuple(guard.hedge_records)
                     if guard is not None else ()))
 
-    def _summarize(self, reports, makespan, *, n_injected, n_failovers,
-                   n_deaths, n_ups, n_downs, n_unroutable,
-                   peak_active, guard=None) -> FleetSummary:
+    def _summarize(self, st, reports, makespan) -> FleetSummary:
         def total(attr):
             return sum(getattr(rep.summary, attr) for rep in reports)
 
         # a hedge loser that reached a terminal before its withdrawal
         # was counted by its replica, but the injected request it
         # duplicates is counted elsewhere — subtract it exactly once
+        guard = st.guard
         disc = guard.discounts if guard is not None else {}
 
         ttfts, tpots, e2es, queues = [], [], [], []
@@ -658,13 +388,13 @@ class FleetSimulator:
         goodput = total("goodput_tokens")
         return FleetSummary(
             n_slots=len(self.replicas),
-            peak_active=peak_active,
-            n_injected=n_injected,
-            n_failovers=n_failovers,
-            n_replica_deaths=n_deaths,
-            n_scale_ups=n_ups,
-            n_scale_downs=n_downs,
-            n_unroutable=n_unroutable,
+            peak_active=st.peak_active,
+            n_injected=len(st.seen_rids),
+            n_failovers=st.n_failovers,
+            n_replica_deaths=st.n_deaths,
+            n_scale_ups=st.n_ups,
+            n_scale_downs=st.n_downs,
+            n_unroutable=st.n_unroutable,
             n_finished=total("n_finished") - disc.get("finished", 0),
             n_rejected=total("n_rejected") - disc.get("rejected", 0),
             n_timed_out=total("n_timed_out") - disc.get("timed-out", 0),
@@ -699,3 +429,290 @@ class FleetSimulator:
                              if guard is not None else 0),
             retry_budget_spent=(guard.budget.spent
                                 if guard is not None else 0))
+
+
+class _FleetRun:
+    """Mutable state of one :meth:`FleetSimulator.run`, with one handler
+    per event kind (:data:`_HANDLERS`, indexed by priority) and the
+    hand-offs they share: pushing a request to a replica, and retiring
+    a replica's incarnation."""
+
+    def __init__(self, fleet, trace, max_steps, keep_requests):
+        obs = fleet.obs if fleet.obs is not None else _obs()
+        fleet._obs = self.obs = obs
+        self.fleet = fleet
+        self.mirror = obs.metrics.enabled
+        self.tracing = obs.tracer.enabled
+        fleet.router.reset()
+        self.guard = fleet._defense = (
+            FleetGuard(fleet.guard_policy, faults=fleet.faults, obs=obs)
+            if fleet.guard_policy is not None else None)
+        self.scaler = Autoscaler(fleet.autoscale_policy) \
+            if fleet.autoscale_policy is not None else None
+        self.replicas = fleet.replicas = [
+            Replica(i, m, ReplicaState.ACTIVE
+                    if i < fleet.initial_replicas else ReplicaState.PARKED)
+            for i, m in enumerate(fleet.machines)]
+        for r in self.replicas:
+            if r.state is ReplicaState.ACTIVE:
+                fleet._start_incarnation(r, max_steps)
+        self.max_steps = max_steps
+        self.keep_requests = keep_requests
+        self.death_events = fleet.faults.death_events() \
+            if fleet.faults is not None else []
+        self.death_i = 0
+        self.pending: deque = deque()   # arrivals with no routable replica
+        self.requests: list = []        # unique injected (order of arrival)
+        self.routed_counts = {r.id: 0 for r in self.replicas}
+        self.events_log: list = []
+        self.clock = 0.0
+        self.last_arrival = -1.0
+        self.seen_rids: set = set()
+        self.n_failovers = self.n_deaths = self.n_ups = self.n_downs = 0
+        self.n_unroutable = 0
+        self.peak_active = fleet.initial_replicas
+        self.next_tick = (self.scaler.policy.interval_s
+                          if self.scaler is not None else None)
+        self.next_probe = (self.guard.policy.health.probe_interval_s
+                           if self.guard is not None else None)
+        self.last_goodput = 0
+        self.stale_ticks = 0            # consecutive no-op autoscale ticks
+        self.busy = False               # a replica is warming or can step
+        self.arrivals = iter(trace)
+        self.nxt = self.pull()
+
+    def events(self) -> list:
+        """Every event that can come due next, in dispatch order
+        ``(time, priority, replica id)``; empty once the run is over
+        (no work left, or pending arrivals that can never route)."""
+        events = []
+        if self.death_i < len(self.death_events):
+            t, kind, rep = self.death_events[self.death_i]
+            events.append((t, _EV_DEATH if kind == 0 else _EV_REVIVE, rep))
+        busy = False
+        for r in self.replicas:
+            if r.state is ReplicaState.WARMING:
+                events.append((r.available_s, _EV_WARM, r.id))
+                busy = True
+            elif r.sim is not None:
+                t_r = r.sim.next_time()
+                if t_r is not None:
+                    events.append((t_r, _EV_ADVANCE, r.id))
+                    busy = True
+        self.busy = busy
+        if self.nxt is not None:
+            events.append((self.nxt.arrival_s, _EV_ARRIVAL, -1))
+        if not (busy or self.nxt is not None or self.pending):
+            return []
+        if self.scaler is not None and self.next_tick is not None:
+            events.append((self.next_tick, _EV_SCALE, -1))
+        if self.guard is not None and (busy or self.nxt is not None):
+            # probe rounds only while the fleet has (or expects) work:
+            # probes observe progress, they must not manufacture it —
+            # pending-only states still terminate
+            events.append((self.next_probe, _EV_PROBE, -1))
+        events.sort()
+        return events
+
+    def pull(self):
+        req = next(self.arrivals, None)
+        if req is None:
+            return None
+        if req.arrival_s < 0 or req.arrival_s < self.last_arrival:
+            raise ServeConfigError(
+                f"request {req.rid}: arrivals must be "
+                f"time-ordered and non-negative "
+                f"(got {req.arrival_s!r} after {self.last_arrival!r})")
+        if req.prompt_tokens <= 0 or req.max_new_tokens <= 0:
+            raise ServeConfigError(
+                f"request {req.rid} has non-positive token counts")
+        if req.rid in self.seen_rids:
+            raise ServeConfigError(
+                f"duplicate request id {req.rid} in fleet trace")
+        self.seen_rids.add(req.rid)
+        self.last_arrival = req.arrival_s
+        if self.keep_requests:
+            self.requests.append(req)
+        return req
+
+    def active(self) -> list:
+        return [r for r in self.replicas if r.state is ReplicaState.ACTIVE]
+
+    def route(self, req, failover=False) -> None:
+        candidates = self.active()
+        guard = self.guard
+        if not candidates:
+            self.pending.append(req)
+            if guard is not None:
+                guard.on_pending(req)
+            return
+        if guard is not None:
+            # routers see observed (probe-snapshot) views only,
+            # breaker-filtered; the view maps back to its replica
+            views = guard.route_candidates(candidates, self.clock)
+            target = self.fleet.router.route(req, views, self.clock).replica
+        else:
+            target = self.fleet.router.route(req, candidates, self.clock)
+        self.push(target, req, "failover" if failover else "routed")
+        if guard is not None:
+            guard.on_dispatch(req, target.id, self.clock)
+        if failover:
+            self.n_failovers += 1
+
+    def push(self, target, req, event) -> None:
+        """Hand *req* to replica *target* at the fleet clock, counted
+        and mirrored as a *event* route (the guard's hedges and retry
+        moves come through here too)."""
+        target.sim.sync_clock(self.clock)
+        target.sim.push(req)
+        target.n_routed += 1
+        self.routed_counts[target.id] += 1
+        if self.mirror:
+            self.obs.inc("fleet_requests", event=event,
+                         replica=str(target.id))
+
+    def retire(self, r, state, kind) -> None:
+        """Close *r*'s incarnation, if it has one, into its reports and
+        leave the slot in *state*, marked as a *kind* event."""
+        if r.sim is not None:
+            r.reports.append(r.sim.finish())
+            r.sim = None
+        r.state = state
+        self.mark(kind, r.id)
+
+    def start(self, r, kind) -> None:
+        self.fleet._start_incarnation(r, self.max_steps, now_s=self.clock)
+        self.mark(kind, r.id)
+        while self.pending and self.active():
+            self.route(self.pending.popleft())
+
+    def mark(self, kind, replica_id) -> None:
+        self.events_log.append((self.clock, kind, replica_id))
+        if self.tracing:
+            self.obs.tracer.instant(kind, track="fleet", ts=self.clock,
+                                    replica=replica_id)
+
+    # -- one handler per event kind; a true return ends the run ---------
+    def death(self, idx, events) -> None:
+        self.death_i += 1
+        r = self.replicas[idx]
+        if r.state is ReplicaState.DEAD:
+            return
+        sim = r.sim                         # None: parked or warming
+        moved = sim.evacuate() if sim is not None else []
+        self.n_deaths += 1
+        self.retire(r, ReplicaState.DEAD, "replica_death")
+        if sim is None:
+            return
+        if self.mirror:
+            self.obs.inc("fleet_faults", kind="replica_death")
+        if self.guard is not None:
+            # uncommitted hedge clones die with the replica; everything
+            # else fails over
+            moved = self.guard.on_death_evacuated(idx, moved, self.clock)
+        for req in moved:
+            self.route(req, failover=True)
+
+    def revive(self, idx, events) -> None:
+        self.death_i += 1
+        r = self.replicas[idx]
+        if r.state is ReplicaState.DEAD:
+            self.start(r, "replica_revive")
+
+    def warm(self, idx, events) -> None:
+        self.start(self.replicas[idx], "replica_warm")
+
+    def probe(self, idx, events) -> None:
+        self.next_probe = self.clock \
+            + self.guard.policy.health.probe_interval_s
+        self.guard.probe_tick(self.clock, self.replicas, self.push)
+
+    def scale(self, idx, events) -> bool:
+        p = self.scaler.policy
+        self.next_tick = self.clock + p.interval_s
+        active = [r for r in self.replicas
+                  if r.state in (ReplicaState.ACTIVE, ReplicaState.WARMING)]
+        queue = len(self.pending) + sum(
+            r.queue_depth for r in self.replicas if r.sim is not None)
+        goodput = sum(r.goodput_tokens for r in self.replicas)
+        tps = (goodput - self.last_goodput) / p.interval_s
+        self.last_goodput = goodput
+        gauges = FleetGauges(now_s=self.clock, active_replicas=len(active),
+                             queue_depth=queue, goodput_tps=tps)
+        if self.mirror:
+            self.obs.set_gauge("fleet_active_replicas", len(active))
+            self.obs.set_gauge("fleet_queue_depth", queue)
+            self.obs.set_gauge("fleet_goodput_tps", tps)
+        decision = self.scaler.decide(gauges, len(self.replicas))
+        acted = False
+        if decision > 0:
+            parked = [r for r in self.replicas
+                      if r.state is ReplicaState.PARKED]
+            if parked:
+                r = parked[0]
+                r.state = ReplicaState.WARMING
+                r.available_s = self.clock + p.warmup_s
+                self.n_ups += 1
+                self.peak_active = max(self.peak_active, len(active) + 1)
+                self.mark("scale_up", r.id)
+                acted = True
+        elif decision < 0:
+            actives = self.active()
+            if len(actives) > 1:
+                r = actives[-1]
+                r.state = ReplicaState.DRAINING
+                self.n_downs += 1
+                self.mark("scale_down", r.id)
+                acted = True
+                if r.sim.next_time() is None:
+                    # already idle: park without waiting for an advance
+                    # event that will never come
+                    self.retire(r, ReplicaState.PARKED, "replica_park")
+        if not acted and not self.busy and self.nxt is None \
+                and self.death_i >= len(self.death_events):
+            # nothing but ticks left and this one changed nothing; the
+            # deterministic scaler sees identical gauges forever, so a
+            # bounded streak decides it
+            self.stale_ticks += 1
+            return self.stale_ticks > p.up_after + p.down_after + 2
+        self.stale_ticks = 0
+        return False
+
+    def arrival(self, idx, events) -> None:
+        self.route(self.nxt)
+        self.nxt = self.pull()
+        while self.nxt is not None and self.nxt.arrival_s <= self.clock:
+            self.route(self.nxt)
+            self.nxt = self.pull()
+
+    def advance(self, idx, events) -> None:
+        # run ahead: step this replica while it stays earliest.  Nothing
+        # else comes due before the runner-up meanwhile: other replicas
+        # change only through the other handlers, and a hedge withdrawal
+        # can only delay one
+        runner_up = events[1] if len(events) > 1 else None
+        r, guard = self.replicas[idx], self.guard
+        prev = _install_obs(self.obs)
+        try:
+            while True:
+                r.sim.advance()
+                if guard is not None:
+                    # settle any hedge race this step decided before any
+                    # other replica moves
+                    guard.after_advance(r, self.clock, self.replicas)
+                t = r.sim.next_time()
+                if t is None:
+                    if r.state is ReplicaState.DRAINING:
+                        self.retire(r, ReplicaState.PARKED, "replica_park")
+                    break
+                if not _leads(t, idx, runner_up):
+                    break
+                self.clock = max(self.clock, t)
+        finally:
+            _install_obs(prev)
+
+
+#: the handler of each event kind, indexed by its ``_EV_*`` priority
+_HANDLERS = (_FleetRun.death, _FleetRun.revive, _FleetRun.warm,
+             _FleetRun.probe, _FleetRun.scale, _FleetRun.arrival,
+             _FleetRun.advance)

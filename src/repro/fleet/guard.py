@@ -229,12 +229,19 @@ class RetryBudget:
         self.spent = 0
         self._last = 0.0
 
+    def _level(self, now_s: float) -> float:
+        """Tokens the bucket holds at *now_s*, without refilling it:
+        reading the level must not split the refills that decide a
+        later ``tokens >= 1`` test."""
+        if now_s > self._last:
+            return min(self.policy.capacity,
+                       self.tokens + (now_s - self._last)
+                       * self.policy.refill_per_s)
+        return self.tokens
+
     def _refill(self, now_s: float) -> None:
         if now_s > self._last:
-            self.tokens = min(
-                self.policy.capacity,
-                self.tokens + (now_s - self._last)
-                * self.policy.refill_per_s)
+            self.tokens = self._level(now_s)
             self._last = now_s
 
     def available(self, now_s: float) -> bool:
@@ -384,8 +391,8 @@ class FleetGuard:
         if self.policy.retry_on_suspect:
             self._guard_retries(now_s, replicas, dispatch)
         if obs is not None:
-            self.budget._refill(now_s)
-            obs.set_gauge("fleet_retry_budget_tokens", self.budget.tokens)
+            obs.set_gauge("fleet_retry_budget_tokens",
+                          self.budget._level(now_s))
 
     def _interval_bad(self, replica) -> bool:
         """Did this replica time out work — or surface silent data

@@ -93,25 +93,22 @@ def _check_taint(defended: bool, requests, summary) -> list:
     return errs
 
 
-def chaos_trial(sim, requests, seed: int = 0) -> ChaosOutcome:
-    """Run *sim* over *requests* and judge it. Never raises for
-    simulator failures — a typed error becomes a violation with its
-    snapshot attached."""
+def _trial(span: str, seed: int, run, check) -> ChaosOutcome:
+    """Run ``run()`` inside a *span* and judge its report with
+    ``check(report)``.  Never raises for simulator failures — a typed
+    error becomes a violation with its snapshot attached."""
     obs = _obs()
-    with obs.span("chaos_trial", seed=seed):
+    with obs.span(span, seed=seed):
         try:
-            report = sim.run(requests)
-        except ServeError as exc:
-            outcome = ChaosOutcome(
-                seed=seed, ok=False,
-                violations=(f"unhandled {type(exc).__name__}: {exc}",),
-                snapshot=exc.snapshot)
+            report = run()
         except ParlooperError as exc:
             outcome = ChaosOutcome(
                 seed=seed, ok=False,
-                violations=(f"unhandled {type(exc).__name__}: {exc}",))
+                violations=(f"unhandled {type(exc).__name__}: {exc}",),
+                snapshot=(exc.snapshot if isinstance(exc, ServeError)
+                          else None))
         else:
-            violations = check_invariants(sim, report)
+            violations = check(report)
             outcome = ChaosOutcome(seed=seed, ok=not violations,
                                    violations=tuple(violations),
                                    summary=report.summary)
@@ -119,6 +116,14 @@ def chaos_trial(sim, requests, seed: int = 0) -> ChaosOutcome:
         obs.inc("chaos_trials", verdict="ok" if outcome.ok else
                 ("error" if outcome.summary is None else "violation"))
     return outcome
+
+
+def chaos_trial(sim, requests, seed: int = 0) -> ChaosOutcome:
+    """Run *sim* over *requests* and judge it. Never raises for
+    simulator failures — a typed error becomes a violation with its
+    snapshot attached."""
+    return _trial("chaos_trial", seed, lambda: sim.run(requests),
+                  lambda report: check_invariants(sim, report))
 
 
 def check_fleet_invariants(fleet, report) -> list:
@@ -220,28 +225,8 @@ def check_fleet_invariants(fleet, report) -> list:
 def fleet_chaos_trial(fleet, trace, seed: int = 0) -> ChaosOutcome:
     """Run *fleet* over *trace* and judge it — the fleet-level analogue
     of :func:`chaos_trial` (typed errors become violations)."""
-    obs = _obs()
-    with obs.span("fleet_chaos_trial", seed=seed):
-        try:
-            report = fleet.run(trace)
-        except ServeError as exc:
-            outcome = ChaosOutcome(
-                seed=seed, ok=False,
-                violations=(f"unhandled {type(exc).__name__}: {exc}",),
-                snapshot=exc.snapshot)
-        except ParlooperError as exc:
-            outcome = ChaosOutcome(
-                seed=seed, ok=False,
-                violations=(f"unhandled {type(exc).__name__}: {exc}",))
-        else:
-            violations = check_fleet_invariants(fleet, report)
-            outcome = ChaosOutcome(seed=seed, ok=not violations,
-                                   violations=tuple(violations),
-                                   summary=report.summary)
-    if obs.enabled:
-        obs.inc("chaos_trials", verdict="ok" if outcome.ok else
-                ("error" if outcome.summary is None else "violation"))
-    return outcome
+    return _trial("fleet_chaos_trial", seed, lambda: fleet.run(trace),
+                  lambda report: check_fleet_invariants(fleet, report))
 
 
 def chaos_sweep(make_trial, seeds) -> list:

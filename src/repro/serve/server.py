@@ -1,12 +1,17 @@
 """The serving simulator: a deterministic discrete-event loop.
 
-Each iteration admits the arrivals due by the current clock, lets the
-scheduler order the queue, asks the batcher for a step plan, secures KV
-blocks (preempting victims when the pool is out), prices the step with
-:class:`~repro.serve.cost.ServeCostModel`, advances the clock by exactly
-that many seconds, and applies the step's effects to every request.
-There is no randomness anywhere in the loop — given a seeded traffic
-trace, two runs produce bit-identical metrics.
+Each iteration runs a fixed sequence of stages over the run's state:
+*admit* (the KV-capacity loss due now, then due retries, then
+arrivals), *reap* (cancellations and deadlines), *degrade* (overload
+hysteresis), *schedule* (queue order, the batcher's plan, KV blocks for
+its decodes — preempting victims when the pool is out — and prefill
+chunks), *unblock* (only when no step can run), *price* (the
+:class:`~repro.serve.cost.ServeCostModel` step cost and the fault
+draws; the clock advances by exactly that cost), *apply* (roll the
+step back, or commit its effects to every request) and *record*
+(samples, gauges, the step span, the step budget).  There is no
+randomness anywhere in the loop — given a seeded traffic trace, two
+runs produce bit-identical metrics.
 
 Resilience (`repro.resilience`) threads through the same loop without
 breaking that contract.  A :class:`~repro.resilience.faults.FaultPlan`
@@ -107,10 +112,14 @@ class _RunState:
         self.admit_ts: dict = {}    # rid -> admission time (tracing)
         self.sched_ts: dict = {}    # rid -> first prefill schedule time
 
-    @property
-    def drained(self) -> bool:
-        return (self.i >= len(self.reqs) and not self.waiting
-                and not self.running and not self.retry_heap)
+    def queued_times(self) -> list:
+        """When the next un-admitted arrival and the next retry are due."""
+        times = []
+        if self.i < len(self.reqs):
+            times.append(self.reqs[self.i].arrival_s)
+        if self.retry_heap:
+            times.append(self.retry_heap[0][0])
+        return times
 
 
 class ServeSimulator:
@@ -269,13 +278,7 @@ class ServeSimulator:
             return None
         if st.waiting or st.running:
             return st.now
-        if st.drained:
-            return None
-        times = []
-        if st.i < len(st.reqs):
-            times.append(st.reqs[st.i].arrival_s)
-        if st.retry_heap:
-            times.append(st.retry_heap[0][0])
+        times = st.queued_times()
         return max(st.now, min(times)) if times else None
 
     def sync_clock(self, now_s: float) -> None:
@@ -319,6 +322,11 @@ class ServeSimulator:
         or every remaining local event is unknown (an external driver
         must push work or the run is over).
 
+        An iteration is a fixed sequence of stages over the run state:
+        admit, reap, degrade, schedule, unblock, price, apply, record.
+        Reaping and degradation run only on a hardened simulator, and
+        unblocking only when no step can run.
+
         The run's observability context is installed as ambient for the
         extent of the call, so instrumentation sites reached *through*
         the simulator (cost-model pricing, the admission-time tuner)
@@ -326,88 +334,115 @@ class ServeSimulator:
         st = self._st
         if st is None:
             raise ServeConfigError("advance() called before begin()")
-        if _obs() is st.obs:
-            # a simulator without obs of its own: begin() adopted the
-            # context that is still ambient, so there is nothing to swap
-            return self._advance(st)
-        prev = _install_obs(st.obs)
+        # a simulator without obs of its own: begin() adopted the
+        # context that is still ambient, so there is nothing to swap
+        prev = None if _obs() is st.obs else _install_obs(st.obs)
         try:
-            return self._advance(st)
-        finally:
-            _install_obs(prev)
-
-    def _advance(self, st) -> bool:
-        if st.drained:
-            return False
-        metrics, obs, timing = st.metrics, st.obs, st.timing
-        reqs, retry_heap = st.reqs, st.retry_heap
-        waiting, running = st.waiting, st.running
-        res, fplan = self.resilience, self.faults
-        now = st.now
-        metrics.now_s = now
-        if fplan is not None:
-            lost = fplan.lost_fraction(now)
-            self.pool.set_lost_fraction(lost)
-            if lost > 0.0 and obs.metrics.enabled:
-                metrics.set_gauge("kv_lost_fraction", lost)
-        # re-admit backed-off retries that have come due ...
-        while retry_heap and retry_heap[0][0] <= now:
-            _, _, req = heapq.heappop(retry_heap)
-            self._admit(req, waiting, retry_heap, metrics, now,
-                        st.degraded)
-            if timing and req in waiting:
-                st.admit_ts.setdefault(req.rid, now)
-        # ... and admit everything that has arrived by the clock
-        while st.i < len(reqs) and reqs[st.i].arrival_s <= now:
-            req = reqs[st.i]
-            st.i += 1
-            self._admit(req, waiting, retry_heap, metrics, now,
-                        st.degraded)
-            if timing and req in waiting:
-                st.admit_ts.setdefault(req.rid, now)
-        # hardened: cancel abandoned work, time out missed deadlines
-        if res is not None:
-            self._reap(waiting, running, metrics, now)
-        if not waiting and not running:
-            nxt = self._next_event(reqs, st.i, retry_heap, now, fplan)
-            if nxt is None:
-                return False           # everything already terminal
-            st.now = max(now, nxt)
+            if not st.running and not st.waiting and not st.retry_heap \
+                    and st.i >= len(st.reqs):
+                return False               # drained
+            now = st.metrics.now_s = st.now
+            # admit: the KV loss due now, then due retries, then arrivals
+            fplan = self.faults
+            if fplan is not None:
+                lost = fplan.lost_fraction(now)
+                self.pool.set_lost_fraction(lost)
+                if lost > 0.0 and st.obs.metrics.enabled:
+                    st.metrics.set_gauge("kv_lost_fraction", lost)
+            heap, reqs = st.retry_heap, st.reqs
+            while heap and heap[0][0] <= now:
+                self._admit(st, heapq.heappop(heap)[2], now)
+            while st.i < len(reqs) and reqs[st.i].arrival_s <= now:
+                st.i += 1
+                self._admit(st, reqs[st.i - 1], now)
+            res = self.resilience
+            if res is not None:
+                self._reap(st, st.running + st.waiting, now)
+            if not st.waiting and not st.running:
+                nxt = self._next_event(st, now)
+                if nxt is None:
+                    return False           # everything already terminal
+                st.now = nxt
+                return True
+            if res is not None and res.degrade is not None:
+                self._degrade(st, res.degrade)
+            self._schedule(st, now)
+            if not st.decode_buf and not st.prefill_buf:
+                return self._unblock(st, now)
+            failed, sdc_hit, redo, silent = self._price(st, now)
+            self._apply(st, failed, redo, silent)
+            self._record(st, now, failed, sdc_hit)
             return True
+        finally:
+            if prev is not None:
+                _install_obs(prev)
 
-        # overload detection and graceful degradation
-        if res is not None and res.degrade is not None:
-            d = res.degrade
-            stressed = len(waiting) > d.queue_hi \
-                or self.pool.occupancy >= d.occupancy_hi
-            if not st.degraded:
-                st.hot = st.hot + 1 if stressed else 0
-                if st.hot >= d.enter_after_steps:
-                    st.degraded, st.hot, st.cool = True, 0, 0
+    # -- the stages of one step, in order -------------------------------
+    def _reap(self, st, reqs, now) -> bool:
+        """Timeout-cancellation: drop each of *reqs* whose client left
+        or whose deadline passed, freeing its KV blocks for work still
+        viable.  Returns whether any was dropped."""
+        reaped = False
+        for req in reqs:
+            if req.cancel_s is not None and now >= req.cancel_s:
+                self._terminate(st, req, RequestState.CANCELLED,
+                                st.metrics.on_cancel)
+            elif req.deadline_s is not None and now >= req.deadline_s:
+                self._terminate(st, req, RequestState.TIMED_OUT,
+                                st.metrics.on_timeout)
             else:
-                st.cool = 0 if stressed else st.cool + 1
-                if st.cool >= d.exit_after_steps:
-                    st.degraded, st.hot, st.cool = False, 0, 0
-            if st.degraded:
-                self._degrade_actions(d, waiting, running, metrics)
+                continue
+            reaped = True
+        return reaped
 
+    def _degrade(self, st, d) -> None:
+        """Enter or leave degraded mode by hysteresis; while degraded,
+        cap the queue and drain the KV pool toward its target."""
+        waiting, running = st.waiting, st.running
+        stressed = len(waiting) > d.queue_hi \
+            or self.pool.occupancy >= d.occupancy_hi
+        if not st.degraded:
+            st.hot = st.hot + 1 if stressed else 0
+            if st.hot >= d.enter_after_steps:
+                st.degraded, st.hot, st.cool = True, 0, 0
+        else:
+            st.cool = 0 if stressed else st.cool + 1
+            if st.cool >= d.exit_after_steps:
+                st.degraded, st.hot, st.cool = False, 0, 0
+        if not st.degraded:
+            return
+        # cap the queue: overflow is shed lowest-SLO-class, newest first
+        while d.shed_queue_cap is not None \
+                and len(waiting) > d.shed_queue_cap:
+            self._terminate(st, self.scheduler.pick_shed(waiting),
+                            RequestState.SHED, st.metrics.on_shed)
+        # reduced-KV mode: drain toward target occupancy (at most one
+        # preemption per iteration, so the batch cannot collapse)
+        if d.kv_target_occupancy is not None and len(running) > 1 \
+                and self.pool.occupancy > d.kv_target_occupancy:
+            victim = self.scheduler.pick_victim(running)
+            if victim is not None:
+                self._preempt(st, victim)
+
+    def _schedule(self, st, now) -> None:
+        """Order the queue, plan the batch, and fill the step buffers:
+        decodes that secured a block (preempting if needed) and prefill
+        chunks that fit the pool (deferred if it is full)."""
+        waiting = st.waiting
         if len(waiting) > 1:
             st.waiting = waiting = self.scheduler.order_waiting(waiting)
+        res = self.resilience
         budget = res.degrade.token_budget \
             if st.degraded and res is not None and res.degrade is not None \
             else None
-        plan = self.batcher.plan(running, waiting, token_budget=budget)
-
-        # secure a block for every decode (preempting if needed) ...
+        plan = self.batcher.plan(st.running, waiting, token_budget=budget)
         decode = st.decode_buf
         del decode[:]
         for req in plan.decode:
             if req.state is RequestState.PREEMPTED:
                 continue                   # lost its cache this step
-            if self._ensure_blocks(req, req.cached + 1, running,
-                                   waiting, metrics, protect=decode):
+            if self._ensure_blocks(st, req, req.cached + 1):
                 decode.append(req)
-        # ... and blocks for prefill chunks (deferred if pool is full)
         prefill = st.prefill_buf
         del prefill[:]
         for req, chunk in plan.prefill:
@@ -423,139 +458,145 @@ class ServeSimulator:
                     continue
                 self.pool.grow(req.rid, target)
             prefill.append((req, chunk, chunk >= req.prefill_remaining))
-            if timing:
+            if st.timing:
                 st.sched_ts.setdefault(req.rid, now)
 
-        if not decode and not prefill:
-            holders = [r for r in waiting if r.cached > 0]
-            if holders and not running:
-                # pool full of stalled partial prefills: reclaim them
-                for req in holders:
-                    self._preempt(req, running, waiting, metrics)
+    def _unblock(self, st, now) -> bool:
+        """No step can run: reclaim stalled prefills, jump the clock to
+        the next event, or shed through the watchdog; the baseline
+        surfaces a true deadlock as a typed error with the state."""
+        waiting, running = st.waiting, st.running
+        holders = [r for r in waiting if r.cached > 0]
+        if holders and not running:
+            # pool full of stalled partial prefills: reclaim them
+            for req in holders:
+                self._preempt(st, req)
+            return True
+        nxt = self._next_event(st, now)
+        if nxt is not None:
+            st.now = nxt                   # blocked until next event
+            return True
+        res = self.resilience
+        if res is not None and res.watchdog:
+            victim = self.scheduler.pick_shed(waiting + running)
+            if victim is not None:
+                self._terminate(st, victim, RequestState.SHED,
+                                st.metrics.on_shed)
                 return True
-            nxt = self._next_event(reqs, st.i, retry_heap, now, fplan)
-            if nxt is not None and nxt > now:
-                st.now = nxt               # blocked until next event
-                return True
-            # true deadlock: watchdog sheds and continues, the
-            # baseline surfaces a typed error with the state attached
-            if res is not None and res.watchdog:
-                victim = self.scheduler.pick_shed(waiting + running)
-                if victim is not None:
-                    self._terminate(victim, RequestState.SHED,
-                                    running, waiting)
-                    metrics.on_shed(victim)
-                    return True
-            raise DeadlockError(
-                "serving deadlock: no step schedulable and no "
-                "future event can unblock it",
-                snapshot=self._snapshot(now, st.steps, waiting, running,
-                                        metrics))
+        raise DeadlockError(
+            "serving deadlock: no step schedulable and no "
+            "future event can unblock it", snapshot=self._snapshot(st))
 
-        # price the step and advance the clock (scratch buffers reused;
-        # the memoized cost model re-prices only the decode KV stream)
+    def _price(self, st, now) -> tuple:
+        """Price the step (the memoized cost model re-prices only the
+        decode KV stream), stretch it by the straggler multiplier, draw
+        step failure and silent data corruption, and advance the clock
+        by the step.  Returns ``(failed, sdc_hit, redo, silent)``."""
         chunks = st.chunk_buf
         del chunks[:]
-        n_emit = len(decode)
-        for req, c, completing in prefill:
+        n_emit = len(st.decode_buf)
+        for req, c, completing in st.prefill_buf:
             chunks.append((c, req.cached))
             if completing and req.generated == 0:
                 n_emit += 1
         contexts = st.ctx_buf
         del contexts[:]
-        for r in decode:
+        for r in st.decode_buf:
             contexts.append(r.cached)
         dt = self.cost.step_seconds(chunks, contexts, n_emit)
-        failed = False
+        failed = sdc_hit = redo = silent = False
+        fplan = self.faults
         if fplan is not None:
             mult = fplan.multiplier(now)   # stragglers stretch steps
             dt *= mult
             failed = fplan.step_fails(st.steps, now)
-            if mult != 1.0 and obs.metrics.enabled:
-                obs.inc("fault_injections", kind="straggler_step")
-        # seeded silent data corruption in this step's kernel outputs
-        sdc_hit = (not failed and self.sdc is not None
-                   and self.sdc.step_corrupts(st.steps, now))
-        sdc_redo = False
-        sdc_silent = False
-        if sdc_hit:
-            if obs.metrics.enabled:
-                obs.inc("fault_injections", kind="sdc")
-            if res is not None:
+            if mult != 1.0 and st.obs.metrics.enabled:
+                st.obs.inc("fault_injections", kind="straggler_step")
+        sdc = self.sdc
+        if not failed and sdc is not None \
+                and sdc.step_corrupts(st.steps, now):
+            sdc_hit = True
+            if st.obs.metrics.enabled:
+                st.obs.inc("fault_injections", kind="sdc")
+            if self.resilience is not None:
                 # hardened: ABFT checksums catch the corruption before
                 # any token leaves the step
-                metrics.on_sdc_detected()
-                if self.sdc.correctable(st.steps):
-                    metrics.on_sdc_corrected()   # fixed in place
+                st.metrics.on_sdc_detected()
+                if sdc.correctable(st.steps):
+                    st.metrics.on_sdc_corrected()   # fixed in place
                 else:
-                    sdc_redo = True   # roll back, recompute the step
+                    redo = True   # roll back, recompute the step
             else:
-                sdc_silent = True     # undefended: tokens are tainted
-        step_start = now
-        now += dt
-        st.now = now
-        metrics.now_s = now
+                silent = True     # undefended: tokens are tainted
+        st.now = st.metrics.now_s = now + dt
+        return failed, sdc_hit, redo, silent
 
-        if failed or sdc_redo:
+    def _apply(self, st, failed, redo, silent) -> None:
+        """Roll a lost step back, or taint and then commit its decode
+        and prefill effects at the advanced clock."""
+        now = st.now
+        decode, prefill = st.decode_buf, st.prefill_buf
+        if failed or redo:
             # transient step failure (or detected-uncorrectable SDC):
             # the wall time is spent but the work is lost — token
             # accounting rolls back, the blocks stay held for the redo
             if failed:
-                metrics.on_step_failure()
+                st.metrics.on_step_failure()
             else:
-                metrics.on_sdc_recomputed()
+                st.metrics.on_sdc_recomputed()
             for req in decode:
                 self.pool.roll_back_tokens(req.rid, req.cached)
             for req, _, _ in prefill:
                 self.pool.roll_back_tokens(req.rid, req.cached)
-        else:
-            if sdc_silent:
-                # no defense: the corrupted output flows into every
-                # request this step touched
-                metrics.on_sdc_silent()
-                for req in decode:
-                    req.tainted = True
-                for req, _, _ in prefill:
-                    req.tainted = True
-            # apply decode effects
+            return
+        if silent:
+            # no defense: the corrupted output flows into every
+            # request this step touched
+            st.metrics.on_sdc_silent()
             for req in decode:
-                req.cached += 1
-                req.generated += 1
-                req.token_times.append(now)
+                req.tainted = True
+            for req, _, _ in prefill:
+                req.tainted = True
+        for req in decode:
+            req.cached += 1
+            req.generated += 1
+            req.token_times.append(now)
+            if req.done:
+                self._finish(st, req, now)
+        for req, chunk, completing in prefill:
+            req.cached += chunk
+            req.state = RequestState.PREFILL
+            if completing:
+                if req.generated == 0:  # prompt pass emits token 1
+                    req.generated = 1
+                    req.first_token_s = now
+                    req.token_times.append(now)
+                req.state = RequestState.DECODE
+                st.waiting.remove(req)
+                st.running.append(req)
                 if req.done:
-                    self._finish(req, now, running, metrics)
-            # apply prefill effects
-            for req, chunk, completing in prefill:
-                req.cached += chunk
-                req.state = RequestState.PREFILL
-                if completing:
-                    if req.generated == 0:  # prompt pass emits token 1
-                        req.generated = 1
-                        req.first_token_s = now
-                        req.token_times.append(now)
-                    req.state = RequestState.DECODE
-                    waiting.remove(req)
-                    running.append(req)
-                    if req.done:
-                        self._finish(req, now, running, metrics)
+                    self._finish(st, req, now)
 
-        metrics.sample(now, len(waiting), len(decode) + len(prefill),
-                       self.pool.occupancy, self.pool.fragmentation)
+    def _record(self, st, step_start, failed, sdc_hit) -> None:
+        """Sample the step, mirror the pool gauge, emit the step span
+        and enforce the step budget."""
+        now, obs = st.now, st.obs
+        st.metrics.sample(now, len(st.waiting),
+                          len(st.decode_buf) + len(st.prefill_buf),
+                          self.pool.occupancy, self.pool.fragmentation)
         if obs.metrics.enabled:
-            metrics.set_gauge("kv_free_blocks", self.pool.free_blocks)
-        if timing:
+            st.metrics.set_gauge("kv_free_blocks", self.pool.free_blocks)
+        if st.timing:
             obs.tracer.complete("step", step_start, now,
                                 track=self.step_track,
-                                decode=len(decode),
-                                prefill=len(prefill), failed=failed,
+                                decode=len(st.decode_buf),
+                                prefill=len(st.prefill_buf), failed=failed,
                                 sdc=sdc_hit)
         st.steps += 1
         if st.steps > st.max_steps:
             raise StepBudgetError(
                 f"simulation exceeded {st.max_steps} steps",
-                snapshot=self._snapshot(now, st.steps, waiting, running,
-                                        metrics))
-        return True
+                snapshot=self._snapshot(st))
 
     def evacuate(self) -> list:
         """Replica death: release every KV block and hand back every
@@ -574,17 +615,8 @@ class ServeSimulator:
         st.waiting.clear()
         st.retry_heap.clear()
         st.i = len(st.reqs)
-        out = []
-        for req in survivors:
-            self.pool.release(req.rid)
-            req.cached = 0
-            if req.terminal:
-                continue
-            if req.state is not RequestState.QUEUED:
-                req.state = RequestState.PREEMPTED
-            req.failovers += 1
-            st.metrics.on_failover(req)
-            out.append(req)
+        out = [req for req in survivors
+               if self._hand_back(req, st.metrics.on_failover)]
         self.pool.set_lost_fraction(0.0)
         return out
 
@@ -598,39 +630,20 @@ class ServeSimulator:
         st = self._st
         if st is None:
             return None
-        req = None
-        for r in st.running:
-            if r.rid == rid:
-                req = r
-                st.running.remove(r)
-                break
-        if req is None:
-            for r in st.waiting:
-                if r.rid == rid:
-                    req = r
-                    st.waiting.remove(r)
-                    break
-        if req is None:
-            for entry in st.retry_heap:
-                if entry[2].rid == rid:
-                    req = entry[2]
-                    st.retry_heap.remove(entry)
-                    heapq.heapify(st.retry_heap)
-                    break
-        if req is None:
-            for j in range(st.i, len(st.reqs)):
-                if st.reqs[j].rid == rid:
-                    req = st.reqs.pop(j)
-                    break
-        if req is None or req.terminal:
-            return None
-        self.pool.release(req.rid)
-        req.cached = 0
-        if req.state is not RequestState.QUEUED:
-            req.state = RequestState.PREEMPTED
-        req.failovers += 1
-        st.metrics.on_withdraw(req)
-        return req
+        heap = st.retry_heap
+        for box, first in ((st.running, 0), (st.waiting, 0), (heap, 0),
+                           (st.reqs, st.i)):
+            for j in range(first, len(box)):
+                req = box[j][2] if box is heap else box[j]
+                if req.rid == rid:
+                    del box[j]
+                    if box is heap:
+                        heapq.heapify(heap)
+                    if req.terminal:
+                        return None
+                    self._hand_back(req, st.metrics.on_withdraw)
+                    return req
+        return None
 
     def finish(self) -> ServeReport:
         """Close the run and report.  The incremental engine's terminal
@@ -711,148 +724,123 @@ class ServeSimulator:
             seen.add(r.rid)
         return sorted(reqs, key=lambda r: (r.arrival_s, r.rid))
 
-    def _admit(self, req, waiting, retry_heap, metrics, now,
-               degraded) -> None:
+    def _admit(self, st, req, now) -> None:
         res = self.resilience
         if res is not None:
             # a retry can come due after its client left or its SLO died
-            if req.cancel_s is not None and now >= req.cancel_s:
-                req.state = RequestState.CANCELLED
-                metrics.on_cancel(req)
-                return
-            if req.deadline_s is not None and now >= req.deadline_s:
-                req.state = RequestState.TIMED_OUT
-                metrics.on_timeout(req)
+            if self._reap(st, (req,), now):
                 return
             d = res.degrade
-            if degraded and d is not None \
+            if st.degraded and d is not None \
                     and d.max_new_tokens_clamp is not None \
                     and req.max_new_tokens > d.max_new_tokens_clamp:
                 req.max_new_tokens = max(d.max_new_tokens_clamp, 1)
                 if not req.degraded:
                     req.degraded = True
-                    metrics.on_degrade(req)
-        if not self.pool.fits(req.total_tokens):
-            req.state = RequestState.REJECTED   # can never be served
-            metrics.on_reject(req)
-            return
-        if self.scheduler.admit(req, waiting, self.pool):
-            req.state = RequestState.QUEUED
-            waiting.append(req)
-            return
-        retry = res.retry if res is not None else None
-        if retry is not None and req.attempts + 1 < retry.max_attempts:
-            req.attempts += 1
-            req.state = RequestState.QUEUED
-            due = now + retry.delay_s(req.rid, req.attempts)
-            heapq.heappush(retry_heap, (due, req.rid, req))
-            metrics.on_retry(req)
-        else:
-            req.state = RequestState.REJECTED
-            metrics.on_reject(req)
+                    st.metrics.on_degrade(req)
+        if self.pool.fits(req.total_tokens):    # else never servable
+            if self.scheduler.admit(req, st.waiting, self.pool):
+                req.state = RequestState.QUEUED
+                st.waiting.append(req)
+                if st.timing:
+                    st.admit_ts.setdefault(req.rid, now)
+                return
+            retry = res.retry if res is not None else None
+            if retry is not None and req.attempts + 1 < retry.max_attempts:
+                req.attempts += 1
+                req.state = RequestState.QUEUED
+                due = now + retry.delay_s(req.rid, req.attempts)
+                heapq.heappush(st.retry_heap, (due, req.rid, req))
+                st.metrics.on_retry(req)
+                return
+        req.state = RequestState.REJECTED
+        st.metrics.on_reject(req)
 
-    def _reap(self, waiting, running, metrics, now) -> None:
-        """Timeout-cancellation: drop work whose client left or whose
-        deadline passed, freeing its KV blocks for work still viable."""
-        for req in running + waiting:
-            if req.cancel_s is not None and now >= req.cancel_s:
-                self._terminate(req, RequestState.CANCELLED, running,
-                                waiting)
-                metrics.on_cancel(req)
-            elif req.deadline_s is not None and now >= req.deadline_s:
-                self._terminate(req, RequestState.TIMED_OUT, running,
-                                waiting)
-                metrics.on_timeout(req)
-
-    def _degrade_actions(self, d, waiting, running, metrics) -> None:
-        # cap the queue: overflow is shed lowest-SLO-class, newest first
-        while d.shed_queue_cap is not None \
-                and len(waiting) > d.shed_queue_cap:
-            victim = self.scheduler.pick_shed(waiting)
-            self._terminate(victim, RequestState.SHED, running, waiting)
-            metrics.on_shed(victim)
-        # reduced-KV mode: drain toward target occupancy (at most one
-        # preemption per iteration, so the batch cannot collapse)
-        if d.kv_target_occupancy is not None and len(running) > 1 \
-                and self.pool.occupancy > d.kv_target_occupancy:
-            victim = self.scheduler.pick_victim(running)
-            if victim is not None:
-                self._preempt(victim, running, waiting, metrics)
-
-    def _next_event(self, reqs, i, retry_heap, now, fplan) -> float | None:
+    def _next_event(self, st, now) -> float | None:
         """Earliest future time anything can change: an arrival, a retry
         coming due, or a fault window opening/closing."""
-        times = []
-        if i < len(reqs):
-            times.append(reqs[i].arrival_s)
-        if retry_heap:
-            times.append(retry_heap[0][0])
-        if fplan is not None:
-            b = fplan.next_boundary(now)
+        times = st.queued_times()
+        if self.faults is not None:
+            b = self.faults.next_boundary(now)
             if b is not None:
                 times.append(b)
         future = [t for t in times if t > now]
         return min(future) if future else None
 
-    def _terminate(self, req, state, running, waiting) -> None:
+    def _terminate(self, st, req, state, hook) -> None:
         self.pool.release(req.rid)
-        if req in running:
-            running.remove(req)
-        if req in waiting:
-            waiting.remove(req)
+        if req in st.running:
+            st.running.remove(req)
+        if req in st.waiting:
+            st.waiting.remove(req)
         req.state = state
+        hook(req)
 
-    def _snapshot(self, now, steps, waiting, running, metrics) -> dict:
+    def _snapshot(self, st) -> dict:
         """Diagnosable state at failure time (attached to ServeError)."""
         return {
-            "now_s": now,
-            "steps": steps,
-            "n_waiting": len(waiting),
-            "n_running": len(running),
-            "waiting_rids": [r.rid for r in waiting][:16],
-            "running_rids": [r.rid for r in running][:16],
+            "now_s": st.now,
+            "steps": st.steps,
+            "n_waiting": len(st.waiting),
+            "n_running": len(st.running),
+            "waiting_rids": [r.rid for r in st.waiting][:16],
+            "running_rids": [r.rid for r in st.running][:16],
             "pool": {**asdict(self.pool.stats()),
                      "free_blocks": self.pool.free_blocks,
                      "lost_blocks": self.pool.lost_blocks},
-            "n_finished": metrics.n_finished,
-            "n_rejected": metrics.n_rejected,
-            "n_timed_out": metrics.n_timed_out,
-            "n_cancelled": metrics.n_cancelled,
-            "n_shed": metrics.n_shed,
+            "n_finished": st.metrics.n_finished,
+            "n_rejected": st.metrics.n_rejected,
+            "n_timed_out": st.metrics.n_timed_out,
+            "n_cancelled": st.metrics.n_cancelled,
+            "n_shed": st.metrics.n_shed,
         }
 
     # -- helpers --------------------------------------------------------
-    def _ensure_blocks(self, req, new_total, running, waiting, metrics,
-                       protect) -> bool:
+    def _ensure_blocks(self, st, req, new_total) -> bool:
         """Make the pool able to grow *req*; preempt victims if needed."""
         while not self.pool.can_grow(req.rid, new_total):
             victim = self.scheduler.pick_victim(
-                [r for r in running if r is not req], protect=protect)
+                [r for r in st.running if r is not req],
+                protect=st.decode_buf)
             if victim is None:
                 # no running victim: reclaim a stalled partial prefill
-                holders = [r for r in waiting
+                holders = [r for r in st.waiting
                            if r.cached > 0 and r is not req]
                 victim = self.scheduler.pick_victim(holders,
-                                                    protect=protect)
+                                                    protect=st.decode_buf)
             if victim is None:
                 return False
-            self._preempt(victim, running, waiting, metrics)
+            self._preempt(st, victim)
         self.pool.grow(req.rid, new_total)
         return True
 
-    def _preempt(self, victim, running, waiting, metrics) -> None:
+    def _preempt(self, st, victim) -> None:
         self.pool.release(victim.rid)
         victim.cached = 0
         victim.state = RequestState.PREEMPTED
         victim.preemptions += 1
-        if victim in running:
-            running.remove(victim)
-            waiting.append(victim)
-        metrics.on_preempt(victim)
+        if victim in st.running:
+            st.running.remove(victim)
+            st.waiting.append(victim)
+        st.metrics.on_preempt(victim)
 
-    def _finish(self, req, now, running, metrics) -> None:
+    def _finish(self, st, req, now) -> None:
         req.state = RequestState.FINISHED
         req.finish_s = now
         self.pool.release(req.rid)
-        running.remove(req)
-        metrics.on_finish(req)
+        st.running.remove(req)
+        st.metrics.on_finish(req)
+
+    def _hand_back(self, req, hook) -> bool:
+        """Release *req*'s KV blocks and reset its cache; unless it is
+        terminal, ready it to re-prefill on its next owner and report
+        the move to *hook*.  Returns whether it was handed back."""
+        self.pool.release(req.rid)
+        req.cached = 0
+        if req.terminal:
+            return False
+        if req.state is not RequestState.QUEUED:
+            req.state = RequestState.PREEMPTED
+        req.failovers += 1
+        hook(req)
+        return True

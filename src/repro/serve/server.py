@@ -369,9 +369,9 @@ class ServeSimulator:
             self._schedule(st, now)
             if not st.decode_buf and not st.prefill_buf:
                 return self._unblock(st, now)
-            failed, sdc_hit, redo, silent = self._price(st, now)
-            self._apply(st, failed, redo, silent)
-            self._record(st, now, failed, sdc_hit)
+            fault = self._price(st, now)
+            self._apply(st, fault)
+            self._record(st, now, fault)
             return True
         finally:
             if prev is not None:
@@ -431,9 +431,8 @@ class ServeSimulator:
         waiting = st.waiting
         if len(waiting) > 1:
             st.waiting = waiting = self.scheduler.order_waiting(waiting)
-        res = self.resilience
-        budget = res.degrade.token_budget \
-            if st.degraded and res is not None and res.degrade is not None \
+        # only _degrade sets st.degraded, so the policy is there
+        budget = self.resilience.degrade.token_budget if st.degraded \
             else None
         plan = self.batcher.plan(st.running, waiting, token_budget=budget)
         decode = st.decode_buf
@@ -487,11 +486,12 @@ class ServeSimulator:
             "serving deadlock: no step schedulable and no "
             "future event can unblock it", snapshot=self._snapshot(st))
 
-    def _price(self, st, now) -> tuple:
+    def _price(self, st, now) -> str | None:
         """Price the step (the memoized cost model re-prices only the
         decode KV stream), stretch it by the straggler multiplier, draw
         step failure and silent data corruption, and advance the clock
-        by the step.  Returns ``(failed, sdc_hit, redo, silent)``."""
+        by the step.  Returns the step's fault: ``None``, ``"failed"``,
+        or an SDC outcome (``"corrected"``, ``"redo"``, ``"silent"``)."""
         chunks = st.chunk_buf
         del chunks[:]
         n_emit = len(st.decode_buf)
@@ -504,18 +504,18 @@ class ServeSimulator:
         for r in st.decode_buf:
             contexts.append(r.cached)
         dt = self.cost.step_seconds(chunks, contexts, n_emit)
-        failed = sdc_hit = redo = silent = False
+        fault = None
         fplan = self.faults
         if fplan is not None:
             mult = fplan.multiplier(now)   # stragglers stretch steps
             dt *= mult
-            failed = fplan.step_fails(st.steps, now)
+            if fplan.step_fails(st.steps, now):
+                fault = "failed"
             if mult != 1.0 and st.obs.metrics.enabled:
                 st.obs.inc("fault_injections", kind="straggler_step")
         sdc = self.sdc
-        if not failed and sdc is not None \
+        if fault is None and sdc is not None \
                 and sdc.step_corrupts(st.steps, now):
-            sdc_hit = True
             if st.obs.metrics.enabled:
                 st.obs.inc("fault_injections", kind="sdc")
             if self.resilience is not None:
@@ -523,24 +523,25 @@ class ServeSimulator:
                 # any token leaves the step
                 st.metrics.on_sdc_detected()
                 if sdc.correctable(st.steps):
-                    st.metrics.on_sdc_corrected()   # fixed in place
+                    st.metrics.on_sdc_corrected()
+                    fault = "corrected"   # fixed in place
                 else:
-                    redo = True   # roll back, recompute the step
+                    fault = "redo"        # roll back, recompute the step
             else:
-                silent = True     # undefended: tokens are tainted
+                fault = "silent"          # undefended: tokens are tainted
         st.now = st.metrics.now_s = now + dt
-        return failed, sdc_hit, redo, silent
+        return fault
 
-    def _apply(self, st, failed, redo, silent) -> None:
+    def _apply(self, st, fault) -> None:
         """Roll a lost step back, or taint and then commit its decode
         and prefill effects at the advanced clock."""
         now = st.now
         decode, prefill = st.decode_buf, st.prefill_buf
-        if failed or redo:
+        if fault in ("failed", "redo"):
             # transient step failure (or detected-uncorrectable SDC):
             # the wall time is spent but the work is lost — token
             # accounting rolls back, the blocks stay held for the redo
-            if failed:
+            if fault == "failed":
                 st.metrics.on_step_failure()
             else:
                 st.metrics.on_sdc_recomputed()
@@ -549,7 +550,7 @@ class ServeSimulator:
             for req, _, _ in prefill:
                 self.pool.roll_back_tokens(req.rid, req.cached)
             return
-        if silent:
+        if fault == "silent":
             # no defense: the corrupted output flows into every
             # request this step touched
             st.metrics.on_sdc_silent()
@@ -577,7 +578,7 @@ class ServeSimulator:
                 if req.done:
                     self._finish(st, req, now)
 
-    def _record(self, st, step_start, failed, sdc_hit) -> None:
+    def _record(self, st, step_start, fault) -> None:
         """Sample the step, mirror the pool gauge, emit the step span
         and enforce the step budget."""
         now, obs = st.now, st.obs
@@ -590,8 +591,9 @@ class ServeSimulator:
             obs.tracer.complete("step", step_start, now,
                                 track=self.step_track,
                                 decode=len(st.decode_buf),
-                                prefill=len(st.prefill_buf), failed=failed,
-                                sdc=sdc_hit)
+                                prefill=len(st.prefill_buf),
+                                failed=fault == "failed",
+                                sdc=fault not in (None, "failed"))
         st.steps += 1
         if st.steps > st.max_steps:
             raise StepBudgetError(

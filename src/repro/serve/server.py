@@ -232,7 +232,7 @@ class ServeSimulator:
         reqs = self._validate(requests) if validate and requests \
             else requests
         for req in reqs:
-            self._push(req)
+            self.push(req)
         return self
 
     def push(self, req) -> None:
@@ -240,12 +240,9 @@ class ServeSimulator:
         normally come in time order (O(1) append); failover re-routes
         may arrive late and are insertion-sorted into the un-admitted
         tail so admission order stays deterministic."""
-        if self._st is None:
-            raise ServeConfigError("push() called before begin()")
-        self._push(req)
-
-    def _push(self, req) -> None:
         st = self._st
+        if st is None:
+            raise ServeConfigError("push() called before begin()")
         res = self.resilience
         if res is not None and res.deadline_s is not None \
                 and req.deadline_s is None:
@@ -305,9 +302,7 @@ class ServeSimulator:
     def in_flight(self) -> int:
         """Queued + running requests currently owned by this replica."""
         st = self._st
-        if st is None:
-            return 0
-        return len(st.waiting) + len(st.running) + (len(st.reqs) - st.i)
+        return 0 if st is None else self.queue_depth + len(st.running)
 
     @property
     def live_metrics(self):

@@ -13,7 +13,7 @@ loops, ``kind`` and ``block_map``, a family supplies ``_blocks(*ops)``
 (its ``__call__`` operands as input and output arrays of blocks),
 ``_tpp_call`` (one call's TPPs), ``_tpp_batched`` / ``_epilogue`` where
 its body is not one bare BRGEMM, ``_layout_gate``, ``tensors`` /
-``_events`` / ``_key_fields`` / ``_columns_gate`` for the simulator, and
+``_slices`` / ``_events`` / ``_key_fields`` for the simulator, and
 ``_checksum`` / ``_correct`` for ABFT.
 """
 
@@ -159,51 +159,53 @@ class ParlooperKernel:
         """The flop count :meth:`predict` scores against."""
         return self.flops
 
-    #: why the family's ``_events`` cannot serve as call templates, which
-    #: keeps its traces on the interpreter capture
-    _columns_gate = ""
+    def _slices(self, m: BlockMap) -> tuple:
+        """The cache slices a call of block map *m* charges, one list of
+        coordinates per input: by default the blocks it reads."""
+        return m.reads
 
     def sim_body(self, machine: MachineModel, names=None):
-        """Simulator description of one body call, read off its block
-        map.  *names* relabel the tensors: an MLP layer passes its
-        weights and the activations it reads and writes, so the engine
-        sees one layer's output as the next layer's input.
+        """Simulator description of one body call, read off the slices
+        of its block map.  *names* relabel the tensors: an MLP layer
+        passes its weights and the activations it reads and writes, so
+        the engine sees one layer's output as the next layer's input.
 
-        Unless the family's ``_columns_gate`` says why not, the body
-        also carries ``call_columns(loop, tids)``, the same calls of
-        many threads at once, which the trace cache compiles without
-        running the nest (:mod:`repro.simulator.columns`)."""
+        The body also carries ``call_columns(loop, tids)``, the same
+        calls of many threads at once, which the trace cache compiles
+        without running the nest (:mod:`repro.simulator.columns`)."""
         names = names or self.tensors
 
         def body(ind):
             m = self.block_map(ind)
             keys = [[(t, *map(int, c)) for c in r]
-                    for t, r in zip(names, m.reads)]
+                    for t, r in zip(names, self._slices(m))]
             return self._events(machine, keys, (names[-1], *m.write),
                                 m.first, m.last)
-        if not self._columns_gate:
-            body.call_columns = partial(self._call_columns, machine, names)
+        body.call_columns = partial(self._call_columns, machine, names)
         return body
 
     def _call_columns(self, machine: MachineModel, names, loop,
                       tids) -> CallColumns:
         """The body calls of threads *tids* of *loop*: one enumeration of
         their indices, one block map over it, and one ``_events`` call
-        per call shape ``(first, last)``, with slot numbers for keys."""
+        per call shape ``(count, first, last)``, with slot numbers for
+        keys and each slice list cut to the call's ``count``."""
         inds, counts = enumerate_inds(loop.plan, loop.num_threads, tids)
         n = len(inds)
         m = self.block_map(inds.T)
         slots, reads = [], []
-        for t, r in zip(names, m.reads):
-            reads.append(list(range(len(slots), len(slots) + len(r))))
+        for t, r in zip(names, self._slices(m)):
+            reads.append(range(len(slots), len(slots) + len(r)))
             slots.extend((t, c) for c in r)
         slots.append((names[-1], m.write))
-        shapes, shape = np.unique(2 * np.broadcast_to(m.first, n)
+        count = max(map(len, reads)) if m.count is None else m.count
+        shapes, shape = np.unique(4 * np.broadcast_to(count, n)
+                                  + 2 * np.broadcast_to(m.first, n)
                                   + np.broadcast_to(m.last, n),
                                   return_inverse=True)
         templates = tuple(
-            self._events(machine, reads, len(slots) - 1, bool(s >> 1),
-                         bool(s & 1))
+            self._events(machine, [r[:s >> 2] for r in reads],
+                         len(slots) - 1, bool(s & 2), bool(s & 1))
             for s in shapes.tolist())
         return CallColumns(counts, shape, templates, tuple(slots))
 

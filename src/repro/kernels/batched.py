@@ -35,10 +35,6 @@ def batched_ok(kern) -> tuple:
     return batchable(loop.plan, loop.num_threads, loop.execution)
 
 
-#: the per-family names of the gate
-gemm_batched_ok = spmm_batched_ok = batched_ok
-
-
 def offer_final_tiles(injector, out, writes, lasts, inds) -> None:
     """Offer *injector* the output tile of each call that finishes its
     block, in call order, keyed by the call's body index: the one place

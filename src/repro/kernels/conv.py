@@ -71,7 +71,6 @@ class ParlooperConv(ParlooperKernel):
 
     kind = "conv"
     tensors = ("I", "Wt", "O")
-    _columns_gate = "_events merges input slices that share a row"
 
     def __init__(self, spec: ConvSpec, bc: int = 64, bk: int = 64,
                  w_step: int | None = None, c_step: int = 1,
@@ -187,13 +186,15 @@ class ParlooperConv(ParlooperKernel):
     def flops(self) -> int:
         return self.spec.flops
 
+    def _slices(self, m: BlockMap) -> tuple:
+        # input rows touched: one slice per (channel block, filter row),
+        # named by the first tap of each row
+        return [c[:3] for c in m.reads[0][::self.spec.S]], m.reads[1]
+
     def _events(self, machine, keys, o_key, first, last):
-        # input rows touched: one slice per (channel block, input row)
-        rows = list(dict.fromkeys(key[:4] for key in keys[0]))
         return brgemm_event(
             machine, self.dtype, self.w_step, self.bk, self.bc,
-            len(keys[1]), rows, keys[1], o_key, beta=1.0,
-            c_first_touch=first)
+            len(keys[1]), *keys, o_key, beta=1.0, c_first_touch=first)
 
     def _key_fields(self) -> tuple:
         return (self.spec, self.bc, self.bk, self.w_step, self.c_step,

@@ -17,8 +17,7 @@ import numpy as np
 
 from ..platform.machine import MachineModel
 from ..simulator.engine import SimResult, simulate_traces
-from ..simulator.reuse import compile_trace
-from ..simulator.trace import ThreadTrace
+from ..simulator.reuse import concat_traces
 from ..tpp.dtypes import DType
 from .base import _session
 from .common import unpack_c_blocked
@@ -134,28 +133,20 @@ class ParlooperMlp:
         """Simulate the full cascade as one run so activations written in
         layer l are the slices read in layer l+1 (core-to-core traffic).
 
-        Each layer's per-thread traces come from the session's (or the
-        default) trace cache; the merged traces are compiled for the
-        array replay.  The run reports into the same session's
-        observability scope."""
+        Each layer's compiled thread traces come from the session's (or
+        the default) trace cache, and each thread's layers are joined
+        with :func:`~repro.simulator.reuse.concat_traces`.  The run
+        reports into the same session's observability scope."""
         sess = _session(session)
         with sess.activate(), sess.obs.span(
                 "mlp_simulate", layers=len(self.layers),
                 machine=machine.name):
-            merged = None
-            for l, layer in enumerate(self.layers):
-                loop = layer.gemm.loop
-                body = self._layer_sim_body(l, machine)
-                key = layer.gemm._body_key(machine, self._names(l))
-                traces = [sess.trace_cache.thread_trace(loop, body, tid,
-                                                        body_key=key)
-                          for tid in range(loop.num_threads)]
-                if merged is None:
-                    # cached traces are shared: concatenate into fresh ones
-                    merged = [ThreadTrace(t.tid) for t in traces]
-                for t, extra in zip(merged, traces):
-                    t.events.extend(extra.events)
-            return simulate_traces([compile_trace(t) for t in merged],
+            layers = [sess.trace_cache.compiled_thread_traces(
+                layer.gemm.loop, self._layer_sim_body(l, machine),
+                range(layer.gemm.num_threads),
+                body_key=layer.gemm._body_key(machine, self._names(l)))
+                for l, layer in enumerate(self.layers)]
+            return simulate_traces(list(map(concat_traces, zip(*layers))),
                                    machine)
 
     def predict(self, machine: MachineModel, session=None,

@@ -33,7 +33,6 @@ class ParlooperSpmm(ParlooperKernel):
 
     kind = "spmm"
     tensors = ("Asp", "B", "C")
-    _columns_gate = "_events names A's slices after B's and C's keys"
 
     def __init__(self, a: BCSCMatrix, N: int, bn: int = 64,
                  dtype: DType = DType.F32, b_vnni: int = 1,
@@ -140,13 +139,15 @@ class ParlooperSpmm(ParlooperKernel):
         # predictions are scored in effective flops, like Fig 8
         return self.effective_flops
 
+    def _slices(self, m: BlockMap) -> tuple:
+        # A's blocks are named by (block row, block column), not by
+        # storage slot
+        return [(m.write[0], kc) for kc, _ in m.reads[1]], m.reads[1]
+
     def _events(self, machine, keys, c_key, first, last):
-        # A's slots are named by (block row, block column); an empty
-        # block row still stores its (zero) C block: beta = 0
-        a_keys = [("Asp", c_key[1], kc) for _, kc, _ in keys[1]]
+        # an empty block row still stores its (zero) C block: beta = 0
         return spmm_event(machine, self.dtype, self.a.bm, self.bn,
-                          self.a.bk, len(a_keys), a_keys, keys[1], c_key,
-                          beta=0.0)
+                          self.a.bk, len(keys[0]), *keys, c_key, beta=0.0)
 
     def _key_fields(self) -> tuple:
         return (self._a_token, self.N, self.bn, self.dtype)

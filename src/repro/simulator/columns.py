@@ -25,6 +25,7 @@ import numpy as np
 
 from ..core.batched import _ragged_arange
 from .reuse import _EMPTY, CompiledTrace, check_constant_footprints
+from .trace import BodyEvent
 
 __all__ = ["CallColumns", "compile_columns"]
 
@@ -33,7 +34,7 @@ class CallColumns(NamedTuple):
     """The body calls of some threads of a nest, as columns.
 
     Thread *t* makes ``counts[t]`` calls, in emission order, right after
-    thread ``t - 1``'s.  Call *c* takes the events of
+    thread ``t - 1``'s.  Call *c* takes the event, or the list of events,
     ``templates[shape[c]]``, whose access keys are slot numbers: slot
     *s* of call *c* is the slice ``(tensor, *(x[c] for x in coords))``
     of ``slots[s] = (tensor, coords)``, each coordinate a column over
@@ -94,7 +95,8 @@ def compile_columns(calls: CallColumns) -> list:
         return [CompiledTrace(*_EMPTY, 0, ()) for _ in range(n_threads)]
 
     # the templates as one table of events and one of their accesses
-    templates = [list(t) for t in calls.templates]
+    templates = [[t] if isinstance(t, BodyEvent) else list(t)
+                 for t in calls.templates]
     events = list(chain.from_iterable(templates))
     cols = [ev.columns for ev in events]
     sizes = np.array([len(c.keys) for c in cols], dtype=np.int64)

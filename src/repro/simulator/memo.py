@@ -1,9 +1,11 @@
 """Memoized trace capture: the one way the library captures the traces
 the perf model and the engine replay.
 
-Tracing a candidate means running the generated nest with a recording
-body — but the *trace content* only depends on the iteration order, not
-on which machine model replays it, and many candidates share an order:
+A kernel body's thread traces compile straight from its block map
+(:mod:`repro.simulator.columns`); any other body's are captured by
+running the generated nest with a recording body.  Either way the
+*trace content* only depends on the iteration order, not on which
+machine model replays it, and many candidates share an order:
 
 * spec strings differing only in barriers (``|``) visit identical
   per-thread iteration sequences, and
@@ -13,14 +15,12 @@ on which machine model replays it, and many candidates share an order:
 
 :class:`TraceCache` exploits both: a bounded, thread-safe LRU keyed by
 ``(body, loop declarations, normalized order, num_threads, tid)`` holding
-raw :class:`ThreadTrace` objects and their
-:class:`~repro.simulator.reuse.CompiledTrace` forms, which the engine and
-the perfmodel replay.  Tuning sweeps across several machine models — the
-paper tunes on four testbeds — then trace each candidate exactly once,
-and compile each distinct per-thread event sequence once: most
-candidates hand a sampled thread the same tiles in the same order.
-Kernel bodies skip the raw trace: the cache compiles their threads
-straight from the block map (:mod:`repro.simulator.columns`).
+the :class:`~repro.simulator.reuse.CompiledTrace` of each thread, which
+the engine and the perfmodel replay, and the raw flat traces of dynamic
+schedules.  Tuning sweeps across several machine models — the paper
+tunes on four testbeds — then trace each candidate exactly once, and
+compile each distinct per-thread event sequence once: most candidates
+hand a sampled thread the same tiles in the same order.
 
 Cached traces are shared: consumers must treat them as immutable.  The
 body function itself is the default cache-key component, so ``sim_body``
@@ -62,10 +62,9 @@ def _thread_order_key(spec: str) -> str:
 class TraceCache:
     """Bounded, thread-safe memo for per-thread and flat traces.
 
-    At most *max_entries* entries, least recently used out first; a
-    thread replayed from an interpreter capture takes two, its raw and
-    its compiled trace, and a column-captured one takes one.  Compiled
-    traces also count their accesses against
+    At most *max_entries* entries, one per captured thread or flat
+    trace, least recently used out first.  Compiled traces also count
+    their accesses against
     :attr:`MAX_COMPILED_ACCESSES`, which bounds their arrays (41 bytes
     per access) and the reuse memos they carry.  The cache holds a
     reuse memo only through the compiled traces that share it, so an
@@ -74,7 +73,7 @@ class TraceCache:
     pattern is replayed on.
 
     Compiled traces are shared by event sequence: every thread key whose
-    raw trace holds the same events gets the same compiled trace, with
+    capture holds the same events gets the same compiled trace, with
     its reuse memo.  A trace held by several entries counts against the
     access budget once, while any entry holds it."""
 
@@ -91,7 +90,7 @@ class TraceCache:
         #: pattern, whose reuse memo pattern-identical traces then share;
         #: weak, so an entry goes with its trace
         self._patterns = weakref.WeakValueDictionary()
-        #: tuple(raw.events) -> the compiled trace of those events; weak
+        #: tuple(events) -> the compiled trace of those events; weak
         #: like ``_patterns``, so an entry goes with the last cache entry
         #: holding its trace
         self._sequences = weakref.WeakValueDictionary()
@@ -212,21 +211,9 @@ class TraceCache:
                 _thread_order_key(loop.spec_string), loop.num_threads)
         return [(*base, tid) for tid in tids]
 
-    def thread_trace(self, loop: ThreadedLoop, sim_body, tid: int,
-                     body_key=None) -> ThreadTrace:
-        """The (cached) trace of thread *tid* of *loop*."""
-        return self._raw_thread_trace(
-            self._thread_keys(loop, sim_body, (tid,), body_key)[0], loop,
-            sim_body, tid, body_key)
-
-    def _raw_thread_trace(self, key, loop, sim_body, tid, body_key):
-        return self._get(
-            ("thread",) + key, lambda: trace_threaded_loop(
-                loop, self._memo_body(sim_body, body_key), tids=[tid])[0])
-
     def compiled_thread_trace(self, loop: ThreadedLoop, sim_body, tid: int,
                               body_key=None) -> CompiledTrace:
-        """Array-compiled form of :meth:`thread_trace` (also cached); see
+        """The (cached) compiled trace of thread *tid* of *loop*; see
         :meth:`compiled_thread_traces`."""
         return self.compiled_thread_traces(loop, sim_body, (tid,),
                                            body_key)[0]
@@ -241,11 +228,12 @@ class TraceCache:
         (:mod:`repro.simulator.columns`), with no raw trace; its idle
         tids share one empty trace.  Other bodies, and dynamic
         schedules, whose capture deals chunks round-robin, are captured
-        thread by thread and compiled from the raw trace.  Thread keys
-        whose raw traces hold the same event sequence — the idle tids of
-        any nest, or one tid under candidates that hand it the same
-        tiles — get one compiled trace, so each distinct sequence is
-        compiled and replayed once.
+        thread by thread through the interpreter and compiled at once,
+        keeping only the compiled trace.  Thread keys whose captures
+        hold the same event sequence — the idle tids of any nest, or one
+        tid under candidates that hand it the same tiles — get one
+        compiled trace, so each distinct sequence is compiled and
+        replayed once.
 
         Compiled traces with identical ``(key_ids, footprint)`` patterns
         — e.g. the tids of a data-parallel nest, which walk isomorphic
@@ -259,9 +247,9 @@ class TraceCache:
         if columns is None or loop.plan.parsed.schedule == "dynamic":
             return [self._get(
                 ("threadc",) + key,
-                lambda key=key, tid=tid: self._compile_once(
-                    self._raw_thread_trace(key, loop, sim_body, tid,
-                                           body_key)))
+                lambda tid=tid: self._compile_once(trace_threaded_loop(
+                    loop, self._memo_body(sim_body, body_key),
+                    tids=[tid])[0]))
                 for key, tid in zip(keys, tids)]
         found = [self._lookup(("threadc",) + key) for key in keys]
         todo = [i for i, ct in enumerate(found) if ct is None]
@@ -277,7 +265,7 @@ class TraceCache:
 
     def _compile_once(self, raw: ThreadTrace) -> CompiledTrace:
         """The compiled trace of *raw*'s event sequence, compiled on the
-        sequence's first request.
+        sequence's first request; the cache keeps no raw thread trace.
 
         The body memo makes events one object per ``ind``, and events
         are immutable, so sequences equal by identity hold equal events:

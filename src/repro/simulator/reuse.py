@@ -55,8 +55,8 @@ import numpy as np
 
 from .trace import ThreadTrace
 
-__all__ = ["CompiledTrace", "ReuseStats", "compile_trace", "hit_levels",
-           "stack_distances"]
+__all__ = ["CompiledTrace", "ReuseStats", "compile_trace", "concat_traces",
+           "hit_levels", "stack_distances"]
 
 
 @dataclass(frozen=True)
@@ -167,6 +167,30 @@ def compile_trace(trace: ThreadTrace) -> CompiledTrace:
         n_events=len(events),
         keys=keys,
     )
+
+
+def concat_traces(parts) -> CompiledTrace:
+    """The compiled trace of *parts*' events run one after another, array
+    for array what :func:`compile_trace` makes of the concatenated
+    events: each part's keys keep their first-occurrence order, and only
+    keys new to the run get new ids.  Raises :func:`compile_trace`'s
+    ``ValueError`` when a key's footprint differs between parts."""
+    def cat(field):
+        return np.concatenate([getattr(p, field) for p in parts])
+
+    index = dict.fromkeys(chain.from_iterable(p.keys for p in parts))
+    keys = tuple(index)
+    index = dict(zip(keys, range(len(keys))))
+    key_ids = np.concatenate([np.fromiter(
+        map(index.__getitem__, p.keys), np.int64, len(p.keys))[p.key_ids]
+        for p in parts])
+    footprint = cat("footprint")
+    check_constant_footprints(key_ids, footprint, keys, "mid-trace")
+    starts = np.cumsum([0] + [p.n_events for p in parts])
+    return CompiledTrace(
+        key_ids, cat("nbytes"), cat("cost_scale"), footprint, cat("write"),
+        np.concatenate([p.event_of + s for p, s in zip(parts, starts)]),
+        cat("compute_cycles"), cat("flops"), int(starts[-1]), keys)
 
 
 def check_constant_footprints(key_ids: np.ndarray, footprint: np.ndarray,

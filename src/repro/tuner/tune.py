@@ -77,8 +77,8 @@ def tune(kernel_or_specs, *, machine=None, sim_body=None,
     Parameters
     ----------
     kernel_or_specs:
-        A kernel (its ``loop``, ``sim_body(machine)``, ``flops`` and
-        ``num_threads``) or a list of
+        A kernel (its ``loop``, ``sim_body(machine)``, the flop count
+        its ``predict`` scores against and ``num_threads``) or a list of
         :class:`~repro.core.loop_spec.LoopSpecs` (then pass *sim_body*).
     machine:
         Target :class:`~repro.platform.machine.MachineModel` (required).
@@ -124,7 +124,7 @@ def tune(kernel_or_specs, *, machine=None, sim_body=None,
             # tunes hit the session trace cache
             sim_body = kernel._cached_sim_body(machine)
         if total_flops is None:
-            total_flops = float(getattr(kernel, "flops", 0)) or None
+            total_flops = float(getattr(kernel, "_score_flops", 0)) or None
         if num_threads is None:
             num_threads = kernel.num_threads
 

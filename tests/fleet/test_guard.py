@@ -7,9 +7,10 @@ from repro.fleet import (BreakerPolicy, CircuitBreaker, FleetSimulator,
                          PoissonTrace, RetryBudget, RetryBudgetPolicy,
                          make_guard_policy)
 from repro.fleet.guard import LEGAL_BREAKER_TRANSITIONS
-from repro.platform import cluster_preset
+from repro.platform import SPR, cluster_preset
 from repro.resilience import (FleetFaultPlan, ReplicaFault,
                               ResilienceConfig, check_fleet_invariants)
+from repro.serve.request import Request, RequestState
 from repro.workloads import LlmConfig
 
 TINY = LlmConfig("tiny", layers=4, hidden=256, heads=8, intermediate=1024,
@@ -189,3 +190,48 @@ class TestDefendedFleet:
         fleet, _ = defended
         for _, _, frm, to in fleet._defense.transitions():
             assert (frm, to) in LEGAL_BREAKER_TRANSITIONS
+
+
+class TestHedgeResolutions:
+    """One hedged request on two equally slowed replicas.  Its 2,048-token
+    prompt prefills in four 512-token chunks, each stretched x600: the
+    primary's chunk steps on replica 0 start at 0, 0.21, 0.54 and
+    0.97 s.  The first probe round (0.5 s) hedges it to replica 1, which
+    starts the clone's chunk steps at 0.50, 0.71 and 1.04 s, so the
+    primary is always the side nearer its first token."""
+
+    SLOW = FleetFaultPlan(seed=0, grays=tuple(
+        ReplicaFault(replica=r, at_s=0.0, kind="slowdown", until_s=100.0,
+                     value=600.0) for r in (0, 1)))
+    GUARD = GuardPolicy(hedge=HedgePolicy(initial_delay_s=0.5,
+                                          min_delay_s=0.5))
+
+    def _run(self, deadline_s):
+        fleet = FleetSimulator(
+            TINY, (SPR, SPR), faults=self.SLOW, mem_fraction=0.02,
+            resilience=ResilienceConfig(deadline_s=deadline_s,
+                                        degrade=None), guard=self.GUARD)
+        report = fleet.run([Request(rid=0, arrival_s=0.0,
+                                    prompt_tokens=2048, max_new_tokens=2)])
+        (rec,) = report.hedges
+        assert (rec.rid, rec.hedged_at_s, rec.from_replica,
+                rec.to_replica) == (0, 0.5, 0, 1)
+        # the clone was withdrawn from replica 1, its only request
+        clone_side = report.replica_reports[1].summary
+        assert (clone_side.n_submitted, clone_side.n_failed_over) == (1, 1)
+        assert check_fleet_invariants(fleet, report) == []
+        return report.requests[0], rec
+
+    def test_primary_wins_and_its_clone_is_withdrawn(self):
+        req, rec = self._run(deadline_s=60.0)
+        assert (rec.winner, rec.clone_state) == ("primary", "withdrawn")
+        assert req.state is RequestState.FINISHED
+        assert not rec.duplicate
+
+    def test_primary_timing_out_first_resolves_to_no_winner(self):
+        # the deadline passes during the primary's third chunk step:
+        # replica 0 reaps it at 0.97 s, before the clone's next step
+        req, rec = self._run(deadline_s=0.9)
+        assert (rec.winner, rec.clone_state) == ("none", "withdrawn")
+        assert req.state is RequestState.TIMED_OUT
+        assert req.first_token_s is None

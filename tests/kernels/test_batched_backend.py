@@ -12,7 +12,7 @@ import pytest
 from repro.core import LoopSpecs, ThreadedLoop
 from repro.core.batched import (BACKENDS, batchable, enumerate_inds,
                                 resolve_backend)
-from repro.kernels.batched import gemm_batched_ok, spmm_batched_ok
+from repro.kernels.batched import batched_ok
 from repro.kernels.conv import ConvSpec, ParlooperConv
 from repro.kernels.gemm import ParlooperGemm
 from repro.kernels.mlp import ParlooperMlp
@@ -231,7 +231,7 @@ class TestFallbackGates:
         a, b = ints((64, 64)), ints((64, 64))
         kw = dict(k_step=1, num_threads=2, flat_b=True)
         bat = ParlooperGemm(64, 64, 64, 32, 32, 32, backend="batched", **kw)
-        ok, reason = gemm_batched_ok(bat)
+        ok, reason = batched_ok(bat)
         assert not ok and "flat-B" in reason
         ref = ParlooperGemm(64, 64, 64, 32, 32, 32, **kw)
         assert np.array_equal(ref.run_flat(a, b), bat.run_flat(a, b))
@@ -241,7 +241,7 @@ class TestFallbackGates:
         amat = BCSCMatrix.from_dense(dense, 16, 16)
         bat = ParlooperSpmm(amat, 64, bn=16, dtype=DType.BF16, b_vnni=2,
                             num_threads=2, backend="batched")
-        ok, reason = spmm_batched_ok(bat)
+        ok, reason = batched_ok(bat)
         assert not ok and "VNNI" in reason
 
     def test_barrier_plan_not_batchable(self):

@@ -7,7 +7,10 @@ nest and compiling its events (``compile_trace(trace_threaded_loop(...))``,
 the oracle).  Every array must be ``array_equal`` with an equal dtype,
 and ``keys`` and ``n_events`` equal; a kernel's ``simulate`` and
 ``predict`` must be ``==`` to the same body wrapped in a plain function,
-which the cache captures through the interpreter.
+which the cache captures through the interpreter.  The MLP cascade joins
+its layers' compiled traces with
+:func:`~repro.simulator.reuse.concat_traces`, whose oracle is
+``compile_trace`` of the concatenated interpreter traces.
 """
 
 import random
@@ -20,15 +23,19 @@ import pytest
 
 from repro import Session
 from repro.core.errors import SpecError
+from repro.kernels.conv import ConvSpec, ParlooperConv
 from repro.kernels.gemm import ParlooperGemm
 from repro.kernels.mlp import ParlooperMlp
+from repro.kernels.spmm import ParlooperSpmm
 from repro.platform import ADL, SPR
 from repro.simulator import (TraceCache, bandwidth_event, compile_trace,
                              predict, simulate, trace_threaded_loop)
 from repro.simulator.columns import compile_columns
-from repro.simulator.reuse import CompiledTrace
-from repro.simulator.trace import _serialize_spec
+from repro.simulator.engine import simulate_traces
+from repro.simulator.reuse import CompiledTrace, concat_traces
+from repro.simulator.trace import ThreadTrace, _serialize_spec
 from repro.tpp.dtypes import DType
+from repro.tpp.sparse import BCSCMatrix
 from repro.verify import default_families
 from repro.verify.fuzz import _valid_case, default_case_count
 
@@ -70,7 +77,7 @@ def _check_results(kern, machine):
         simulate(kern.loop, body, machine), where
     assert kern.predict(machine, session=Session()) == \
         predict(kern.loop, body, machine,
-                total_flops=float(kern.flops)), where
+                total_flops=float(kern._score_flops)), where
 
 
 def _fuzz_kernel(family, spec, blocks, num_threads):
@@ -80,11 +87,8 @@ def _fuzz_kernel(family, spec, blocks, num_threads):
         return family.make(_serialize_spec(spec), blocks, None, "interp")
 
 
-GEMM_FAMILIES = [f for f in default_families() if f.name in ("gemm", "mlp")]
-
-
 @pytest.mark.fuzz
-@pytest.mark.parametrize("family", GEMM_FAMILIES, ids=lambda f: f.name)
+@pytest.mark.parametrize("family", default_families(), ids=lambda f: f.name)
 def test_fuzz_cases(family):
     rng = random.Random(f"column-capture:{family.name}")
     static = 0
@@ -128,17 +132,93 @@ def test_flat_b_gemm_scales_b_footprints():
     _check_results(kern, SPR)
 
 
+def test_conv_with_stride_and_folded_channels():
+    kern = ParlooperConv(ConvSpec(N=2, C=64, K=32, H=9, W=9, stride=2),
+                         bc=16, bk=16, c_step=2, spec_string="ACbdefg",
+                         num_threads=3)
+    _check_traces(kern, SPR)
+    for machine in (SPR, ADL):
+        _check_results(kern, machine)
+
+
+@pytest.mark.parametrize("dtype", [DType.F32, DType.BF16],
+                         ids=lambda d: d.name)
+def test_spmm_with_empty_and_ragged_block_rows(dtype):
+    dense = np.ones((64, 64), dtype=np.float32)
+    dense[:16] = 0.0                     # block row 0: no nonzero block
+    dense[16:32, 16:48] = 0.0            # block row 1: two of four
+    dense[48:, :48] = 0.0                # block row 3: one of four
+    for spec, nt in (("AB", 4), ("BA", 3), ("aB", 2)):
+        kern = ParlooperSpmm(BCSCMatrix.from_dense(dense, 16, 16), 64,
+                             bn=16, dtype=dtype, spec_string=spec,
+                             num_threads=nt)
+        _check_traces(kern, SPR)
+        _check_results(kern, SPR)
+
+
+def _merged_mlp_replay(mlp, machine):
+    """The cascade replayed from each thread's layers' interpreter
+    traces, concatenated event by event and compiled once."""
+    merged = None
+    for l, layer in enumerate(mlp.layers):
+        body = _plain(layer.gemm.sim_body(machine, mlp._names(l)))
+        traces = trace_threaded_loop(layer.gemm.loop, body)
+        if merged is None:
+            merged = [ThreadTrace(t.tid) for t in traces]
+        for t, extra in zip(merged, traces):
+            t.events.extend(extra.events)
+    return simulate_traces([compile_trace(t) for t in merged], machine)
+
+
+@pytest.mark.parametrize("spec", ["aBC", "bCa", "aBC @ schedule(dynamic, 1)"])
+def test_mlp_simulate(spec):
+    mlp = ParlooperMlp([128, 256, 64, 128], 64, bm=32, bn=32, bk=32,
+                       spec_string=spec, num_threads=4)
+    for machine in (SPR, ADL):
+        sess = Session()
+        want = _merged_mlp_replay(mlp, machine)
+        assert mlp.simulate(machine, session=sess) == want, machine.name
+        assert mlp.simulate(machine, session=sess) == want, machine.name
+
+
+def test_concat_traces_equals_compiling_the_concatenation():
+    kern = ParlooperGemm(128, 128, 256, 64, 64, 64, k_step=1,
+                         spec_string="aBC", num_threads=3)
+    body = _plain(kern.sim_body(SPR))
+    parts = [ThreadTrace(0, trace.events)
+             for trace in trace_threaded_loop(kern.loop, body)]
+    parts.insert(1, ThreadTrace(0))      # an idle part
+    whole = ThreadTrace(0, [ev for t in parts for ev in t.events])
+    _assert_same(concat_traces([compile_trace(t) for t in parts]),
+                 compile_trace(whole), "concat")
+
+
+def test_concat_traces_raises_on_a_footprint_change_across_parts():
+    narrow = ThreadTrace(0, [bandwidth_event(("C", 0, 0), 64)])
+    wide = ThreadTrace(0, [bandwidth_event(("D", 1), 8),
+                           bandwidth_event(("C", 0, 0), 128)])
+    with pytest.raises(ValueError) as want:
+        compile_trace(ThreadTrace(0, narrow.events + wide.events))
+    with pytest.raises(ValueError, match=r"\('C', 0, 0\)") as got:
+        concat_traces([compile_trace(narrow), compile_trace(wide)])
+    assert str(got.value) == str(want.value)
+
+
 def test_mlp_predict():
-    def mlp(gate=""):
-        m = ParlooperMlp([256, 128, 256], 128, num_threads=8)
+    def plain_layers(m):
         for layer in m.layers:
-            layer.gemm._columns_gate = gate
+            gemm = layer.gemm
+            gemm.sim_body = lambda machine, names=None, g=gemm: _plain(
+                ParlooperGemm.sim_body(g, machine, names))
         return m
 
     for machine in (SPR, ADL):
         sess = Session()
-        assert mlp().predict(machine, session=sess) == \
-            mlp("interpreter").predict(machine, session=Session())
+        mlp = ParlooperMlp([256, 128, 256], 128, num_threads=8)
+        plain = plain_layers(ParlooperMlp([256, 128, 256], 128,
+                                          num_threads=8))
+        assert mlp.predict(machine, session=sess) == \
+            plain.predict(machine, session=Session())
         (capture, *_) = sess.tracer.spans("trace_capture")
         assert dict(capture.args)["kind"] == "columns"
 

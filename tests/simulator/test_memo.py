@@ -25,15 +25,23 @@ def _body(ind):
                      flops=100.0, flops_per_cycle=2.0)
 
 
+def _inds(loop, tid) -> tuple:
+    """The body indices thread *tid* of *loop* runs, in order: equal
+    index sequences of the pure ``_body`` are equal event sequences."""
+    (trace,) = trace_threaded_loop(loop, _body, tids=[tid],
+                                   record_inds=True)
+    return tuple(ev.ind for ev in trace.events)
+
+
 class TestCounters:
     def test_hit_miss_accounting(self):
         cache = TraceCache()
         loop = ThreadedLoop(SPECS, "aB", num_threads=2)
-        cache.thread_trace(loop, _body, 0)
+        cache.compiled_thread_trace(loop, _body, 0)
         assert (cache.hits, cache.misses) == (0, 1)
-        cache.thread_trace(loop, _body, 0)
+        cache.compiled_thread_trace(loop, _body, 0)
         assert (cache.hits, cache.misses) == (1, 1)
-        cache.thread_trace(loop, _body, 1)
+        cache.compiled_thread_trace(loop, _body, 1)
         assert (cache.hits, cache.misses) == (1, 2)
         st = cache.stats()
         assert st["hits"] == 1 and st["misses"] == 2 and st["entries"] == 2
@@ -41,14 +49,14 @@ class TestCounters:
     def test_identical_traces_returned(self):
         cache = TraceCache()
         loop = ThreadedLoop(SPECS, "aB", num_threads=2)
-        t1 = cache.thread_trace(loop, _body, 0)
-        t2 = cache.thread_trace(loop, _body, 0)
+        t1 = cache.compiled_thread_trace(loop, _body, 0)
+        t2 = cache.compiled_thread_trace(loop, _body, 0)
         assert t1 is t2
 
     def test_clear(self):
         cache = TraceCache()
         loop = ThreadedLoop(SPECS, "ab", num_threads=1)
-        cache.thread_trace(loop, _body, 0)
+        cache.compiled_thread_trace(loop, _body, 0)
         cache.clear()
         assert len(cache) == 0 and cache.hits == 0 and cache.misses == 0
 
@@ -56,12 +64,12 @@ class TestCounters:
         cache = TraceCache(max_entries=2)
         for spec in ("ab", "ba", "aB"):
             loop = ThreadedLoop(SPECS, spec, num_threads=1)
-            cache.thread_trace(loop, _body, 0)
+            cache.compiled_thread_trace(loop, _body, 0)
         assert len(cache) == 2
         # the oldest ("ab") entry was evicted: re-tracing misses
         misses = cache.misses
-        cache.thread_trace(ThreadedLoop(SPECS, "ab", num_threads=1),
-                           _body, 0)
+        cache.compiled_thread_trace(
+            ThreadedLoop(SPECS, "ab", num_threads=1), _body, 0)
         assert cache.misses == misses + 1
 
     def test_compiled_accesses_bounded(self):
@@ -72,13 +80,22 @@ class TestCounters:
         loop = ThreadedLoop(SPECS, "aB", num_threads=2)
         assert cache.compiled_thread_trace(loop, _body, 0).n_accesses == 16
         cache.compiled_thread_trace(loop, _body, 1)
-        # tid 0's raw and compiled entries went; tid 1's stay
-        assert len(cache) == 2
+        # tid 0's entry went; tid 1's stays
+        assert len(cache) == 1
         misses = cache.misses
         cache.compiled_thread_trace(loop, _body, 1)
         assert cache.misses == misses
         cache.compiled_thread_trace(loop, _body, 0)
-        assert cache.misses == misses + 2
+        assert cache.misses == misses + 1
+
+    def test_hand_written_body_files_one_entry_per_thread(self):
+        """A body without ``call_columns`` is captured by running the
+        nest, and each thread files only its compiled trace."""
+        cache = TraceCache()
+        loop = ThreadedLoop(SPECS, "aB", num_threads=2)
+        traces = cache.compiled_thread_traces(loop, _body, range(2))
+        assert len(cache) == cache.misses == 2
+        assert all(t.n_events == 8 for t in traces)
 
     def test_max_entries_validated(self):
         with pytest.raises(ValueError):
@@ -92,9 +109,9 @@ class TestKeySharing:
         plain = ThreadedLoop(SPECS, "Ba", num_threads=2)
         barred = ThreadedLoop(SPECS, "B|a", num_threads=2,
                               execution="threads")
-        t0 = cache.thread_trace(plain, _body, 0)
+        t0 = cache.compiled_thread_trace(plain, _body, 0)
         assert cache.misses == 1
-        t0b = cache.thread_trace(barred, _body, 0)
+        t0b = cache.compiled_thread_trace(barred, _body, 0)
         assert cache.hits == 1 and t0b is t0
 
     def test_serialized_order_shares_flat_traces(self):
@@ -121,8 +138,10 @@ class TestKeySharing:
     def test_body_key_overrides_identity(self):
         cache = TraceCache()
         loop = ThreadedLoop(SPECS, "ab", num_threads=1)
-        cache.thread_trace(loop, lambda ind: _body(ind), 0, body_key="k1")
-        cache.thread_trace(loop, lambda ind: _body(ind), 0, body_key="k1")
+        cache.compiled_thread_trace(loop, lambda ind: _body(ind), 0,
+                                    body_key="k1")
+        cache.compiled_thread_trace(loop, lambda ind: _body(ind), 0,
+                                    body_key="k1")
         assert cache.hits == 1
 
 
@@ -191,7 +210,7 @@ class TestPatternSharing:
         cache = TraceCache(max_entries=1)
         loop = ThreadedLoop(SPECS, "Ba", num_threads=2)
         cache.compiled_thread_trace(loop, _body, 0).reuse_memo["probe"] = 1
-        cache.thread_trace(loop, _body, 1)      # evicts the compiled trace
+        cache.flat_trace(loop, _body)           # evicts the compiled trace
         c1 = cache.compiled_thread_trace(loop, _body, 1)
         assert "probe" not in c1.reuse_memo
         # while a trace of the pattern lives, the memo is shared
@@ -227,7 +246,7 @@ class TestSequenceSharing:
         for loop in self._loops():
             for tid in range(8):
                 cache.compiled_thread_trace(loop, _body, tid)
-        distinct = {tuple(cache.thread_trace(loop, _body, tid).events)
+        distinct = {_inds(loop, tid)
                     for loop in self._loops() for tid in range(8)}
         assert len(distinct) == 9      # 4 + 4 tile sequences, 1 empty
         assert len(compiles) == len(distinct)
@@ -241,7 +260,7 @@ class TestSequenceSharing:
             cache.compiled_thread_trace(ba, _body, 1)
         assert cache.compiled_thread_trace(ab, _body, 1) is not \
             cache.compiled_thread_trace(ab, _body, 2)
-        assert cache.misses == 10       # 5 thread keys, raw + compiled
+        assert cache.misses == 5        # 5 thread keys, one entry each
 
     def test_compiled_trace_goes_with_its_entries(self, compiles):
         """The cache holds a shared compiled trace only through its
@@ -250,12 +269,12 @@ class TestSequenceSharing:
         cache = TraceCache(max_entries=2)
         ab, ba, a_b, b_a = self._loops()
         cache.compiled_thread_trace(ab, _body, 0).reuse_memo["probe"] = 1
-        # evicts "Ab"'s entries; "bA"'s compiled entry holds the trace
+        # "Ab"'s and "bA"'s entries both hold the trace
         assert "probe" in cache.compiled_thread_trace(ba, _body, 0) \
             .reuse_memo
         assert len(compiles) == 1
-        cache.thread_trace(a_b, _body, 0)
-        cache.thread_trace(b_a, _body, 0)       # evicts "bA"'s entries
+        cache.flat_trace(a_b, _body)
+        cache.flat_trace(b_a, _body)            # evicts both entries
         assert "probe" not in cache.compiled_thread_trace(ab, _body, 0) \
             .reuse_memo
         assert len(compiles) == 2
@@ -276,15 +295,25 @@ class TestSequenceSharing:
                     assert cache.compiled_thread_trace(
                         loop, _body, tid).n_accesses == one
         assert len(compiles) == 2
-        assert len(cache) == 20             # 10 thread keys, raw + compiled
+        assert len(cache) == 10             # 10 thread keys, one entry each
 
     @pytest.mark.parametrize("round_", range(5))
     def test_threads_racing_on_one_cache_share_one_trace(self, round_):
         """Threads sweeping one cache in different orders still get one
-        compiled trace per distinct event sequence."""
+        compiled trace per distinct event sequence, and one per thread
+        key."""
         cache = TraceCache()
         keys = [(loop, tid) for loop in self._loops() for tid in range(8)]
         got = []
+        by_sequence = {}
+        compile_once = cache._compile_once
+
+        def recording(raw):
+            ct = compile_once(raw)
+            by_sequence.setdefault(tuple(raw.events), set()).add(id(ct))
+            return ct
+
+        cache._compile_once = recording
 
         def sweep(seed):
             order = keys[:]
@@ -306,10 +335,10 @@ class TestSequenceSharing:
             sys.setswitchinterval(interval)
         assert not any(w.is_alive() for w in workers)
         assert len(got) == 8 * len(keys)
-        by_sequence = {}
+        by_key = {}
         for loop, tid, ct in got:
-            seq = tuple(cache.thread_trace(loop, _body, tid).events)
-            by_sequence.setdefault(seq, set()).add(id(ct))
+            by_key.setdefault((id(loop), tid), set()).add(id(ct))
+        assert all(len(ids) == 1 for ids in by_key.values())
         # racing body-memo misses may build one event twice, so there can
         # be more than the 9 sequences of a serial sweep
         assert all(len(ids) == 1 for ids in by_sequence.values())
@@ -384,7 +413,7 @@ class TestConsumers:
         oracle = simulate_traces_lru(trace_threaded_loop(loop, _body), SPR)
         assert simulate(loop, _body, SPR) == oracle
         assert simulate(loop, _body, SPR, trace_cache=cache) == oracle
-        # perfmodel replays the same cached raw traces
+        # perfmodel replays the same cached compiled traces
         hits = cache.hits
         predict(loop, _body, SPR, trace_cache=cache)
         assert cache.hits > hits

@@ -337,9 +337,12 @@ class TestCompiledTrace:
     def test_round_trip_fields(self):
         specs, body = _gemm_workload()
         loop = ThreadedLoop(specs, "bca", num_threads=2)
-        raw = TraceCache().thread_trace(loop, body, 0)
+        (raw,) = trace_threaded_loop(loop, body, tids=[0])
         ct = compile_trace(raw)
         assert isinstance(ct, CompiledTrace)
+        cached = TraceCache().compiled_thread_trace(loop, body, 0)
+        assert cached.keys == ct.keys
+        assert np.array_equal(cached.key_ids, ct.key_ids)
         assert ct.n_events == len(raw.events)
         assert ct.n_accesses == sum(len(e.accesses) for e in raw.events)
         assert ct.total_flops == raw.flops

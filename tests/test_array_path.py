@@ -13,11 +13,10 @@ Guards for the array path:
 * No static-schedule replay reaches an ``OrderedDict`` LRU, and no
   library function calls the scalar oracles ``predict_traces`` and
   ``simulate_traces_lru``: they are the tests' references.
-* GEMM pricing runs no nest: a cold ``OpCostModel.gemm_seconds``,
-  ``ParlooperGemm.simulate`` / ``.predict`` and ``ParlooperMlp.predict``
-  compile their traces from the block map, with ``trace_threaded_loop``
-  rebound to raise.  Conv, SpMM and ``ParlooperMlp.simulate`` still
-  capture through the interpreter.
+* Kernel pricing runs no nest: a cold ``OpCostModel.gemm_seconds``,
+  ``simulate`` / ``predict`` of GEMM, conv and SpMM on static schedules,
+  and ``ParlooperMlp.simulate`` / ``.predict`` compile their traces from
+  the block map, with ``trace_threaded_loop`` rebound to raise.
 """
 
 import ast
@@ -137,11 +136,16 @@ def _sparse_kernels():
                           bn=16, num_threads=4)]
 
 
-def test_gemm_pricing_runs_no_nest(monkeypatch):
+def _refuse_nests(monkeypatch) -> None:
     def refuse(*args, **kwargs):
-        raise AssertionError("a GEMM trace was captured by running a nest")
+        raise AssertionError("a kernel trace was captured by running a "
+                             "nest")
 
     _rebind(monkeypatch, trace.trace_threaded_loop, refuse)
+
+
+def test_gemm_pricing_runs_no_nest(monkeypatch):
+    _refuse_nests(monkeypatch)
     # cold: the cost model prices through the default session's cache
     monkeypatch.setattr(default_session(), "trace_cache", TraceCache())
     assert OpCostModel(SPR, num_threads=8).gemm_seconds(
@@ -154,17 +158,10 @@ def test_gemm_pricing_runs_no_nest(monkeypatch):
     assert mlp.predict(SPR, session=Session()).seconds > 0
 
 
-def test_other_families_capture_through_the_interpreter(monkeypatch):
-    captured = []
-    original = trace.trace_threaded_loop
-
-    def counting(loop, sim_body, *args, **kwargs):
-        captured.append(loop)
-        return original(loop, sim_body, *args, **kwargs)
-
-    _rebind(monkeypatch, original, counting)
-    for kern in [*_sparse_kernels(),
-                 ParlooperMlp([128, 128, 128], 64, num_threads=4)]:
-        n = len(captured)
+def test_conv_spmm_and_mlp_simulate_run_no_nest(monkeypatch):
+    _refuse_nests(monkeypatch)
+    for kern in _sparse_kernels():
         assert kern.simulate(SPR, session=Session()).seconds > 0
-        assert len(captured) > n, type(kern).__name__
+        assert kern.predict(SPR, session=Session()).seconds > 0
+    mlp = ParlooperMlp([128, 128, 128], 64, num_threads=4)
+    assert mlp.simulate(SPR, session=Session()).seconds > 0

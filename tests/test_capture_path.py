@@ -8,8 +8,9 @@ traces with barrier, chunk and index markers that performance replay
 never sees.  Kernel bodies that describe their calls as columns are
 compiled without running the nest, by
 :func:`~repro.simulator.columns.compile_columns`, which only the cache
-calls too.  These :mod:`ast` checks pin that: a new direct call
-elsewhere in ``src/repro`` is a second capture path.
+calls too, and only the cache compiles an interpreter capture
+(``compile_trace``).  These :mod:`ast` checks pin that: a new direct
+call elsewhere in ``src/repro`` is a second capture path.
 """
 
 import ast
@@ -45,9 +46,16 @@ def test_only_the_trace_cache_captures_performance_traces():
     assert set(callers) == CAPTURE_CALLERS
 
 
+def _callers(name: str) -> set:
+    return {path.relative_to(SRC).as_posix()
+            for path in sorted(SRC.rglob("*.py"))
+            if any(_calls(ast.parse(path.read_text(), filename=str(path)),
+                          name))}
+
+
 def test_only_the_trace_cache_compiles_columns():
-    callers = {path.relative_to(SRC).as_posix()
-               for path in sorted(SRC.rglob("*.py"))
-               if any(_calls(ast.parse(path.read_text(), filename=str(path)),
-                             "compile_columns"))}
-    assert callers == {"simulator/memo.py"}
+    assert _callers("compile_columns") == {"simulator/memo.py"}
+
+
+def test_only_the_trace_cache_compiles_interpreter_traces():
+    assert _callers("compile_trace") == {"simulator/memo.py"}

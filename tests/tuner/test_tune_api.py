@@ -3,6 +3,7 @@
 from collections import Counter
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import repro
@@ -11,10 +12,14 @@ from repro import ParlooperGemm
 from repro.core import LoopSpecs
 from repro.core.cache import global_nest_cache
 from repro.platform import SPR
+from repro.kernels.conv import ConvSpec, ParlooperConv
+from repro.kernels.spmm import ParlooperSpmm
 from repro.simulator.memo import TraceCache
+from repro.tpp.sparse import BCSCMatrix
 from repro.tuner import (EvalCache, Evaluator, TuneOutcome, TuneReport,
                          TuningConstraints, generate_candidates,
                          perfmodel_evaluator, search, tune)
+from repro.tuner.generator import Candidate
 
 CONS = TuningConstraints({"a": 1, "b": 2, "c": 2}, frozenset({"b", "c"}),
                          max_candidates=60)
@@ -75,6 +80,26 @@ class TestExhaustiveParity:
     def test_unknown_evaluator_rejected(self):
         with pytest.raises(ValueError, match="evaluator"):
             tune(gemm(), machine=SPR, constraints=CONS, evaluator="vibes")
+
+    @pytest.mark.parametrize("family", ["gemm", "conv", "spmm"])
+    def test_kernel_scores_like_its_own_predict(self, family):
+        """A kernel's own spec scores in tune() as in its predict: both
+        count the flops predict scores against (SpMM's effective ones),
+        not flops extrapolated from the sampled threads."""
+        rng = np.random.default_rng(7)
+        keep = np.kron(rng.random((16, 16)) < 0.3, np.ones((32, 32)))
+        k = {"gemm": gemm,
+             "conv": lambda: ParlooperConv(
+                 ConvSpec(N=2, C=64, K=64, H=10, W=10), bc=32, bk=32,
+                 num_threads=16),
+             "spmm": lambda: ParlooperSpmm(
+                 BCSCMatrix.from_dense(keep.astype(np.float32), 32, 32),
+                 512, num_threads=16)}[family]()
+        own = Candidate(k.spec_string, ((),) * len(k.loop.specs))
+        report = tune(k, machine=SPR, candidates=[own],
+                      trace_cache=TraceCache())
+        assert report.best.score == \
+            k.predict(SPR, sample_threads=4).score
 
 
 class TestStrategies:

@@ -187,8 +187,8 @@ class ParlooperConv(ParlooperKernel):
         return self.spec.flops
 
     def _slices(self, m: BlockMap) -> tuple:
-        # input rows touched: one slice per (channel block, filter row),
-        # named by the first tap of each row
+        # one input-row slice per (channel block, filter row): the
+        # row's first tap without its column
         return [c[:3] for c in m.reads[0][::self.spec.S]], m.reads[1]
 
     def _events(self, machine, keys, o_key, first, last):

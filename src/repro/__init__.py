@@ -41,7 +41,7 @@ from .tuner import TuneReport, TuningConstraints
 from .verify import (check_coverage, detect_races, run_fuzz, verify_nest,
                      VerificationError)
 
-__version__ = "1.14.0"
+__version__ = "1.15.0"
 
 __all__ = [
     # facade

@@ -40,7 +40,8 @@ from .codegen import GeneratedNest, compile_nest, compile_source
 from .loop_spec import LoopSpecs
 from .plan import LoopNestPlan, build_plan, plan_key
 
-__all__ = ["NestCache", "global_nest_cache", "quarantine_corrupt"]
+__all__ = ["NestCache", "global_nest_cache", "quarantine_corrupt",
+           "write_json_atomic", "load_json_object"]
 
 _MISSING = object()
 
@@ -61,6 +62,45 @@ def quarantine_corrupt(path: str) -> str:
         quarantined = f"{path}.corrupt.{n}"
     os.replace(path, quarantined)
     return quarantined
+
+
+def write_json_atomic(path: str, payload: str) -> str:
+    """Replace *path* with the JSON text *payload* through a temp file in
+    the same directory and ``os.replace``, so a reader sees the old file
+    or the new one, never a torn write.  Returns *path*."""
+    directory = os.path.dirname(os.path.abspath(path))
+    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+    return path
+
+
+def load_json_object(path: str, what: str) -> dict:
+    """The JSON object persisted at *path*.
+
+    A corrupt file (truncated write, bad JSON, or a payload that is not
+    a JSON object) is quarantined (:func:`quarantine_corrupt`) with a
+    warning naming *what* was loaded, and an empty dict comes back, so
+    the run starts from an empty cache instead of crashing."""
+    try:
+        with open(path) as fh:
+            loaded = json.load(fh)
+        if not isinstance(loaded, dict):
+            raise ValueError(
+                f"expected a JSON object, got {type(loaded).__name__}")
+    except (json.JSONDecodeError, ValueError, UnicodeDecodeError) as exc:
+        quarantined = quarantine_corrupt(path)
+        warnings.warn(
+            f"{what} at {path} is corrupt ({exc}); moved to "
+            f"{quarantined} and starting empty", stacklevel=3)
+        return {}
+    return loaded
 
 
 class NestCache:
@@ -157,17 +197,7 @@ class NestCache:
             obs.inc("cache_events", cache="nest", kind="persist")
         with self._lock:
             payload = json.dumps(self._sources, indent=0, sort_keys=True)
-        directory = os.path.dirname(os.path.abspath(path))
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(payload)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
-        return path
+        return write_json_atomic(path, payload)
 
     def load(self, path: str) -> int:
         """Merge persisted sources from *path*; returns how many.
@@ -177,18 +207,7 @@ class NestCache:
         renamed to ``<path>.corrupt`` (``.corrupt.N`` when earlier
         evidence exists) with a warning — and the cache starts empty
         instead of crashing the run."""
-        try:
-            with open(path) as fh:
-                loaded = json.load(fh)
-            if not isinstance(loaded, dict):
-                raise ValueError(
-                    f"expected a JSON object, got {type(loaded).__name__}")
-        except (json.JSONDecodeError, ValueError, UnicodeDecodeError) as exc:
-            quarantined = quarantine_corrupt(path)
-            warnings.warn(
-                f"nest cache at {path} is corrupt ({exc}); moved to "
-                f"{quarantined} and starting empty", stacklevel=2)
-            return 0
+        loaded = load_json_object(path, "nest cache")
         with self._lock:
             self._sources.update(loaded)
         return len(loaded)

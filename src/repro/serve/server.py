@@ -354,7 +354,10 @@ class ServeSimulator:
             if res is not None:
                 self._reap(st, st.running + st.waiting, now)
             if not st.waiting and not st.running:
-                nxt = self._next_event(st, now)
+                # idle: only an arrival or a retry brings work; a fault
+                # boundary changes nothing here but the makespan
+                nxt = min((t for t in st.queued_times() if t > now),
+                          default=None)
                 if nxt is None:
                     return False           # everything already terminal
                 st.now = nxt

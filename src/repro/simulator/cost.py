@@ -59,7 +59,7 @@ def brgemm_event(machine: MachineModel, dtype: DType,
     misses (flat B with large power-of-two leading dimension, §V-A1).
     """
     nb = dtype.nbytes
-    cfg = dispatch_brgemm(machine.isa_for(dtype), dtype, bm, bn, bk, brcount)
+    cfg = dispatch_brgemm(machine.isa_for(dtype), dtype, bm, bn, bk)
     a_bytes = bm * bk * nb
     b_bytes = bk * bn * nb
     c_bytes = bm * bn * nb
@@ -87,8 +87,7 @@ def spmm_event(machine: MachineModel, dtype: DType,
     block's K depth), so small blocks pay the systolic-underfill penalty.
     """
     nb = dtype.nbytes
-    cfg = dispatch_brgemm(machine.isa_for(dtype), dtype, bm, bn, bk,
-                          max(1, nnz_blocks))
+    cfg = dispatch_brgemm(machine.isa_for(dtype), dtype, bm, bn, bk)
     c_bytes = bm * bn * nb
     c_read = beta != 0.0
     return _event(

@@ -1,8 +1,14 @@
 """Tensor Processing Primitives (TPP): a compact, versatile set of 2D-tensor
 operators (Georganas et al. SC'21), reproduced functionally in NumPy with a
-platform-specific backend-configuration layer."""
+platform-specific backend-configuration layer.
 
-from .base import TPP, TPPSignature, bytes_of, flops_of
+A TPP holds its shape, its precision and its arithmetic.  The 2D-block
+operators share :class:`~repro.tpp.base.BlockTPP`, which validates the
+``(m, n)`` block once; BRGEMM, GEMM and Block-SpMM take three block dims.
+What a call costs is not a TPP's business: the event builders of
+:mod:`repro.simulator.cost` price it."""
+
+from .base import TPP
 from .binary import (AddTPP, BiasAddColTPP, BiasAddTPP, BinaryTPP, DivTPP,
                      MaxTPP, MinTPP, MulAddTPP, MulTPP, ScaleTPP, SubTPP)
 from .dropout import DropoutBwdTPP, DropoutTPP
@@ -24,7 +30,7 @@ from .unary import (BroadcastColTPP, BroadcastRowTPP, CopyTPP, ExpTPP,
                     TanhTPP, UnaryTPP, ZeroTPP)
 
 __all__ = [
-    "TPP", "TPPSignature", "bytes_of", "flops_of",
+    "TPP",
     "DType", "Precision", "bf16_round", "from_compute", "to_compute",
     "is_bf16_representable", "tolerance_for",
     "Ptr",

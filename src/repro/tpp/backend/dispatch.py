@@ -59,10 +59,13 @@ def global_dispatch_cache() -> DispatchCache:
 
 
 def dispatch_brgemm(isa: ISA, dtype: DType, bm: int, bn: int, bk: int,
-                    brcount: int = 1,
                     cache: DispatchCache | None = None) -> MicrokernelConfig:
-    """Dispatch a BRGEMM microkernel, reusing the cache on repeat shapes."""
+    """Dispatch a BRGEMM microkernel, reusing the cache on repeat shapes.
+
+    The key is what selects the microkernel: ISA, dtype and block shape.
+    The batch-reduce count is a call-time argument (Listing 1), so it
+    selects nothing."""
     c = cache if cache is not None else _GLOBAL
-    key = ("brgemm", isa, dtype, bm, bn, bk, brcount)
+    key = ("brgemm", isa, dtype, bm, bn, bk)
     return c.get_or_build(
-        key, lambda: configure_microkernel(isa, dtype, bm, bn, bk, brcount))
+        key, lambda: configure_microkernel(isa, dtype, bm, bn, bk))

@@ -91,9 +91,9 @@ def _vector_efficiency(spec: IsaSpec, dtype: DType, bm: int, bn: int,
     return best
 
 
-def configure_microkernel(isa: ISA, dtype: DType, bm: int, bn: int, bk: int,
-                          brcount: int = 1) -> MicrokernelConfig:
-    """Pick the microkernel for a (bm, bn, bk) x brcount BRGEMM.
+def configure_microkernel(isa: ISA, dtype: DType, bm: int, bn: int, bk: int
+                          ) -> MicrokernelConfig:
+    """Pick the microkernel for a (bm, bn, bk) BRGEMM.
 
     This is the reproduction's stand-in for LIBXSMM's JIT: the same inputs
     that select an assembly kernel there select an efficiency model here.

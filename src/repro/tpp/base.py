@@ -4,44 +4,28 @@ A TPP is a *virtual tensor ISA* operator on 2D tensors (Georganas et al.,
 SC'21; §I of the IPDPS'24 paper).  The specification is platform-agnostic;
 the implementation is platform-specific.  In this reproduction the
 functional implementation is NumPy and the "platform-specific" part is the
-backend configuration layer (:mod:`repro.tpp.backend`) which records the
-microkernel decisions (vector width, register blocking, accumulation chain)
-that the simulator charges for.
+backend configuration layer (:mod:`repro.tpp.backend`), which picks the
+microkernel (vector width, register blocking, accumulation chain) for a
+contraction shape.
 
 Every TPP follows the paper's usage pattern: construct once with shapes and
 precisions (this is when LIBXSMM would JIT code), then invoke many times on
-tensor blocks.  Construction cost is amortised exactly as in the paper via
-the dispatch cache in :mod:`repro.tpp.backend.dispatch`.
+tensor blocks.  A TPP holds its shape, its precision and its arithmetic;
+what a call costs on a machine is described once, by the event builders of
+:mod:`repro.simulator.cost`, which price BRGEMMs through the dispatch cache
+in :mod:`repro.tpp.backend.dispatch`.
 """
 
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
 from .dtypes import Precision, from_compute, to_compute
 
-__all__ = ["TPP", "TPPSignature", "flops_of", "bytes_of"]
-
-
-@dataclass(frozen=True)
-class TPPSignature:
-    """Hashable identity of a TPP instance — the JIT-cache key.
-
-    Mirrors ``libxsmm_*_shape`` + flags: kernels are generated per (shape,
-    precision, flags) tuple and cached.
-    """
-
-    name: str
-    shape: tuple
-    precision: Precision
-    flags: tuple = ()
-
-    def cache_key(self) -> tuple:
-        return (self.name, self.shape, self.precision, self.flags)
+__all__ = ["TPP", "BlockTPP"]
 
 
 class TPP(abc.ABC):
@@ -49,8 +33,7 @@ class TPP(abc.ABC):
 
     Subclasses implement :meth:`_execute` operating in compute precision on
     float arrays; the base class handles precision conversion on the way in
-    and out and accounting of flops / bytes moved (used by the simulator
-    cost model and by the benchmark harness).
+    and out.
     """
 
     #: human-readable operator name, e.g. "brgemm", "relu"
@@ -58,30 +41,8 @@ class TPP(abc.ABC):
 
     def __init__(self, precision: Precision = Precision()):
         self.precision = precision
-        self._invocations = 0
 
-    # -- introspection -------------------------------------------------
-    @property
-    @abc.abstractmethod
-    def signature(self) -> TPPSignature:
-        """Identity used for JIT-cache lookup and simulation."""
-
-    @property
-    def invocations(self) -> int:
-        """Number of times this primitive has been applied."""
-        return self._invocations
-
-    @abc.abstractmethod
-    def flop_count(self) -> int:
-        """Floating-point operations per invocation."""
-
-    @abc.abstractmethod
-    def bytes_moved(self) -> int:
-        """Logical bytes read + written per invocation (storage precision)."""
-
-    # -- execution ------------------------------------------------------
     def __call__(self, *args: Any, **kwargs: Any) -> Any:
-        self._invocations += 1
         return self._execute(*args, **kwargs)
 
     @abc.abstractmethod
@@ -101,15 +62,20 @@ class TPP(abc.ABC):
             dst.dtype, copy=False
         )
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<{type(self).__name__} {self.signature.shape} {self.precision}>"
 
+class BlockTPP(TPP):
+    """A TPP over one ``(m, n)`` block, the paper's TPP granularity."""
 
-def flops_of(tpp: TPP, invocations: int = 1) -> int:
-    """Total flops for *invocations* applications of *tpp*."""
-    return tpp.flop_count() * invocations
+    def __init__(self, m: int, n: int, precision: Precision = Precision()):
+        super().__init__(precision)
+        if m <= 0 or n <= 0:
+            raise ValueError(f"TPP block dims must be positive, got {m}x{n}")
+        self.m = int(m)
+        self.n = int(n)
 
-
-def bytes_of(tpp: TPP, invocations: int = 1) -> int:
-    """Total logical bytes for *invocations* applications of *tpp*."""
-    return tpp.bytes_moved() * invocations
+    def _check(self, x: np.ndarray) -> None:
+        if x.shape != (self.m, self.n):
+            raise ValueError(
+                f"{self.name} TPP expects block ({self.m},{self.n}), "
+                f"got {x.shape}"
+            )

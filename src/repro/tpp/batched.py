@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dtypes import Precision, from_compute
-from .unary import _SQRT_2_OVER_PI
+from .unary import gelu, relu
 
 __all__ = ["batched_brgemm", "batched_spmm", "batched_bias_add_col",
            "batched_unary"]
@@ -78,13 +78,11 @@ def batched_bias_add_col(blocks: np.ndarray, bias_cols: np.ndarray,
 def batched_unary(blocks: np.ndarray, op: str,
                   precision: Precision) -> np.ndarray:
     """Stacked elementwise activation (``ReluTPP`` / ``GeluTPP``)."""
-    comp = precision.comp.np
-    x = np.asarray(blocks, dtype=comp)
+    x = np.asarray(blocks, dtype=precision.comp.np)
     if op == "relu":
-        v = np.where(x > 0, x, np.zeros((), dtype=x.dtype))
+        v = relu(x)
     elif op == "gelu":
-        v = 0.5 * x * (1.0 + np.tanh(
-            _SQRT_2_OVER_PI * (x + 0.044715 * x ** 3)))
+        v = gelu(x)
     else:
         raise ValueError(f"unsupported batched unary op {op!r}")
     return _store_values(v, precision, np.asarray(blocks).dtype)

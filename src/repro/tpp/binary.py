@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import TPP, TPPSignature
-from .dtypes import Precision
+from .base import BlockTPP
 
 __all__ = [
     "BinaryTPP",
@@ -27,33 +26,8 @@ __all__ = [
 ]
 
 
-class BinaryTPP(TPP):
+class BinaryTPP(BlockTPP):
     """Elementwise binary operator on (m, n) blocks: out = op(in0, in1)."""
-
-    def __init__(self, m: int, n: int, precision: Precision = Precision()):
-        super().__init__(precision)
-        if m <= 0 or n <= 0:
-            raise ValueError(f"TPP block dims must be positive, got {m}x{n}")
-        self.m = int(m)
-        self.n = int(n)
-
-    @property
-    def signature(self) -> TPPSignature:
-        return TPPSignature(self.name, (self.m, self.n), self.precision)
-
-    def flop_count(self) -> int:
-        return self.m * self.n
-
-    def bytes_moved(self) -> int:
-        return self.m * self.n * (
-            2 * self.precision.inp.nbytes + self.precision.out.nbytes
-        )
-
-    def _check(self, x: np.ndarray) -> None:
-        if x.shape != (self.m, self.n):
-            raise ValueError(
-                f"{self.name} TPP expects block ({self.m},{self.n}), got {x.shape}"
-            )
 
     def _apply(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -119,11 +93,6 @@ class BiasAddTPP(BinaryTPP):
 
     name = "bias_add"
 
-    def bytes_moved(self) -> int:
-        return (self.m * self.n * (self.precision.inp.nbytes
-                                   + self.precision.out.nbytes)
-                + self.n * self.precision.inp.nbytes)
-
     def _execute(self, block: np.ndarray, bias: np.ndarray,
                  out: np.ndarray | None = None) -> np.ndarray:
         self._check(block)
@@ -146,11 +115,6 @@ class BiasAddColTPP(BinaryTPP):
     """
 
     name = "bias_add_col"
-
-    def bytes_moved(self) -> int:
-        return (self.m * self.n * (self.precision.inp.nbytes
-                                   + self.precision.out.nbytes)
-                + self.m * self.precision.inp.nbytes)
 
     def _execute(self, block: np.ndarray, bias: np.ndarray,
                  out: np.ndarray | None = None) -> np.ndarray:
@@ -193,9 +157,6 @@ class MulAddTPP(BinaryTPP):
     """Fused multiply-add: out = in0 * in1 + out (ternary accumulate)."""
 
     name = "muladd"
-
-    def flop_count(self) -> int:
-        return 2 * self.m * self.n
 
     def _execute(self, in0: np.ndarray, in1: np.ndarray, out: np.ndarray
                  ) -> np.ndarray:

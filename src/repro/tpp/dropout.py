@@ -10,47 +10,29 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import TPP, TPPSignature
+from .base import BlockTPP
 from .dtypes import Precision
 
 __all__ = ["DropoutTPP", "DropoutBwdTPP"]
 
 
-class DropoutTPP(TPP):
+class DropoutTPP(BlockTPP):
     """Inverted dropout on an (m, n) block: out = in * mask / (1 - p)."""
 
     name = "dropout"
 
     def __init__(self, m: int, n: int, p: float = 0.1, seed: int = 0,
                  precision: Precision = Precision()):
-        super().__init__(precision)
         if not 0.0 <= p < 1.0:
             raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-        self.m = int(m)
-        self.n = int(n)
+        super().__init__(m, n, precision)
         self.p = float(p)
         self._rng = np.random.default_rng(seed)
         self.last_mask: np.ndarray | None = None
 
-    @property
-    def signature(self) -> TPPSignature:
-        return TPPSignature(self.name, (self.m, self.n), self.precision,
-                            (self.p,))
-
-    def flop_count(self) -> int:
-        return 2 * self.m * self.n
-
-    def bytes_moved(self) -> int:
-        # input + output + 1-bit mask per element (rounded up to bytes)
-        return (self.m * self.n * (self.precision.inp.nbytes
-                                   + self.precision.out.nbytes)
-                + (self.m * self.n + 7) // 8)
-
     def _execute(self, inp: np.ndarray, out: np.ndarray | None = None,
                  training: bool = True) -> np.ndarray:
-        if inp.shape != (self.m, self.n):
-            raise ValueError(
-                f"dropout TPP expects ({self.m},{self.n}), got {inp.shape}")
+        self._check(inp)
         if out is None:
             out = inp
         if not training or self.p == 0.0:
@@ -64,29 +46,15 @@ class DropoutTPP(TPP):
         return out
 
 
-class DropoutBwdTPP(TPP):
+class DropoutBwdTPP(BlockTPP):
     """Dropout backward: grad_in = grad_out * mask / (1 - p)."""
 
     name = "dropout_bwd"
 
     def __init__(self, m: int, n: int, p: float = 0.1,
                  precision: Precision = Precision()):
-        super().__init__(precision)
-        self.m = int(m)
-        self.n = int(n)
+        super().__init__(m, n, precision)
         self.p = float(p)
-
-    @property
-    def signature(self) -> TPPSignature:
-        return TPPSignature(self.name, (self.m, self.n), self.precision,
-                            (self.p,))
-
-    def flop_count(self) -> int:
-        return 2 * self.m * self.n
-
-    def bytes_moved(self) -> int:
-        return (2 * self.m * self.n * self.precision.inp.nbytes
-                + (self.m * self.n + 7) // 8)
 
     def _execute(self, grad_out: np.ndarray, mask: np.ndarray,
                  grad_in: np.ndarray | None = None) -> np.ndarray:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import TPP, TPPSignature
+from .base import TPP
 from .dtypes import Precision
 from .memory import Ptr
 
@@ -52,21 +52,6 @@ class GemmTPP(TPP):
         self.beta = float(beta)
         self.trans_a = bool(trans_a)
         self.trans_b = bool(trans_b)
-
-    @property
-    def signature(self) -> TPPSignature:
-        return TPPSignature(self.name, (self.bm, self.bn, self.bk),
-                            self.precision,
-                            (self.beta, self.trans_a, self.trans_b))
-
-    def flop_count(self) -> int:
-        return 2 * self.bm * self.bn * self.bk
-
-    def bytes_moved(self) -> int:
-        ib = self.precision.inp.nbytes
-        ob = self.precision.out.nbytes
-        return (self.bm * self.bk + self.bk * self.bn) * ib + \
-            self.bm * self.bn * ob * (2 if self.beta != 0.0 else 1)
 
     def _execute(self, a: np.ndarray, b: np.ndarray, c: np.ndarray
                  ) -> np.ndarray:
@@ -126,25 +111,6 @@ class BRGemmTPP(TPP):
         self.variant = variant
         self.beta = float(beta)
         self.b_vnni = int(b_vnni)
-        self._last_brcount = 1
-
-    @property
-    def signature(self) -> TPPSignature:
-        return TPPSignature(
-            self.name, (self.bm, self.bn, self.bk), self.precision,
-            (self.variant, self.stride_a, self.stride_b, self.beta,
-             self.b_vnni))
-
-    def flop_count(self, brcount: int | None = None) -> int:
-        br = self._last_brcount if brcount is None else brcount
-        return 2 * self.bm * self.bn * self.bk * br
-
-    def bytes_moved(self, brcount: int | None = None) -> int:
-        br = self._last_brcount if brcount is None else brcount
-        ib = self.precision.inp.nbytes
-        ob = self.precision.out.nbytes
-        return ((self.bm * self.bk + self.bk * self.bn) * br * ib
-                + self.bm * self.bn * ob * (2 if self.beta != 0.0 else 1))
 
     # -- block gathering per variant ------------------------------------
     def _gather_stride(self, a, b, brcount):
@@ -196,7 +162,6 @@ class BRGemmTPP(TPP):
         brcount = int(brcount)
         if brcount <= 0:
             raise ValueError(f"brcount must be positive, got {brcount}")
-        self._last_brcount = brcount
         if c.shape != (self.bm, self.bn):
             raise ValueError(
                 f"brgemm C block must be ({self.bm},{self.bn}), got {c.shape}")

@@ -9,46 +9,27 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import TPP, TPPSignature
+from .base import BlockTPP
 from .dtypes import Precision
 
 __all__ = ["LayerNormTPP", "LayerNormBwdTPP", "BatchNormStatsTPP",
            "BatchNormApplyTPP"]
 
 
-class LayerNormTPP(TPP):
+class LayerNormTPP(BlockTPP):
     """Row-wise layernorm: y = (x - mean) / sqrt(var + eps) * gamma + beta."""
 
     name = "layernorm"
 
     def __init__(self, m: int, n: int, eps: float = 1e-5,
                  precision: Precision = Precision()):
-        super().__init__(precision)
-        if m <= 0 or n <= 0:
-            raise ValueError(f"TPP block dims must be positive, got {m}x{n}")
-        self.m = int(m)
-        self.n = int(n)
+        super().__init__(m, n, precision)
         self.eps = float(eps)
-
-    @property
-    def signature(self) -> TPPSignature:
-        return TPPSignature(self.name, (self.m, self.n), self.precision,
-                            (self.eps,))
-
-    def flop_count(self) -> int:
-        return 8 * self.m * self.n
-
-    def bytes_moved(self) -> int:
-        return (self.m * self.n * (self.precision.inp.nbytes
-                                   + self.precision.out.nbytes)
-                + 2 * self.n * self.precision.inp.nbytes)
 
     def _execute(self, inp: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
                  out: np.ndarray | None = None,
                  save_stats: dict | None = None) -> np.ndarray:
-        if inp.shape != (self.m, self.n):
-            raise ValueError(
-                f"layernorm TPP expects ({self.m},{self.n}), got {inp.shape}")
+        self._check(inp)
         if out is None:
             out = inp
         x = self._in(inp)
@@ -66,25 +47,10 @@ class LayerNormTPP(TPP):
         return out
 
 
-class LayerNormBwdTPP(TPP):
+class LayerNormBwdTPP(BlockTPP):
     """Layernorm backward producing grad_x, grad_gamma, grad_beta."""
 
     name = "layernorm_bwd"
-
-    def __init__(self, m: int, n: int, precision: Precision = Precision()):
-        super().__init__(precision)
-        self.m = int(m)
-        self.n = int(n)
-
-    @property
-    def signature(self) -> TPPSignature:
-        return TPPSignature(self.name, (self.m, self.n), self.precision)
-
-    def flop_count(self) -> int:
-        return 12 * self.m * self.n
-
-    def bytes_moved(self) -> int:
-        return 4 * self.m * self.n * self.precision.inp.nbytes
 
     def _execute(self, grad_out: np.ndarray, xhat: np.ndarray,
                  rstd: np.ndarray, gamma: np.ndarray):
@@ -102,55 +68,26 @@ class LayerNormBwdTPP(TPP):
                 self._out(grad_beta))
 
 
-class BatchNormStatsTPP(TPP):
+class BatchNormStatsTPP(BlockTPP):
     """Per-channel mean/variance over an (m, n) block where columns are
     channels — the stats half of the batchnorm used by ResNet-50 (§IV-C)."""
 
     name = "batchnorm_stats"
-
-    def __init__(self, m: int, n: int, precision: Precision = Precision()):
-        super().__init__(precision)
-        self.m = int(m)
-        self.n = int(n)
-
-    @property
-    def signature(self) -> TPPSignature:
-        return TPPSignature(self.name, (self.m, self.n), self.precision)
-
-    def flop_count(self) -> int:
-        return 3 * self.m * self.n
-
-    def bytes_moved(self) -> int:
-        return self.m * self.n * self.precision.inp.nbytes
 
     def _execute(self, inp: np.ndarray):
         x = self._in(inp)
         return np.mean(x, axis=0), np.var(x, axis=0)
 
 
-class BatchNormApplyTPP(TPP):
+class BatchNormApplyTPP(BlockTPP):
     """Apply per-channel (column) normalisation with scale and shift."""
 
     name = "batchnorm_apply"
 
     def __init__(self, m: int, n: int, eps: float = 1e-5,
                  precision: Precision = Precision()):
-        super().__init__(precision)
-        self.m = int(m)
-        self.n = int(n)
+        super().__init__(m, n, precision)
         self.eps = float(eps)
-
-    @property
-    def signature(self) -> TPPSignature:
-        return TPPSignature(self.name, (self.m, self.n), self.precision,
-                            (self.eps,))
-
-    def flop_count(self) -> int:
-        return 4 * self.m * self.n
-
-    def bytes_moved(self) -> int:
-        return self.m * self.n * (self.precision.inp.nbytes
-                                  + self.precision.out.nbytes)
 
     def _execute(self, inp: np.ndarray, mean: np.ndarray, var: np.ndarray,
                  gamma: np.ndarray, beta: np.ndarray,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import TPP, TPPSignature
+from .base import BlockTPP
 from .dtypes import Precision
 
 __all__ = ["ReduceTPP", "ReduceKind", "ReduceAxis"]
@@ -47,7 +47,7 @@ _NUMPY_OP = {
 _AXIS = {ReduceAxis.ROWS: 0, ReduceAxis.COLS: 1, ReduceAxis.FULL: None}
 
 
-class ReduceTPP(TPP):
+class ReduceTPP(BlockTPP):
     """Reduction over a 2D (m, n) block.
 
     ``axis=ROWS`` reduces the m dimension producing a length-n vector,
@@ -60,22 +60,13 @@ class ReduceTPP(TPP):
     def __init__(self, m: int, n: int, kind: str = ReduceKind.SUM,
                  axis: str = ReduceAxis.ROWS,
                  precision: Precision = Precision()):
-        super().__init__(precision)
         if kind not in ReduceKind.ALL:
             raise ValueError(f"unknown reduce kind {kind!r}")
         if axis not in ReduceAxis.ALL:
             raise ValueError(f"unknown reduce axis {axis!r}")
-        if m <= 0 or n <= 0:
-            raise ValueError(f"TPP block dims must be positive, got {m}x{n}")
-        self.m = int(m)
-        self.n = int(n)
+        super().__init__(m, n, precision)
         self.kind = kind
         self.axis = axis
-
-    @property
-    def signature(self) -> TPPSignature:
-        return TPPSignature(self.name, (self.m, self.n), self.precision,
-                            (self.kind, self.axis))
 
     @property
     def out_shape(self) -> tuple:
@@ -83,20 +74,9 @@ class ReduceTPP(TPP):
                 ReduceAxis.COLS: (self.m,),
                 ReduceAxis.FULL: ()}[self.axis]
 
-    def flop_count(self) -> int:
-        per_elem = 2 if self.kind == ReduceKind.SQSUM else 1
-        return per_elem * self.m * self.n
-
-    def bytes_moved(self) -> int:
-        out_elems = int(np.prod(self.out_shape)) if self.out_shape else 1
-        return (self.m * self.n * self.precision.inp.nbytes
-                + out_elems * self.precision.out.nbytes)
-
     def _execute(self, inp: np.ndarray, out: np.ndarray | None = None,
                  accumulate: bool = False) -> np.ndarray:
-        if inp.shape != (self.m, self.n):
-            raise ValueError(
-                f"reduce TPP expects block ({self.m},{self.n}), got {inp.shape}")
+        self._check(inp)
         result = _NUMPY_OP[self.kind](self._in(inp), _AXIS[self.axis])
         result = np.asarray(result, dtype=self.precision.comp.np)
         if out is None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import TPP, TPPSignature
+from .base import BlockTPP
 from .dtypes import Precision
 from .reduce import ReduceAxis, ReduceKind, ReduceTPP
 from .unary import ExpTPP, RcpTPP
@@ -19,7 +19,7 @@ from .unary import ExpTPP, RcpTPP
 __all__ = ["SoftmaxTPP", "SoftmaxBwdTPP", "softmax_equation"]
 
 
-class SoftmaxTPP(TPP):
+class SoftmaxTPP(BlockTPP):
     """Numerically-stable row-wise softmax over an (m, n) block.
 
     Each of the m rows is normalised independently: the attention use-case
@@ -28,30 +28,9 @@ class SoftmaxTPP(TPP):
 
     name = "softmax"
 
-    def __init__(self, m: int, n: int, precision: Precision = Precision()):
-        super().__init__(precision)
-        if m <= 0 or n <= 0:
-            raise ValueError(f"TPP block dims must be positive, got {m}x{n}")
-        self.m = int(m)
-        self.n = int(n)
-
-    @property
-    def signature(self) -> TPPSignature:
-        return TPPSignature(self.name, (self.m, self.n), self.precision)
-
-    def flop_count(self) -> int:
-        # max + sub + exp(4) + sum + div per element
-        return 8 * self.m * self.n
-
-    def bytes_moved(self) -> int:
-        return self.m * self.n * (self.precision.inp.nbytes
-                                  + self.precision.out.nbytes)
-
     def _execute(self, inp: np.ndarray, out: np.ndarray | None = None
                  ) -> np.ndarray:
-        if inp.shape != (self.m, self.n):
-            raise ValueError(
-                f"softmax TPP expects block ({self.m},{self.n}), got {inp.shape}")
+        self._check(inp)
         if out is None:
             out = inp
         x = self._in(inp)
@@ -61,25 +40,10 @@ class SoftmaxTPP(TPP):
         return out
 
 
-class SoftmaxBwdTPP(TPP):
+class SoftmaxBwdTPP(BlockTPP):
     """Softmax backward: grad_in = y * (grad_out - sum(grad_out * y, row))."""
 
     name = "softmax_bwd"
-
-    def __init__(self, m: int, n: int, precision: Precision = Precision()):
-        super().__init__(precision)
-        self.m = int(m)
-        self.n = int(n)
-
-    @property
-    def signature(self) -> TPPSignature:
-        return TPPSignature(self.name, (self.m, self.n), self.precision)
-
-    def flop_count(self) -> int:
-        return 4 * self.m * self.n
-
-    def bytes_moved(self) -> int:
-        return 3 * self.m * self.n * self.precision.inp.nbytes
 
     def _execute(self, grad_out: np.ndarray, y: np.ndarray,
                  grad_in: np.ndarray | None = None) -> np.ndarray:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .base import TPP, TPPSignature
+from .base import TPP
 from .dtypes import DType, Precision, from_compute
 from .transform import vnni_pack
 
@@ -159,22 +159,6 @@ class BlockSpMMTPP(TPP):
         self.bm, self.bn, self.bk = int(bm), int(bn), int(bk)
         self.beta = float(beta)
         self.b_vnni = int(b_vnni)
-        self._last_nnz = 0
-
-    @property
-    def signature(self) -> TPPSignature:
-        return TPPSignature(self.name, (self.bm, self.bn, self.bk),
-                            self.precision, (self.beta, self.b_vnni))
-
-    def flop_count(self, nnz_blocks: int | None = None) -> int:
-        nz = self._last_nnz if nnz_blocks is None else nnz_blocks
-        return 2 * self.bm * self.bn * self.bk * nz
-
-    def bytes_moved(self, nnz_blocks: int | None = None) -> int:
-        nz = self._last_nnz if nnz_blocks is None else nnz_blocks
-        ib = self.precision.inp.nbytes
-        return ((self.bm * self.bk + self.bk * self.bn) * nz * ib
-                + self.bm * self.bn * self.precision.out.nbytes)
 
     def _b_block(self, b: np.ndarray, kc: int, n_start: int) -> np.ndarray:
         """Extract the (bk, bn) dense block of B for block-column kc."""
@@ -199,13 +183,10 @@ class BlockSpMMTPP(TPP):
         comp = self.precision.comp.np
         acc = (self.beta * self._in(c) if self.beta != 0.0
                else np.zeros((self.bm, self.bn), dtype=comp))
-        nnz = 0
         for kc, a_blk in a.row_blocks(block_row):
             b_blk = self._b_block(b, kc, n_start)
             acc = acc + a_blk.astype(comp, copy=False) @ \
                 b_blk.astype(comp, copy=False)
-            nnz += 1
-        self._last_nnz = nnz
         self._store(c, acc)
         return c
 

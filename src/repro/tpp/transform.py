@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import TPP, TPPSignature
-from .dtypes import Precision
+from .base import BlockTPP
 
 __all__ = [
     "TransposeTPP",
@@ -34,31 +33,13 @@ __all__ = [
 ]
 
 
-class TransposeTPP(TPP):
+class TransposeTPP(BlockTPP):
     """Out-of-place transpose of an (m, n) block."""
 
     name = "transpose"
 
-    def __init__(self, m: int, n: int, precision: Precision = Precision()):
-        super().__init__(precision)
-        self.m = int(m)
-        self.n = int(n)
-
-    @property
-    def signature(self) -> TPPSignature:
-        return TPPSignature(self.name, (self.m, self.n), self.precision)
-
-    def flop_count(self) -> int:
-        return 0
-
-    def bytes_moved(self) -> int:
-        return self.m * self.n * (self.precision.inp.nbytes
-                                  + self.precision.out.nbytes)
-
     def _execute(self, inp: np.ndarray, out: np.ndarray) -> np.ndarray:
-        if inp.shape != (self.m, self.n):
-            raise ValueError(
-                f"transpose TPP expects ({self.m},{self.n}), got {inp.shape}")
+        self._check(inp)
         if out.shape != (self.n, self.m):
             raise ValueError(
                 f"transpose output must be ({self.n},{self.m}), got {out.shape}")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import TPP, TPPSignature
+from .base import BlockTPP
 from .dtypes import Precision
 
 __all__ = [
@@ -34,36 +34,30 @@ __all__ = [
     "NegTPP",
     "BroadcastRowTPP",
     "BroadcastColTPP",
+    "relu",
+    "gelu",
 ]
 
 _SQRT_2_OVER_PI = float(np.sqrt(2.0 / np.pi))
 
 
-class UnaryTPP(TPP):
+def relu(x: np.ndarray) -> np.ndarray:
+    """ReLU in compute precision; the one formula behind :class:`ReluTPP`
+    and the stacked activations of :mod:`repro.tpp.batched`."""
+    return np.where(x > 0, x, np.zeros((), dtype=x.dtype))
+
+
+def gelu(x: np.ndarray) -> np.ndarray:
+    """GELU (tanh approximation, as used by BERT) in compute precision."""
+    return 0.5 * x * (1.0 + np.tanh(_SQRT_2_OVER_PI * (x + 0.044715 * x**3)))
+
+
+class UnaryTPP(BlockTPP):
     """Common base: elementwise unary operator on an (m, n) block."""
 
-    def __init__(self, m: int, n: int, precision: Precision = Precision()):
-        super().__init__(precision)
-        if m <= 0 or n <= 0:
-            raise ValueError(f"TPP block dims must be positive, got {m}x{n}")
-        self.m = int(m)
-        self.n = int(n)
-
-    @property
-    def signature(self) -> TPPSignature:
-        return TPPSignature(self.name, (self.m, self.n), self.precision)
-
-    def flop_count(self) -> int:
-        # one op per element by default; transcendental ops override
-        return self.m * self.n
-
-    def bytes_moved(self) -> int:
-        return self.m * self.n * (
-            self.precision.inp.nbytes + self.precision.out.nbytes
-        )
-
     def _check(self, x: np.ndarray) -> None:
-        if x.shape[-2:] != (self.m, self.n) and x.shape != (self.m, self.n):
+        # admits leading batch axes over the (m, n) block
+        if x.shape[-2:] != (self.m, self.n):
             raise ValueError(
                 f"{self.name} TPP expects block ({self.m},{self.n}), "
                 f"got {x.shape}"
@@ -86,12 +80,6 @@ class ZeroTPP(UnaryTPP):
 
     name = "zero"
 
-    def flop_count(self) -> int:
-        return 0
-
-    def bytes_moved(self) -> int:
-        return self.m * self.n * self.precision.out.nbytes  # store only
-
     def _execute(self, out: np.ndarray) -> np.ndarray:
         self._check(out)
         out[...] = 0
@@ -102,9 +90,6 @@ class CopyTPP(UnaryTPP):
     """Copy (identity) on a 2D block; also used for precision conversion."""
 
     name = "copy"
-
-    def flop_count(self) -> int:
-        return 0
 
     def _apply(self, x: np.ndarray) -> np.ndarray:
         return x
@@ -124,18 +109,10 @@ class ReluTPP(UnaryTPP):
         self.record_mask = bool(record_mask)
         self.last_mask: np.ndarray | None = None
 
-    @property
-    def signature(self) -> TPPSignature:
-        return TPPSignature(
-            self.name, (self.m, self.n), self.precision,
-            ("mask",) if self.record_mask else (),
-        )
-
     def _apply(self, x: np.ndarray) -> np.ndarray:
-        mask = x > 0
         if self.record_mask:
-            self.last_mask = mask
-        return np.where(mask, x, 0)
+            self.last_mask = x > 0
+        return relu(x)
 
 
 class ReluBwdTPP(UnaryTPP):
@@ -159,20 +136,14 @@ class GeluTPP(UnaryTPP):
 
     name = "gelu"
 
-    def flop_count(self) -> int:
-        return 8 * self.m * self.n  # polynomial + tanh estimate
-
     def _apply(self, x: np.ndarray) -> np.ndarray:
-        return 0.5 * x * (1.0 + np.tanh(_SQRT_2_OVER_PI * (x + 0.044715 * x**3)))
+        return gelu(x)
 
 
 class GeluBwdTPP(UnaryTPP):
     """GELU backward (derivative of the tanh approximation)."""
 
     name = "gelu_bwd"
-
-    def flop_count(self) -> int:
-        return 14 * self.m * self.n
 
     def _execute(self, grad_out: np.ndarray, x: np.ndarray,
                  grad_in: np.ndarray | None = None) -> np.ndarray:
@@ -192,9 +163,6 @@ class GeluBwdTPP(UnaryTPP):
 class TanhTPP(UnaryTPP):
     name = "tanh"
 
-    def flop_count(self) -> int:
-        return 6 * self.m * self.n
-
     def _apply(self, x: np.ndarray) -> np.ndarray:
         return np.tanh(x)
 
@@ -202,18 +170,12 @@ class TanhTPP(UnaryTPP):
 class SigmoidTPP(UnaryTPP):
     name = "sigmoid"
 
-    def flop_count(self) -> int:
-        return 5 * self.m * self.n
-
     def _apply(self, x: np.ndarray) -> np.ndarray:
         return 1.0 / (1.0 + np.exp(-x))
 
 
 class ExpTPP(UnaryTPP):
     name = "exp"
-
-    def flop_count(self) -> int:
-        return 4 * self.m * self.n
 
     def _apply(self, x: np.ndarray) -> np.ndarray:
         return np.exp(x)

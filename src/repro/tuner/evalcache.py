@@ -16,11 +16,9 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 import threading
-import warnings
 
-from ..core.cache import quarantine_corrupt
+from ..core.cache import load_json_object, write_json_atomic
 from ..obs.context import current as _obs
 from .generator import Candidate
 from .search import TuneOutcome
@@ -128,17 +126,7 @@ class EvalCache:
             raise ValueError("EvalCache.save needs a path")
         with self._lock:
             payload = json.dumps(self._data, indent=0, sort_keys=True)
-        directory = os.path.dirname(os.path.abspath(path))
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(payload)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
-        return path
+        return write_json_atomic(path, payload)
 
     def load(self, path: str) -> int:
         """Merge entries from *path*; returns how many were loaded.
@@ -148,18 +136,7 @@ class EvalCache:
         ``<path>.corrupt`` with a warning and the cache starts empty —
         a damaged warm-start must never kill the sweep it was meant to
         speed up."""
-        try:
-            with open(path) as fh:
-                loaded = json.load(fh)
-            if not isinstance(loaded, dict):
-                raise ValueError(
-                    f"expected a JSON object, got {type(loaded).__name__}")
-        except (json.JSONDecodeError, ValueError, UnicodeDecodeError) as exc:
-            quarantined = quarantine_corrupt(path)
-            warnings.warn(
-                f"eval cache at {path} is corrupt ({exc}); moved to "
-                f"{quarantined} and starting empty", stacklevel=2)
-            return 0
+        loaded = load_json_object(path, "eval cache")
         with self._lock:
             self._data.update(loaded)
         return len(loaded)

@@ -19,11 +19,10 @@ stale model fails loudly instead of silently mis-ranking.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 
 import numpy as np
 
+from ..core.cache import write_json_atomic
 from .features import FEATURE_VERSION
 from .generator import Candidate
 
@@ -182,17 +181,7 @@ class RidgeCostModel:
             "coef": self.coef_.tolist(),
             "intercept": self.intercept_,
         }, sort_keys=True)
-        directory = os.path.dirname(os.path.abspath(path))
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(payload)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
-        return path
+        return write_json_atomic(path, payload)
 
     @classmethod
     def load(cls, path: str) -> "RidgeCostModel":

@@ -1,12 +1,13 @@
 """The public API surface, asserted exactly.
 
-``repro.__all__``, ``repro.tuner.__all__`` and ``repro.simulator.__all__``
-are contracts: additions and removals must be deliberate (update the
-snapshot here *and* the DESIGN.md migration notes).
+``repro.__all__``, ``repro.tuner.__all__``, ``repro.simulator.__all__``
+and ``repro.tpp.__all__`` are contracts: additions and removals must be
+deliberate (update the snapshot here *and* the DESIGN.md migration notes).
 """
 
 import repro
 import repro.simulator
+import repro.tpp
 import repro.tuner
 from repro.platform import SPR
 
@@ -61,6 +62,27 @@ SIMULATOR_SNAPSHOT = [
     "SimResult", "simulate", "simulate_flat", "simulate_traces",
 ]
 
+TPP_SNAPSHOT = [
+    "TPP",
+    "DType", "Precision", "bf16_round", "from_compute", "to_compute",
+    "is_bf16_representable", "tolerance_for",
+    "Ptr",
+    "GemmTPP", "BRGemmTPP",
+    "BCSCMatrix", "BlockSpMMTPP",
+    "UnaryTPP", "ZeroTPP", "CopyTPP", "IdentityTPP", "ReluTPP", "ReluBwdTPP",
+    "GeluTPP", "GeluBwdTPP", "TanhTPP", "SigmoidTPP", "ExpTPP", "SqrtTPP",
+    "RcpTPP", "SquareTPP", "NegTPP", "BroadcastRowTPP", "BroadcastColTPP",
+    "BinaryTPP", "AddTPP", "SubTPP", "MulTPP", "DivTPP", "MaxTPP", "MinTPP",
+    "BiasAddTPP", "BiasAddColTPP", "ScaleTPP", "MulAddTPP",
+    "ReduceTPP", "ReduceKind", "ReduceAxis",
+    "SoftmaxTPP", "SoftmaxBwdTPP", "softmax_equation",
+    "LayerNormTPP", "LayerNormBwdTPP", "BatchNormStatsTPP",
+    "BatchNormApplyTPP",
+    "DropoutTPP", "DropoutBwdTPP",
+    "TransposeTPP", "vnni_pack", "vnni_unpack", "mmla_pack_a",
+    "mmla_unpack_a", "mmla_pack_b", "mmla_unpack_b", "block_2d", "unblock_2d",
+]
+
 
 class TestAllSnapshot:
     def test_exact_all(self):
@@ -83,6 +105,11 @@ class TestAllSnapshot:
         assert repro.simulator.__all__ == SIMULATOR_SNAPSHOT
         for name in SIMULATOR_SNAPSHOT:
             assert getattr(repro.simulator, name, None) is not None, name
+
+    def test_exact_tpp_all(self):
+        assert repro.tpp.__all__ == TPP_SNAPSHOT
+        for name in TPP_SNAPSHOT:
+            assert getattr(repro.tpp, name, None) is not None, name
 
 
 class TestSessionFacade:

@@ -200,15 +200,15 @@ class TestHedgeResolutions:
     starts the clone's chunk steps at 0.50, 0.71 and 1.04 s, so the
     primary is always the side nearer its first token."""
 
-    SLOW = FleetFaultPlan(seed=0, grays=tuple(
-        ReplicaFault(replica=r, at_s=0.0, kind="slowdown", until_s=100.0,
-                     value=600.0) for r in (0, 1)))
     GUARD = GuardPolicy(hedge=HedgePolicy(initial_delay_s=0.5,
                                           min_delay_s=0.5))
 
-    def _run(self, deadline_s):
+    def _report(self, deadline_s, until_s=100.0):
+        slow = FleetFaultPlan(seed=0, grays=tuple(
+            ReplicaFault(replica=r, at_s=0.0, kind="slowdown",
+                         until_s=until_s, value=600.0) for r in (0, 1)))
         fleet = FleetSimulator(
-            TINY, (SPR, SPR), faults=self.SLOW, mem_fraction=0.02,
+            TINY, (SPR, SPR), faults=slow, mem_fraction=0.02,
             resilience=ResilienceConfig(deadline_s=deadline_s,
                                         degrade=None), guard=self.GUARD)
         report = fleet.run([Request(rid=0, arrival_s=0.0,
@@ -220,7 +220,11 @@ class TestHedgeResolutions:
         clone_side = report.replica_reports[1].summary
         assert (clone_side.n_submitted, clone_side.n_failed_over) == (1, 1)
         assert check_fleet_invariants(fleet, report) == []
-        return report.requests[0], rec
+        return report
+
+    def _run(self, deadline_s):
+        report = self._report(deadline_s)
+        return report.requests[0], report.hedges[0]
 
     def test_primary_wins_and_its_clone_is_withdrawn(self):
         req, rec = self._run(deadline_s=60.0)
@@ -235,3 +239,11 @@ class TestHedgeResolutions:
         assert (rec.winner, rec.clone_state) == ("none", "withdrawn")
         assert req.state is RequestState.TIMED_OUT
         assert req.first_token_s is None
+
+    @pytest.mark.parametrize("until_s", [100.0, 5.0])
+    def test_idle_replicas_do_not_wait_out_the_fault_windows(self, until_s):
+        # the last reap (0.97 s) leaves both replicas idle inside their
+        # slowdown windows; nothing is due when a window closes, so the
+        # run ends with the reap, whatever the window's end
+        report = self._report(deadline_s=0.9, until_s=until_s)
+        assert report.summary.makespan_s < 1.1

@@ -89,20 +89,40 @@ class TestMicrokernel:
 class TestDispatchCache:
     def test_hit_on_repeat(self):
         cache = DispatchCache()
-        a = dispatch_brgemm(ISA.AVX512, DType.F32, 32, 32, 32, 1, cache)
-        b = dispatch_brgemm(ISA.AVX512, DType.F32, 32, 32, 32, 1, cache)
+        a = dispatch_brgemm(ISA.AVX512, DType.F32, 32, 32, 32, cache)
+        b = dispatch_brgemm(ISA.AVX512, DType.F32, 32, 32, 32, cache)
         assert a is b
         assert cache.hits == 1 and cache.misses == 1
 
     def test_distinct_shapes_miss(self):
         cache = DispatchCache()
-        dispatch_brgemm(ISA.AVX512, DType.F32, 32, 32, 32, 1, cache)
-        dispatch_brgemm(ISA.AVX512, DType.F32, 64, 32, 32, 1, cache)
+        dispatch_brgemm(ISA.AVX512, DType.F32, 32, 32, 32, cache)
+        dispatch_brgemm(ISA.AVX512, DType.F32, 64, 32, 32, cache)
         assert cache.misses == 2
+
+    def test_batch_reduce_count_selects_no_microkernel(self, monkeypatch):
+        # the event builders dispatch with what selects the kernel only:
+        # BRGEMMs and a SpMM block row that differ in batch-reduce count
+        # share one config
+        from repro.platform import SPR
+        from repro.simulator.cost import brgemm_event, spmm_event
+        from repro.tpp.backend import dispatch
+        cache = DispatchCache()
+        monkeypatch.setattr(dispatch, "_GLOBAL", cache)
+        keys = [("A", i) for i in range(4)]
+        one = brgemm_event(SPR, DType.BF16, 32, 32, 32, 1, keys[:1],
+                           keys[:1], ("C",))
+        four = brgemm_event(SPR, DType.BF16, 32, 32, 32, 4, keys, keys,
+                            ("C",))
+        spmm_event(SPR, DType.BF16, 32, 32, 32, 3, keys[:3], keys[:3],
+                   ("C",))
+        assert (len(cache), cache.misses, cache.hits) == (1, 1, 2)
+        assert four.flops == 4 * one.flops
+        assert four.flops_per_cycle == one.flops_per_cycle
 
     def test_clear(self):
         cache = DispatchCache()
-        dispatch_brgemm(ISA.AVX512, DType.F32, 32, 32, 32, 1, cache)
+        dispatch_brgemm(ISA.AVX512, DType.F32, 32, 32, 32, cache)
         cache.clear()
         assert len(cache) == 0 and cache.hits == 0
 
@@ -115,7 +135,7 @@ class TestDispatchCache:
             try:
                 for i in range(50):
                     dispatch_brgemm(ISA.AVX512, DType.F32,
-                                    16 + (i % 4) * 16, 32, 32, 1, cache)
+                                    16 + (i % 4) * 16, 32, 32, cache)
             except Exception as e:  # pragma: no cover
                 errs.append(e)
 

@@ -215,12 +215,3 @@ class TestBlockSpMM:
         for br in range(2):
             tpp(bcsc, b, c[8 * br:8 * br + 8], block_row=br)
         assert np.allclose(c, a @ b, atol=0.1)
-
-    def test_flop_accounting_tracks_nnz(self):
-        a = make_sparse(16, 16, 4, 4, 0.75, seed=16)
-        bcsc = BCSCMatrix.from_dense(a, 4, 4)
-        tpp = BlockSpMMTPP(4, 8, 4)
-        c = np.zeros((4, 8), dtype=np.float32)
-        tpp(bcsc, rand(16, 8, seed=17), c, block_row=0)
-        nnz_row0 = bcsc.row_ptr[1] - bcsc.row_ptr[0]
-        assert tpp.flop_count() == 2 * 4 * 8 * 4 * nnz_row0

@@ -23,9 +23,6 @@ class TestZeroCopy:
         ZeroTPP(4, 6)(x)
         assert np.all(x == 0)
 
-    def test_zero_flops_free(self):
-        assert ZeroTPP(4, 6).flop_count() == 0
-
     def test_copy_out_of_place(self):
         x, y = blk(), np.empty((4, 6), dtype=np.float32)
         CopyTPP(4, 6)(x, y)
@@ -211,15 +208,3 @@ class TestBinary:
         from repro.tpp.dtypes import is_bf16_representable
         assert is_bf16_representable(out)
         assert np.allclose(out, a + b, atol=0.05)
-
-    def test_invocation_counter(self):
-        t = AddTPP(4, 6)
-        a, b = blk(), blk(seed=1)
-        t(a, b)
-        t(a, b)
-        assert t.invocations == 2
-
-    def test_flop_and_byte_accounting(self):
-        t = AddTPP(4, 6)
-        assert t.flop_count() == 24
-        assert t.bytes_moved() == 24 * 12  # 2 in + 1 out, fp32
